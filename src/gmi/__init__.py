@@ -43,6 +43,7 @@ from .rubric import (
     collect_responses,
     load_responses,
     render_template,
+    rubric_to_unit,
 )
 from .schema import (
     Category,
@@ -69,7 +70,6 @@ from .scoring import (
     load_category_table,
     minmax_normalize,
     rubric_category_score,
-    rubric_to_unit,
     score_category,
     score_category_table,
     score_datasets,

@@ -59,36 +59,33 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_score(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    if args.mode == MODE_PRECOMPUTED and args.rates:
-        parser.error("--rates cannot be combined with precomputed-categories mode")
-    schema = _active_schema(args.schema)
-
     if args.mode == MODE_PRECOMPUTED:
+        if args.rates:
+            parser.error("--rates cannot be combined with precomputed-categories mode")
         if len(args.inputs) != 1:
             parser.error("precomputed-categories mode takes exactly one input file")
-        table = load_category_table(Path(args.inputs[0]).read_bytes())
-        try:
+
+    try:
+        if args.mode == MODE_PRECOMPUTED:
+            table = load_category_table(Path(args.inputs[0]).read_bytes())
             results = score_category_table(table, allow_partial=args.allow_partial)
-        except PartialDataError as exc:
-            print(f"PartialDataError: {exc}", file=sys.stderr)
-            return EXIT_DOMAIN
-        payload = render_comparison(results, fmt=args.format, notes=table.notes)
-    else:
-        rates = load_rates(Path(args.rates).read_bytes()) if args.rates else None
-        datasets = [
-            load_program_dataset(Path(path).read_bytes(), schema)
-            for path in args.inputs
-        ]
-        try:
+            notes = table.notes
+        else:
+            schema = _active_schema(args.schema)
+            rates = load_rates(Path(args.rates).read_bytes()) if args.rates else None
+            datasets = [
+                load_program_dataset(Path(path).read_bytes(), schema)
+                for path in args.inputs
+            ]
             _, results = score_datasets(
                 datasets, schema, rates=rates, allow_partial=args.allow_partial
             )
-        except PartialDataError as exc:
-            print(f"PartialDataError: {exc}", file=sys.stderr)
-            return EXIT_DOMAIN
-        payload = render_comparison(results, fmt=args.format)
+            notes = ()
+    except PartialDataError as exc:
+        print(f"PartialDataError: {exc}", file=sys.stderr)
+        return EXIT_DOMAIN
 
-    _emit(payload, args.out)
+    _emit(render_comparison(results, fmt=args.format, notes=notes), args.out)
     return EXIT_OK
 
 

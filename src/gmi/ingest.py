@@ -34,6 +34,8 @@ Observation files are pipe-delimited UTF-8 text::
 
 A first field matching the indicator id pattern is an observation; any other
 first field is read as a rubric criterion id with an integer 1..5 score.
+
+Layer order: this module sits above ``rubric`` and below ``scoring``.
 """
 
 from __future__ import annotations
@@ -42,24 +44,24 @@ import math
 import re
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import IO, Iterable, Mapping
+from typing import IO, Mapping
 
+from . import rubric
 from .errors import (
     DuplicateIndicator,
     ParseError,
-    RubricRangeError,
     UnitError,
     UnknownIndicator,
     ValueParseError,
 )
 from .schema import (
-    DELIMITER,
     INDICATOR_ID_PATTERN,
     Category,
     DataType,
     IndicatorDef,
     Kind,
     Schema,
+    read_records,
 )
 
 # Fixed time conversions, chosen for reproducibility over calendar precision.
@@ -395,30 +397,9 @@ class ProgramDataset:
     rubric: dict[str, int]
 
 
-def _read_text(source: IO[bytes] | IO[str] | str) -> str:
-    if hasattr(source, "read"):
-        data = source.read()
-    else:
-        data = source
-    if isinstance(data, bytes):
-        try:
-            return data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise ParseError(f"document is not UTF-8: {exc}") from exc
-    return data
-
-
-def _records(textdata: str) -> Iterable[tuple[int, list[str]]]:
-    for line_no, line in enumerate(textdata.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        yield line_no, [f.strip() for f in line.split(DELIMITER)]
-
-
 def load_program_dataset(source: IO[bytes] | IO[str] | str, schema: Schema) -> ProgramDataset:
     """Load one program's observation file against *schema*."""
-    records = list(_records(_read_text(source)))
+    records = read_records(source)
     if not records or records[0][1][0].lower() != "program" or len(records[0][1]) < 2:
         raise ParseError("observation file must start with a 'program|<name>' record")
     program = records[0][1][1]
@@ -426,7 +407,7 @@ def load_program_dataset(source: IO[bytes] | IO[str] | str, schema: Schema) -> P
         raise ParseError("program name is empty")
 
     observations: dict[str, Observation] = {}
-    rubric: dict[str, int] = {}
+    answers: dict[str, int] = {}
     for line_no, fields in records[1:]:
         key = fields[0]
         if INDICATOR_ID_PATTERN.match(key):
@@ -461,7 +442,7 @@ def load_program_dataset(source: IO[bytes] | IO[str] | str, schema: Schema) -> P
         else:
             if len(fields) != 2:
                 raise ParseError(f"line {line_no}: rubric rows have 2 fields")
-            if key in rubric:
+            if key in answers:
                 raise ParseError(f"line {line_no}: duplicate rubric row for {key!r}")
             try:
                 score = int(fields[1])
@@ -469,17 +450,15 @@ def load_program_dataset(source: IO[bytes] | IO[str] | str, schema: Schema) -> P
                 raise ParseError(
                     f"line {line_no}: rubric score {fields[1]!r} is not an integer"
                 ) from None
-            if score not in (1, 2, 3, 4, 5):
-                raise RubricRangeError(score, key)
-            rubric[key] = score
+            answers[key] = rubric.check_score(score, key)
 
-    return ProgramDataset(program=program, observations=observations, rubric=rubric)
+    return ProgramDataset(program=program, observations=observations, rubric=answers)
 
 
 def load_rates(source: IO[bytes] | IO[str] | str) -> dict[str, float]:
     """Load a token conversion table (``SYMBOL|usd-per-token`` lines)."""
     rates: dict[str, float] = {}
-    for line_no, fields in _records(_read_text(source)):
+    for line_no, fields in read_records(source):
         if len(fields) != 2:
             raise ParseError(f"line {line_no}: rate rows have 2 fields")
         symbol = fields[0].upper()
@@ -487,8 +466,8 @@ def load_rates(source: IO[bytes] | IO[str] | str) -> dict[str, float]:
             rate = float(fields[1])
         except ValueError:
             raise ParseError(f"line {line_no}: rate {fields[1]!r} is not a number") from None
-        if rate <= 0:
-            raise ParseError(f"line {line_no}: rate for {symbol} must be positive")
+        if not 0 < rate < math.inf:
+            raise ParseError(f"line {line_no}: rate for {symbol} must be positive and finite")
         if symbol in rates:
             raise ParseError(f"line {line_no}: duplicate rate for {symbol}")
         rates[symbol] = rate
@@ -550,11 +529,10 @@ def validate_dataset(dataset: ProgramDataset, schema: Schema,
 
     A category is scorable iff it has at least one observation that would be
     included in normalization right now (no conversion table assumed) or at
-    least one rubric response.
+    least one rubric response.  Rubric answers go through the same check as
+    in scoring, so an unknown criterion raises UnknownCriterion here too.
     """
-    from .rubric import builtin_template  # local import to avoid a cycle
-
-    template = template or builtin_template()
+    template = template or rubric.builtin_template()
     by_category: dict[Category, dict[str, list[str]]] = {
         cat: {"present": [], "missing": [], "non_scorable": [], "token": []}
         for cat in Category
@@ -574,11 +552,8 @@ def validate_dataset(dataset: ProgramDataset, schema: Schema,
         else:
             buckets["non_scorable"].append(obs.indicator_id)
 
-    rubric_counts = {cat: 0 for cat in Category}
-    for criterion_id in dataset.rubric:
-        criterion = template.get(criterion_id)
-        if criterion is not None:
-            rubric_counts[criterion.category] += 1
+    grouped = rubric.collect_responses(template, dataset.rubric)
+    rubric_counts = {cat: len(grouped.get(cat, ())) for cat in Category}
 
     categories = {
         cat: CategoryValidation(

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import MismatchedProgram, ParseError
-from .ingest import Qualifier, ValidationReport
+from .ingest import CategoryValidation, Qualifier, ValidationReport
 from .schema import Category
 from .scoring import AuditRecord, GmiResult, Stage
 
@@ -266,14 +266,7 @@ def render_program_report(result: GmiResult, validation: ValidationReport) -> by
     lines.append("")
     lines.append("Data coverage:")
     for cat in Category:
-        cv = validation.categories[cat]
-        flag = "yes" if cv.scorable else "no"
-        lines.append(
-            f"  {cat.code}: scorable={flag} | included: {_ids(cv.scorable_present)} | "
-            f"missing: {_ids(cv.missing)} | non-scorable: {_ids(cv.non_scorable)} | "
-            f"token-unconverted: {_ids(cv.token_unconverted)} | "
-            f"rubric responses: {cv.rubric_responses}"
-        )
+        lines.append(_coverage_line(validation.categories[cat], unscorable="no"))
 
     lines.append("")
     lines.append("Exclusions:")
@@ -304,17 +297,21 @@ def _ids(ids: tuple[str, ...]) -> str:
     return ", ".join(ids) if ids else "-"
 
 
+def _coverage_line(cv: CategoryValidation, unscorable: str) -> str:
+    """One category's coverage; *unscorable* is the flag text when it fails."""
+    flag = "yes" if cv.scorable else unscorable
+    return (
+        f"  {cv.category.code}: scorable={flag} | included: {_ids(cv.scorable_present)} | "
+        f"missing: {_ids(cv.missing)} | non-scorable: {_ids(cv.non_scorable)} | "
+        f"token-unconverted: {_ids(cv.token_unconverted)} | "
+        f"rubric responses: {cv.rubric_responses}"
+    )
+
+
 def render_validation(report: ValidationReport) -> bytes:
     lines = [f"Program: {report.program}"]
     for cat in Category:
-        cv = report.categories[cat]
-        flag = "yes" if cv.scorable else "NO"
-        lines.append(
-            f"  {cat.code}: scorable={flag} | included: {_ids(cv.scorable_present)} | "
-            f"missing: {_ids(cv.missing)} | non-scorable: {_ids(cv.non_scorable)} | "
-            f"token-unconverted: {_ids(cv.token_unconverted)} | "
-            f"rubric responses: {cv.rubric_responses}"
-        )
+        lines.append(_coverage_line(report.categories[cat], unscorable="NO"))
     if not report.all_scorable:
         names = ", ".join(cat.code for cat in report.unscorable_categories())
         lines.append(f"  => unscorable categories: {names}")

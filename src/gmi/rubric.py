@@ -3,6 +3,9 @@
 Response files are pipe-delimited ``criterion-id|score`` lines; scores run
 from 1 (Low) to 5 (High). A blank score means the criterion was left
 unanswered and is simply omitted from the aggregation.
+
+Layer order: this module sits above ``schema`` and below ``ingest``; it owns
+the 1..5 range check that loading, validation and scoring all apply.
 """
 
 from __future__ import annotations
@@ -11,13 +14,23 @@ from dataclasses import dataclass
 from typing import IO, Mapping
 
 from .errors import ParseError, RubricRangeError, UnknownCriterion
-from .ingest import _read_text, _records
-from .schema import Category
-from .scoring import rubric_to_unit
+from .schema import Category, read_records
 
 SCALE_MIN = 1
 SCALE_MAX = 5
 SCALE_ANCHORS = ("Low", "High")
+
+
+def check_score(score: int, criterion_id: str = "") -> int:
+    """Return *score* if it lies on the 1..5 scale, else raise RubricRangeError."""
+    if score not in range(SCALE_MIN, SCALE_MAX + 1):
+        raise RubricRangeError(score, criterion_id)
+    return score
+
+
+def rubric_to_unit(score: int) -> float:
+    """Map a 1..5 self-assessment answer onto [0, 1]."""
+    return (check_score(score) - 1) / 4
 
 
 @dataclass(frozen=True)
@@ -80,8 +93,7 @@ def collect_responses(template: RubricTemplate,
     for criterion_id, score in answers.items():
         if template.get(criterion_id) is None:
             raise UnknownCriterion(criterion_id)
-        if score not in (1, 2, 3, 4, 5):
-            raise RubricRangeError(score, criterion_id)
+        check_score(score, criterion_id)
     grouped: dict[Category, list[float]] = {}
     for criterion in template.criteria:
         if criterion.id in answers:
@@ -108,7 +120,7 @@ def render_template(template: RubricTemplate | None = None) -> str:
 def load_responses(source: IO[bytes] | IO[str] | str) -> dict[str, int]:
     """Read filled survey lines; blank scores are skipped."""
     answers: dict[str, int] = {}
-    for line_no, fields in _records(_read_text(source)):
+    for line_no, fields in read_records(source):
         if len(fields) != 2:
             raise ParseError(f"line {line_no}: response rows have 2 fields")
         criterion_id, score_text = fields
@@ -120,8 +132,7 @@ def load_responses(source: IO[bytes] | IO[str] | str) -> dict[str, int]:
             raise ParseError(
                 f"line {line_no}: score {score_text!r} is not an integer"
             ) from None
-        if score not in (1, 2, 3, 4, 5):
-            raise RubricRangeError(score, criterion_id)
+        check_score(score, criterion_id)
         if criterion_id in answers:
             raise ParseError(f"line {line_no}: duplicate response for {criterion_id!r}")
         answers[criterion_id] = score

@@ -9,6 +9,9 @@ mandatory header row and ``#`` comment lines::
 or ``default``.  ``default`` means higher-better by convention without an
 explicit polarity claim; code-valued cells under such indicators are excluded
 from scoring as non-ordinal.
+
+Layer order: this module sits directly above ``errors`` and imports no
+other engine module; it owns the record reader every document loader uses.
 """
 
 from __future__ import annotations
@@ -16,13 +19,30 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import IO, Iterable
+from typing import IO
 
 from .errors import ParseError, SchemaError
 
 DELIMITER = "|"
 
 INDICATOR_ID_PATTERN = re.compile(r"^(FAO|PSO|GOV|EFI|TAC|COM)-(QN|QL|AUX)(-\d+)?$")
+
+
+def read_records(source: IO[bytes] | IO[str] | bytes | str) -> list[tuple[int, list[str]]]:
+    """Decode *source* as UTF-8 and split it into ``(line number, fields)``
+    records on ``|``, skipping blank lines and ``#`` comments."""
+    data = source.read() if hasattr(source, "read") else source
+    if isinstance(data, bytes):
+        try:
+            data = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"document is not UTF-8: {exc}") from exc
+    records = []
+    for line_no, line in enumerate(data.splitlines(), start=1):
+        stripped = line.strip()
+        if stripped and not stripped.startswith("#"):
+            records.append((line_no, [f.strip() for f in line.split(DELIMITER)]))
+    return records
 
 
 class Category(Enum):
@@ -324,31 +344,13 @@ def dump_schema(schema: Schema) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _iter_records(text: str) -> Iterable[tuple[int, list[str]]]:
-    for line_no, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        yield line_no, [f.strip() for f in line.split(DELIMITER)]
-
-
 def load_schema(source: IO[bytes] | IO[str] | str) -> Schema:
     """Parse and validate a schema document.
 
     Raises ParseError for malformed documents and SchemaError when indicator
     invariants are violated.
     """
-    if hasattr(source, "read"):
-        data = source.read()
-    else:
-        data = source
-    if isinstance(data, bytes):
-        try:
-            data = data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise ParseError(f"schema document is not UTF-8: {exc}") from exc
-
-    records = list(_iter_records(data))
+    records = read_records(source)
     if not records:
         raise ParseError("schema document has no header row")
     header_no, header = records[0]

@@ -5,18 +5,23 @@ The pipeline has four steps: per-indicator min-max scaling across the
 program cohort, equal-weight aggregation inside each category (the rubric
 channel counts as one element), a second min-max pass over the category
 scores, and the composite as the plain sum of the six normalized category
-scores (range 0..6).
+scores (range 0..6).  Both min-max passes run through one column routine.
+
+Layer order: this module sits above ``ingest`` and below ``report``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import IO, Mapping, Sequence
 
-from .errors import EmptyCategory, ParseError, PartialDataError, RubricRangeError
+from . import rubric
+from .errors import EmptyCategory, ParseError, PartialDataError
 from .ingest import ProgramDataset, Qualifier, scoring_status
-from .schema import Category, Direction, Schema
+from .rubric import rubric_to_unit
+from .schema import Category, Direction, Schema, read_records
 
 #: Width of the composite range: six categories, each normalized to [0, 1].
 CATEGORY_COUNT = 6
@@ -110,13 +115,6 @@ def directional_score(normalized: float, direction: Direction) -> float:
     raise ValueError("direction must be higher-better or lower-better")
 
 
-def rubric_to_unit(score: int) -> float:
-    """Map a 1..5 self-assessment answer onto [0, 1]."""
-    if score not in (1, 2, 3, 4, 5):
-        raise RubricRangeError(score)
-    return (score - 1) / 4
-
-
 def rubric_category_score(responses: Sequence[int]) -> float:
     """Equal-weight mean of the unit-mapped answers for one category."""
     if not responses:
@@ -140,7 +138,7 @@ def classify_maturity(
     gmi: float,
     thresholds: tuple[tuple[float, Stage], ...] = DEFAULT_STAGE_THRESHOLDS,
 ) -> Stage:
-    if gmi < -_EPS or gmi > CATEGORY_COUNT + _EPS:
+    if not -_EPS <= gmi <= CATEGORY_COUNT + _EPS:
         raise ValueError(f"composite {gmi} outside [0, {CATEGORY_COUNT}]")
     for upper, stage in thresholds:
         if gmi < upper:
@@ -150,6 +148,34 @@ def classify_maturity(
 
 def _format_score(x: float) -> str:
     return format(x, ".4f")
+
+
+def _score_column(
+    indicator: str,
+    column: Mapping[str, tuple[float | None, str, Qualifier, str | None]],
+    direction: Direction = Direction.HIGHER_BETTER,
+) -> dict[str, tuple[float | Excluded, AuditRecord]]:
+    """Min-max one column across the cohort; both passes use this.
+
+    *column* maps each program to its value (None when absent), raw text,
+    qualifier and exclusion reason.  Returns each program's directed score
+    or Excluded, with its audit record; the audit bounds are the column's.
+    """
+    values = {program: cell[0] for program, cell in column.items()}
+    present = [v for v in values.values() if v is not None]
+    lo = min(present) if present else None
+    hi = max(present) if present else None
+    out: dict[str, tuple[float | Excluded, AuditRecord]] = {}
+    for program, entry in minmax_normalize(values).items():
+        _, raw, qualifier, reason = column[program]
+        if isinstance(entry, Excluded):
+            reason = reason or entry.reason
+            out[program] = (Excluded(reason),
+                            AuditRecord(indicator, raw, lo, hi, None, reason, qualifier))
+        else:
+            score = directional_score(entry, direction)
+            out[program] = (score, AuditRecord(indicator, raw, lo, hi, score, None, qualifier))
+    return out
 
 
 def compute_gmi(category_scores: Mapping[str, Mapping[Category, float]],
@@ -173,28 +199,24 @@ def compute_gmi(category_scores: Mapping[str, Mapping[Category, float]],
     if missing and not allow_partial:
         raise PartialDataError(missing)
 
-    normalized: dict[Category, dict[str, float | Excluded]] = {}
+    columns = {}
     for cat in Category:
-        column = {p: category_scores[p].get(cat) for p in programs}
-        normalized[cat] = minmax_normalize(column)
+        column = {}
+        for program in programs:
+            value = category_scores[program].get(cat)
+            raw = "n.a." if value is None else _format_score(value)
+            column[program] = (value, raw, Qualifier.EXACT, None)
+        columns[cat] = _score_column(f"{cat.code}-QN", column)
 
     results: dict[str, GmiResult] = {}
     for program in programs:
         per_cat: dict[Category, float] = {}
         audit: list[AuditRecord] = []
         for cat in Category:
-            roll_up = f"{cat.code}-QN"
-            entry = normalized[cat][program]
-            column = [v for v in (category_scores[p].get(cat) for p in programs)
-                      if v is not None]
-            lo = min(column) if column else None
-            hi = max(column) if column else None
-            if isinstance(entry, Excluded):
-                audit.append(AuditRecord(roll_up, "n.a.", lo, hi, None, entry.reason))
-            else:
+            entry, record = columns[cat][program]
+            audit.append(record)
+            if not isinstance(entry, Excluded):
                 per_cat[cat] = entry
-                raw = _format_score(category_scores[program][cat])
-                audit.append(AuditRecord(roll_up, raw, lo, hi, entry))
         if not per_cat:
             raise EmptyCategory(f"program {program!r} has no category scores")
         gmi = sum(per_cat.values())
@@ -227,19 +249,11 @@ def score_datasets(
 
     Program order follows the input order throughout.
     """
-    from .rubric import builtin_template, collect_responses
-
-    template = template or builtin_template()
+    template = template or rubric.builtin_template()
     programs = [ds.program for ds in datasets]
     if len(set(programs)) != len(programs):
         raise ParseError("duplicate program names across datasets")
-    by_program = {ds.program: ds for ds in datasets}
-
-    observed_ids: list[str] = []
-    for ds in datasets:
-        for indicator_id in ds.observations:
-            if indicator_id not in observed_ids:
-                observed_ids.append(indicator_id)
+    observed_ids = dict.fromkeys(i for ds in datasets for i in ds.observations)
 
     entries: dict[tuple[str, str], float | Excluded] = {}
     audits: dict[str, list[AuditRecord]] = {p: [] for p in programs}
@@ -247,66 +261,43 @@ def score_datasets(
 
     for indicator_id in observed_ids:
         definition = schema.get(indicator_id)
-        values: dict[str, float | None] = {}
-        reasons: dict[str, str | None] = {}
-        for program in programs:
-            obs = by_program[program].observations.get(indicator_id)
+        column: dict[str, tuple[float | None, str, Qualifier, str | None]] = {}
+        for ds in datasets:
+            obs = ds.observations.get(indicator_id)
             if obs is None:
-                values[program], reasons[program] = None, "missing"
-                continue
-            value, exclusion = scoring_status(obs.value, definition, rates)
-            values[program], reasons[program] = value, exclusion
-
-        if not definition.scorable:
-            # Record observed-but-unscorable cells for the audit trail only.
-            for program in programs:
-                obs = by_program[program].observations.get(indicator_id)
-                if obs is not None:
-                    entries[(program, indicator_id)] = Excluded("non-scorable")
-                    audits[program].append(
-                        AuditRecord(indicator_id, obs.raw, None, None, None,
-                                    "non-scorable", obs.value.qualifier)
-                    )
-            continue
-
-        normalized = minmax_normalize(values)
-        present = [v for v in values.values() if v is not None]
-        lo = min(present) if present else None
-        hi = max(present) if present else None
-        for program in programs:
-            obs = by_program[program].observations.get(indicator_id)
-            raw = obs.raw if obs is not None else "n.a."
-            qualifier = obs.value.qualifier if obs is not None else Qualifier.UNSPECIFIED
-            entry = normalized[program]
-            if isinstance(entry, Excluded):
-                reason = reasons[program] or entry.reason
-                entries[(program, indicator_id)] = Excluded(reason)
-                audits[program].append(
-                    AuditRecord(indicator_id, raw, lo, hi, None, reason, qualifier)
-                )
+                column[ds.program] = (None, "n.a.", Qualifier.UNSPECIFIED, "missing")
             else:
-                score = directional_score(entry, definition.direction)
-                entries[(program, indicator_id)] = score
-                audits[program].append(
-                    AuditRecord(indicator_id, raw, lo, hi, score, None, qualifier)
-                )
-                included.setdefault((program, definition.category), []).append(score)
+                value, reason = scoring_status(obs.value, definition, rates)
+                column[ds.program] = (value, obs.raw, obs.value.qualifier, reason)
 
-    category_scores: dict[str, dict[Category, float]] = {p: {} for p in programs}
-    matrix_scores: dict[tuple[str, Category], float] = {}
-    for program in programs:
-        grouped = collect_responses(template, by_program[program].rubric)
+        if definition.scorable:
+            scored = _score_column(indicator_id, column, definition.direction)
+        else:
+            # Every observed cell of an unscorable indicator reads
+            # "non-scorable"; those cells enter the audit trail unbounded.
+            scored = {
+                program: (Excluded(reason),
+                          AuditRecord(indicator_id, raw, None, None, None, reason, qualifier))
+                for program, (_, raw, qualifier, reason) in column.items()
+                if reason == "non-scorable"
+            }
+        for program, (entry, record) in scored.items():
+            entries[(program, indicator_id)] = entry
+            audits[program].append(record)
+            if not isinstance(entry, Excluded):
+                included.setdefault((program, definition.category), []).append(entry)
+
+    category_scores: dict[str, dict[Category, float]] = {}
+    for ds in datasets:
+        grouped = rubric.collect_responses(template, ds.rubric)
+        per_cat: dict[Category, float] = {}
         for cat in Category:
-            indicator_scores = included.get((program, cat), [])
-            rubric_scores = grouped.get(cat)
-            rubric_score = (
-                sum(rubric_scores) / len(rubric_scores) if rubric_scores else None
-            )
-            if not indicator_scores and rubric_score is None:
-                continue
-            score = score_category(indicator_scores, rubric_score)
-            category_scores[program][cat] = score
-            matrix_scores[(program, cat)] = score
+            indicator_scores = included.get((ds.program, cat), [])
+            answers = grouped.get(cat)
+            rubric_score = sum(answers) / len(answers) if answers else None
+            if indicator_scores or rubric_score is not None:
+                per_cat[cat] = score_category(indicator_scores, rubric_score)
+        category_scores[ds.program] = per_cat
 
     results_by_program = compute_gmi(category_scores, allow_partial=allow_partial)
     results = []
@@ -314,6 +305,11 @@ def score_datasets(
         result = results_by_program[program]
         results.append(replace(result, audit=tuple(audits[program]) + result.audit))
 
+    matrix_scores = {
+        (program, cat): score
+        for program, per_cat in category_scores.items()
+        for cat, score in per_cat.items()
+    }
     matrix = ScoreMatrix(
         programs=tuple(programs), entries=entries, category_scores=matrix_scores
     )
@@ -341,9 +337,7 @@ def load_category_table(source: IO[bytes] | IO[str] | str) -> CategoryTable:
     cells numeric or ``n.a.`` for absent categories; ``note|...`` lines are
     carried into report footnotes.
     """
-    from .ingest import _read_text, _records
-
-    records = list(_records(_read_text(source)))
+    records = read_records(source)
     if not records:
         raise ParseError("category table has no header row")
     rows = []
@@ -378,11 +372,14 @@ def load_category_table(source: IO[bytes] | IO[str] | str) -> CategoryTable:
             if cell.lower() in ("n.a.", ""):
                 continue
             try:
-                per_cat[cat] = float(cell)
+                score = float(cell)
             except ValueError:
                 raise ParseError(
                     f"line {line_no}: score {cell!r} is not a number"
                 ) from None
+            if not math.isfinite(score):
+                raise ParseError(f"line {line_no}: score {cell!r} is not finite")
+            per_cat[cat] = score
         scores[program] = per_cat
     if not programs:
         raise ParseError("category table has no program rows")

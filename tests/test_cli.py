@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +14,7 @@ from gmi.rubric import builtin_template, collect_responses, load_responses
 
 CATEGORY_TABLE = str(bundled_category_table_path())
 PROGRAM_FILES = [str(p) for p in bundled_program_paths()]
+GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
 
 def test_validate_bundled_reports_unscorable_categories(capsys):
@@ -32,6 +34,14 @@ def test_validate_rejects_out_of_range_rubric(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert "RubricRangeError" in err
+
+
+def test_unknown_criterion_fails_validate_as_it_fails_score(tmp_path, capsys):
+    program = tmp_path / "unknown.txt"
+    program.write_text("program|X\nCOM-QN-1|10\nvelocity|3\n", encoding="utf-8")
+    for command in ("validate", "score"):
+        assert main([command, str(program)]) == 2, command
+        assert "UnknownCriterion" in capsys.readouterr().err
 
 
 def test_validate_without_inputs_is_usage_error(capsys):
@@ -139,6 +149,14 @@ def test_schema_flag_and_env_override(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("GMI_SCHEMA", str(tmp_path / "nope.txt"))
     code = main(["schema", "dump"])
     assert code == 2
+
+
+def test_precomputed_mode_never_reads_the_schema(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("GMI_SCHEMA", str(tmp_path / "nope.txt"))
+    code = main(["score", CATEGORY_TABLE, "--mode", "precomputed-categories"])
+    assert code == 0
+    expected = (GOLDEN_DIR / "published_comparison.table.txt").read_text(encoding="utf-8")
+    assert capsys.readouterr().out == expected
 
 
 def test_broken_schema_file_is_input_error(tmp_path, capsys):

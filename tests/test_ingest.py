@@ -321,6 +321,9 @@ def test_load_rates():
         load_rates("ARB|zero\n")
     with pytest.raises(ParseError):
         load_rates("ARB|0.5\nARB|0.6\n")
+    for bad in ("nan", "inf", "-inf", "0"):
+        with pytest.raises(ParseError):
+            load_rates(f"ARB|{bad}\n")
     with pytest.raises(ParseError):
         load_rates("ARB|-1\n")
 

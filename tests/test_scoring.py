@@ -228,6 +228,8 @@ def test_classify_maturity_rejects_out_of_range():
         classify_maturity(-0.1)
     with pytest.raises(ValueError):
         classify_maturity(6.1)
+    with pytest.raises(ValueError):
+        classify_maturity(float("nan"))
 
 
 # ---------------------------------------------------------------------------
@@ -367,3 +369,6 @@ def test_load_category_table_errors():
         load_category_table(
             "program|FAO|PSO|GOV|EFI|TAC|COM\nX|1|2|3|4|5|6\nX|1|2|3|4|5|6\n"
         )
+    for bad in ("nan", "inf", "-inf"):
+        with pytest.raises(ParseError):
+            load_category_table(f"program|FAO|PSO|GOV|EFI|TAC|COM\nX|1|2|{bad}|4|5|6\n")
