@@ -4,7 +4,6 @@ from .errors import (
     DuplicateIndicator,
     EmptyCategory,
     GmiError,
-    MismatchedProgram,
     ParseError,
     PartialDataError,
     RubricRangeError,
@@ -33,7 +32,6 @@ from .report import (
     build_comparison,
     parse_structured,
     render_comparison,
-    render_program_report,
     render_validation,
 )
 from .rubric import (
@@ -69,7 +67,6 @@ from .scoring import (
     directional_score,
     load_category_table,
     minmax_normalize,
-    rubric_category_score,
     score_category,
     score_category_table,
     score_datasets,

@@ -76,9 +76,3 @@ class PartialDataError(GmiError):
         super().__init__(f"missing category scores: {pairs}")
         self.missing = list(missing)
 
-
-class MismatchedProgram(GmiError):
-    def __init__(self, left: str, right: str):
-        super().__init__(f"result is for {left!r} but validation is for {right!r}")
-        self.left = left
-        self.right = right

@@ -33,7 +33,8 @@ Observation files are pipe-delimited UTF-8 text::
     <criterion-id>|<score>              (rubric self-assessment row)
 
 A first field matching the indicator id pattern is an observation; any other
-first field is read as a rubric criterion id with an integer 1..5 score.
+first field is read as a rubric criterion id with an integer 1..5 score, or
+a blank score for an unanswered criterion, as in survey response files.
 
 Layer order: this module sits above ``rubric`` and below ``scoring``.
 """
@@ -139,6 +140,9 @@ class TypedValue:
         return self.kind is ValueKind.MISSING
 
     def __post_init__(self):
+        for x in (self.value, self.numerator, self.denominator):
+            if x is not None and not math.isfinite(x):
+                raise ValueError(f"{x!r} is not a finite number")
         if self.kind in (ValueKind.MONEY, ValueKind.TOKEN_AMOUNT):
             if self.value is None or self.value < 0:
                 raise ValueError(f"{self.kind.value} amount must be >= 0")
@@ -363,31 +367,11 @@ def coerce_unit(value: TypedValue, from_unit: str | None, definition: IndicatorD
 # Datasets
 # ---------------------------------------------------------------------------
 
-_COMPATIBLE = {
-    DataType.NUMERIC: {ValueKind.NUMBER, ValueKind.RATIO, ValueKind.MONEY,
-                       ValueKind.TOKEN_AMOUNT},
-    DataType.RATIONAL: {ValueKind.NUMBER, ValueKind.RATIO, ValueKind.MONEY,
-                        ValueKind.TOKEN_AMOUNT},
-    DataType.BINARY: {ValueKind.BINARY},
-    DataType.TEXT: {ValueKind.TEXT},
-    DataType.ISO_ALPHA_3: {ValueKind.COUNTRY},
-}
-
-
 @dataclass(frozen=True)
 class Observation:
     indicator_id: str
     raw: str
     value: TypedValue
-
-    def check_compatible(self, definition: IndicatorDef) -> None:
-        if self.value.missing or definition.data_type is None:
-            return
-        if self.value.kind not in _COMPATIBLE[definition.data_type]:
-            raise ValueParseError(
-                self.raw, self.indicator_id,
-                f"{self.value.kind.value} value under {definition.data_type.value} indicator",
-            )
 
 
 @dataclass(frozen=True)
@@ -435,22 +419,13 @@ def load_program_dataset(source: IO[bytes] | IO[str] | str, schema: Schema) -> P
                     f"line {line_no}: unit annotation {annotation!r} contradicts "
                     f"inline unit {inline!r}"
                 )
-            value = coerce_unit(value, inline or annotation or definition.unit, definition)
-            obs = Observation(indicator_id=key, raw=raw, value=value)
-            obs.check_compatible(definition)
-            observations[key] = obs
-        else:
-            if len(fields) != 2:
-                raise ParseError(f"line {line_no}: rubric rows have 2 fields")
-            if key in answers:
-                raise ParseError(f"line {line_no}: duplicate rubric row for {key!r}")
             try:
-                score = int(fields[1])
-            except ValueError:
-                raise ParseError(
-                    f"line {line_no}: rubric score {fields[1]!r} is not an integer"
-                ) from None
-            answers[key] = rubric.check_score(score, key)
+                value = coerce_unit(value, inline or annotation or definition.unit, definition)
+            except ValueError as exc:  # the converted number is not finite
+                raise ValueParseError(raw, key, str(exc)) from exc
+            observations[key] = Observation(indicator_id=key, raw=raw, value=value)
+        else:
+            rubric.read_answer(answers, line_no, fields)
 
     return ProgramDataset(program=program, observations=observations, rubric=answers)
 
@@ -533,24 +508,17 @@ def validate_dataset(dataset: ProgramDataset, schema: Schema,
     in scoring, so an unknown criterion raises UnknownCriterion here too.
     """
     template = template or rubric.builtin_template()
-    by_category: dict[Category, dict[str, list[str]]] = {
-        cat: {"present": [], "missing": [], "non_scorable": [], "token": []}
+    # Keyed by scoring_status's exclusion reason; None collects what scores.
+    by_category: dict[Category, dict[str | None, list[str]]] = {
+        cat: {None: [], "missing": [], "non-scorable": [], "token-unconverted": []}
         for cat in Category
     }
     for obs in dataset.observations.values():
         definition = schema.get(obs.indicator_id)
         if definition is None:
             raise UnknownIndicator(obs.indicator_id)
-        buckets = by_category[definition.category]
-        value, exclusion = scoring_status(obs.value, definition)
-        if exclusion is None:
-            buckets["present"].append(obs.indicator_id)
-        elif exclusion == "missing":
-            buckets["missing"].append(obs.indicator_id)
-        elif exclusion == "token-unconverted":
-            buckets["token"].append(obs.indicator_id)
-        else:
-            buckets["non_scorable"].append(obs.indicator_id)
+        _, exclusion = scoring_status(obs.value, definition)
+        by_category[definition.category][exclusion].append(obs.indicator_id)
 
     grouped = rubric.collect_responses(template, dataset.rubric)
     rubric_counts = {cat: len(grouped.get(cat, ())) for cat in Category}
@@ -558,12 +526,12 @@ def validate_dataset(dataset: ProgramDataset, schema: Schema,
     categories = {
         cat: CategoryValidation(
             category=cat,
-            scorable_present=tuple(buckets["present"]),
+            scorable_present=tuple(buckets[None]),
             missing=tuple(buckets["missing"]),
-            non_scorable=tuple(buckets["non_scorable"]),
-            token_unconverted=tuple(buckets["token"]),
+            non_scorable=tuple(buckets["non-scorable"]),
+            token_unconverted=tuple(buckets["token-unconverted"]),
             rubric_responses=rubric_counts[cat],
-            scorable=bool(buckets["present"]) or rubric_counts[cat] > 0,
+            scorable=bool(buckets[None]) or rubric_counts[cat] > 0,
         )
         for cat, buckets in by_category.items()
     }

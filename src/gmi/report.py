@@ -1,12 +1,14 @@
-"""Deterministic rendering of comparisons, program reports and validations.
+"""Deterministic rendering of the cohort comparison and of validations.
 
-Three output formats share one reserved delimiter (``|``):
+The comparison (``gmi score``) has three output formats that share one
+reserved delimiter (``|``):
 
 * ``table``      fixed-width text for terminals,
 * ``delimited``  pipe-separated rows for spreadsheets and diffing,
-* ``structured`` a key-value document that parses back into GmiResult
-  values (4-decimal fixed-point).
+* ``structured`` a key-value document that ``parse_structured`` reads back
+  into GmiResult values (4-decimal fixed-point), rejecting malformed ones.
 
+The validation report (``gmi validate``) lists each category's coverage.
 All numeric cells are rendered to four decimals with round-half-even.
 Identical inputs render to identical bytes.
 """
@@ -16,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import MismatchedProgram, ParseError
+from .errors import ParseError
 from .ingest import CategoryValidation, Qualifier, ValidationReport
 from .schema import Category
 from .scoring import AuditRecord, GmiResult, Stage
@@ -173,133 +175,94 @@ def render_comparison(results: Sequence[GmiResult], fmt: str = "table",
     return _render_delimited(report).encode("utf-8")
 
 
+# Field count of each record kind inside a program block.
+_RECORD_FIELDS = {"program": 2, "gmi": 2, "stage": 2, "category": 4, "audit": 8}
+_CATEGORY_BUCKETS = {"input": "inputs", "score": "scores"}
+
+
 def parse_structured(data: bytes | str) -> list[GmiResult]:
-    """Parse the structured format back into GmiResult values."""
+    """Parse the structured format back into GmiResult values.
+
+    Each program block needs exactly one ``gmi`` and one ``stage`` record;
+    any malformed document raises ParseError.
+    """
     if isinstance(data, bytes):
         data = data.decode("utf-8")
     lines = [ln for ln in data.splitlines() if ln.strip()]
     if not lines or not lines[0].startswith("format|gmi-comparison"):
         raise ParseError("not a structured comparison document")
 
-    results: list[GmiResult] = []
-    current: dict | None = None
-
-    def _close():
-        if current is None:
-            return
-        results.append(
-            GmiResult(
-                program=current["program"],
-                category_scores=current["inputs"],
-                normalized_category_scores=current["scores"],
-                gmi=current["gmi"],
-                stage=current["stage"],
-                audit=tuple(current["audit"]),
-            )
-        )
-
+    blocks: list[dict] = []
     for line in lines[1:]:
         fields = line.split("|")
         key = fields[0]
         if key in ("programs", "note"):
             continue
-        if key == "program":
-            _close()
-            current = {"program": fields[1], "inputs": {}, "scores": {},
-                       "gmi": 0.0, "stage": Stage.EXPERIMENTAL, "audit": []}
-        elif current is None:
-            raise ParseError(f"record {key!r} before any program block")
-        elif key == "gmi":
-            current["gmi"] = float(fields[1])
-        elif key == "stage":
-            current["stage"] = Stage(fields[1])
-        elif key == "category":
-            cat = Category.from_code(fields[1])
-            bucket = "inputs" if fields[2] == "input" else "scores"
-            current[bucket][cat] = float(fields[3])
-        elif key == "audit":
-            if len(fields) != 8:
-                raise ParseError(f"malformed audit record: {line!r}")
-            _, indicator, raw, lo, hi, mode, payload, qualifier = fields
-            score = float(payload) if mode == "score" else None
-            exclusion = payload if mode == "excluded" else None
-            if mode not in ("score", "excluded"):
-                raise ParseError(f"malformed audit record: {line!r}")
-            current["audit"].append(
-                AuditRecord(
-                    indicator=indicator,
-                    raw=raw,
-                    minimum=float(lo) if lo else None,
-                    maximum=float(hi) if hi else None,
-                    score=score,
-                    exclusion=exclusion,
-                    qualifier=Qualifier(qualifier),
-                )
-            )
-        else:
+        if key not in _RECORD_FIELDS:
             raise ParseError(f"unknown record {key!r}")
-    _close()
+        if len(fields) != _RECORD_FIELDS[key]:
+            raise ParseError(f"malformed {key} record: {line!r}")
+        if key == "program":
+            blocks.append({"program": fields[1], "inputs": {}, "scores": {}, "audit": []})
+            continue
+        if not blocks:
+            raise ParseError(f"record {key!r} before any program block")
+        block = blocks[-1]
+        try:
+            if key in ("gmi", "stage"):
+                if key in block:
+                    raise ParseError(f"duplicate {key} record for {block['program']!r}")
+                block[key] = float(fields[1]) if key == "gmi" else Stage(fields[1])
+            elif key == "category":
+                cat = Category.from_code(fields[1])
+                block[_CATEGORY_BUCKETS[fields[2]]][cat] = float(fields[3])
+            else:
+                _, indicator, raw, lo, hi, mode, payload, qualifier = fields
+                if mode not in ("score", "excluded"):
+                    raise ParseError(f"malformed audit record: {line!r}")
+                block["audit"].append(
+                    AuditRecord(
+                        indicator=indicator,
+                        raw=raw,
+                        minimum=float(lo) if lo else None,
+                        maximum=float(hi) if hi else None,
+                        score=float(payload) if mode == "score" else None,
+                        exclusion=payload if mode == "excluded" else None,
+                        qualifier=Qualifier(qualifier),
+                    )
+                )
+        except (KeyError, ValueError):
+            raise ParseError(f"malformed {key} record: {line!r}") from None
+
+    results = []
+    for block in blocks:
+        for key in ("gmi", "stage"):
+            if key not in block:
+                raise ParseError(f"program {block['program']!r} has no {key} record")
+        results.append(
+            GmiResult(
+                program=block["program"],
+                category_scores=block["inputs"],
+                normalized_category_scores=block["scores"],
+                gmi=block["gmi"],
+                stage=block["stage"],
+                audit=tuple(block["audit"]),
+            )
+        )
     return results
 
 
 # ---------------------------------------------------------------------------
-# Per-program report and validation rendering
+# Validation rendering
 # ---------------------------------------------------------------------------
-
-
-def render_program_report(result: GmiResult, validation: ValidationReport) -> bytes:
-    """One program's findings: composite, stage, category scores, exclusions
-    and qualifier footnotes."""
-    if result.program != validation.program:
-        raise MismatchedProgram(result.program, validation.program)
-
-    lines = [
-        f"Program: {result.program}",
-        f"Composite: {_fmt(result.gmi)}",
-        f"Stage: {result.stage.value}",
-        "",
-        "Category scores (normalized):",
-    ]
-    for cat in Category:
-        lines.append(f"  {cat.code} | {_fmt(result.normalized_category_scores.get(cat))}")
-
-    lines.append("")
-    lines.append("Data coverage:")
-    for cat in Category:
-        lines.append(_coverage_line(validation.categories[cat], unscorable="no"))
-
-    lines.append("")
-    lines.append("Exclusions:")
-    excluded = [rec for rec in result.audit if rec.exclusion is not None]
-    if excluded:
-        for rec in excluded:
-            lines.append(f"  {rec.indicator} | {rec.raw} | {rec.exclusion}")
-    else:
-        lines.append("  (none)")
-
-    lines.append("")
-    lines.append("Footnotes:")
-    qualified = [
-        rec for rec in result.audit
-        if rec.exclusion is None
-        and rec.qualifier in (Qualifier.APPROX_UPPER_BOUND, Qualifier.APPROX_LOWER_BOUND)
-    ]
-    if qualified:
-        for rec in qualified:
-            lines.append(f"  - {rec.indicator} {rec.raw!r} scored at face value "
-                         f"({rec.qualifier.value})")
-    else:
-        lines.append("  (none)")
-    return ("\n".join(lines) + "\n").encode("utf-8")
 
 
 def _ids(ids: tuple[str, ...]) -> str:
     return ", ".join(ids) if ids else "-"
 
 
-def _coverage_line(cv: CategoryValidation, unscorable: str) -> str:
-    """One category's coverage; *unscorable* is the flag text when it fails."""
-    flag = "yes" if cv.scorable else unscorable
+def _coverage_line(cv: CategoryValidation) -> str:
+    flag = "yes" if cv.scorable else "NO"
     return (
         f"  {cv.category.code}: scorable={flag} | included: {_ids(cv.scorable_present)} | "
         f"missing: {_ids(cv.missing)} | non-scorable: {_ids(cv.non_scorable)} | "
@@ -311,7 +274,7 @@ def _coverage_line(cv: CategoryValidation, unscorable: str) -> str:
 def render_validation(report: ValidationReport) -> bytes:
     lines = [f"Program: {report.program}"]
     for cat in Category:
-        lines.append(_coverage_line(report.categories[cat], unscorable="NO"))
+        lines.append(_coverage_line(report.categories[cat]))
     if not report.all_scorable:
         names = ", ".join(cat.code for cat in report.unscorable_categories())
         lines.append(f"  => unscorable categories: {names}")

@@ -2,10 +2,12 @@
 
 Response files are pipe-delimited ``criterion-id|score`` lines; scores run
 from 1 (Low) to 5 (High). A blank score means the criterion was left
-unanswered and is simply omitted from the aggregation.
+unanswered and is simply omitted from the aggregation. Observation files
+carry the same rows, read by the same function.
 
 Layer order: this module sits above ``schema`` and below ``ingest``; it owns
-the 1..5 range check that loading, validation and scoring all apply.
+the rubric row reader and the 1..5 range check that loading, validation and
+scoring all apply.
 """
 
 from __future__ import annotations
@@ -117,23 +119,29 @@ def render_template(template: RubricTemplate | None = None) -> str:
     return "\n".join(lines) + "\n"
 
 
+def read_answer(answers: dict[str, int], line_no: int, fields: list[str]) -> None:
+    """Add one ``criterion-id|score`` row to *answers*; a blank score is
+    unanswered and adds nothing."""
+    if len(fields) != 2:
+        raise ParseError(f"line {line_no}: rubric rows have 2 fields")
+    criterion_id, score_text = fields
+    if not score_text:
+        return
+    try:
+        score = int(score_text)
+    except ValueError:
+        raise ParseError(
+            f"line {line_no}: rubric score {score_text!r} is not an integer"
+        ) from None
+    check_score(score, criterion_id)
+    if criterion_id in answers:
+        raise ParseError(f"line {line_no}: duplicate rubric row for {criterion_id!r}")
+    answers[criterion_id] = score
+
+
 def load_responses(source: IO[bytes] | IO[str] | str) -> dict[str, int]:
     """Read filled survey lines; blank scores are skipped."""
     answers: dict[str, int] = {}
     for line_no, fields in read_records(source):
-        if len(fields) != 2:
-            raise ParseError(f"line {line_no}: response rows have 2 fields")
-        criterion_id, score_text = fields
-        if not score_text:
-            continue
-        try:
-            score = int(score_text)
-        except ValueError:
-            raise ParseError(
-                f"line {line_no}: score {score_text!r} is not an integer"
-            ) from None
-        check_score(score, criterion_id)
-        if criterion_id in answers:
-            raise ParseError(f"line {line_no}: duplicate response for {criterion_id!r}")
-        answers[criterion_id] = score
+        read_answer(answers, line_no, fields)
     return answers

@@ -61,6 +61,11 @@ class Category(Enum):
     def label(self) -> str:
         return self.value
 
+    @property
+    def roll_up(self) -> str:
+        """Id of the category's synthetic roll-up indicator."""
+        return f"{self.name}-QN"
+
     @classmethod
     def from_code(cls, code: str) -> "Category":
         try:
@@ -123,10 +128,10 @@ class IndicatorDef:
                 f"indicator {self.id!r} declares category {self.category.code}", self.id
             )
         if self.kind is Kind.SYNTHETIC:
-            if self.id != f"{self.category.code}-QN":
+            if self.id != self.category.roll_up:
                 raise SchemaError(
                     f"synthetic roll-up for {self.category.code} must be named "
-                    f"{self.category.code}-QN, got {self.id!r}",
+                    f"{self.category.roll_up}, got {self.id!r}",
                     self.id,
                 )
             return
@@ -152,7 +157,6 @@ class IndicatorDef:
 @dataclass(frozen=True)
 class Schema:
     indicators: tuple[IndicatorDef, ...]
-    version: str = "1"
     _by_id: dict[str, IndicatorDef] = field(
         init=False, repr=False, compare=False, default_factory=dict
     )
@@ -162,12 +166,6 @@ class Schema:
 
     def get(self, indicator_id: str) -> IndicatorDef | None:
         return self._by_id.get(indicator_id)
-
-    def __contains__(self, indicator_id: str) -> bool:
-        return indicator_id in self._by_id
-
-    def roll_up(self, category: Category) -> str:
-        return f"{category.code}-QN"
 
     def validate(self) -> None:
         seen: set[str] = set()
@@ -179,7 +177,7 @@ class Schema:
         for ind in self.indicators:
             if ind.kind is Kind.SYNTHETIC:
                 continue
-            roll_up = self.roll_up(ind.category)
+            roll_up = ind.category.roll_up
             parent = self.get(roll_up)
             if parent is None or parent.kind is not Kind.SYNTHETIC:
                 raise SchemaError(
@@ -297,7 +295,7 @@ def builtin_schema() -> Schema:
         )
         for row in _BUILTIN_ROWS
     )
-    schema = Schema(indicators=indicators, version="1")
+    schema = Schema(indicators=indicators)
     schema.validate()
     return schema
 
@@ -402,6 +400,6 @@ def with_directions(schema: Schema, overrides: dict[str, Direction]) -> Schema:
             )
         else:
             updated.append(ind)
-    out = Schema(indicators=tuple(updated), version=schema.version)
+    out = Schema(indicators=tuple(updated))
     out.validate()
     return out

@@ -20,7 +20,7 @@ from typing import IO, Mapping, Sequence
 from . import rubric
 from .errors import EmptyCategory, ParseError, PartialDataError
 from .ingest import ProgramDataset, Qualifier, scoring_status
-from .rubric import rubric_to_unit
+from .rubric import rubric_to_unit  # noqa: F401  re-exported for gmi.scoring callers
 from .schema import Category, Direction, Schema, read_records
 
 #: Width of the composite range: six categories, each normalized to [0, 1].
@@ -36,9 +36,8 @@ class Stage(Enum):
     ADVANCED = "Advanced"
 
 
-# Four equal quartiles of [0, 6], half-open below the top. Configurable via
-# the classify_maturity argument.
-DEFAULT_STAGE_THRESHOLDS: tuple[tuple[float, Stage], ...] = (
+# Four equal quartiles of [0, 6], half-open below the top.
+_STAGE_THRESHOLDS: tuple[tuple[float, Stage], ...] = (
     (1.5, Stage.EXPERIMENTAL),
     (3.0, Stage.FOUNDATIONAL),
     (4.5, Stage.DEVELOPMENTAL),
@@ -115,13 +114,6 @@ def directional_score(normalized: float, direction: Direction) -> float:
     raise ValueError("direction must be higher-better or lower-better")
 
 
-def rubric_category_score(responses: Sequence[int]) -> float:
-    """Equal-weight mean of the unit-mapped answers for one category."""
-    if not responses:
-        raise EmptyCategory("no rubric responses for this category")
-    return sum(rubric_to_unit(s) for s in responses) / len(responses)
-
-
 def score_category(indicator_scores: Sequence[float],
                    rubric_score: float | None = None) -> float:
     """Unweighted mean over indicator scores plus the rubric score, which
@@ -134,13 +126,10 @@ def score_category(indicator_scores: Sequence[float],
     return sum(inputs) / len(inputs)
 
 
-def classify_maturity(
-    gmi: float,
-    thresholds: tuple[tuple[float, Stage], ...] = DEFAULT_STAGE_THRESHOLDS,
-) -> Stage:
+def classify_maturity(gmi: float) -> Stage:
     if not -_EPS <= gmi <= CATEGORY_COUNT + _EPS:
         raise ValueError(f"composite {gmi} outside [0, {CATEGORY_COUNT}]")
-    for upper, stage in thresholds:
+    for upper, stage in _STAGE_THRESHOLDS:
         if gmi < upper:
             return stage
     return Stage.ADVANCED
@@ -160,11 +149,14 @@ def _score_column(
     *column* maps each program to its value (None when absent), raw text,
     qualifier and exclusion reason.  Returns each program's directed score
     or Excluded, with its audit record; the audit bounds are the column's.
+    Raises ParseError when the column's range overflows a float.
     """
     values = {program: cell[0] for program, cell in column.items()}
     present = [v for v in values.values() if v is not None]
     lo = min(present) if present else None
     hi = max(present) if present else None
+    if present and not math.isfinite(hi - lo):
+        raise ParseError(f"column {indicator} spans {lo!r} to {hi!r}, a range that overflows")
     out: dict[str, tuple[float | Excluded, AuditRecord]] = {}
     for program, entry in minmax_normalize(values).items():
         _, raw, qualifier, reason = column[program]
@@ -206,7 +198,7 @@ def compute_gmi(category_scores: Mapping[str, Mapping[Category, float]],
             value = category_scores[program].get(cat)
             raw = "n.a." if value is None else _format_score(value)
             column[program] = (value, raw, Qualifier.EXACT, None)
-        columns[cat] = _score_column(f"{cat.code}-QN", column)
+        columns[cat] = _score_column(cat.roll_up, column)
 
     results: dict[str, GmiResult] = {}
     for program in programs:

@@ -184,6 +184,17 @@ def test_survey_template_round_trip(capsys):
     assert sum(len(v) for v in grouped.values()) == 6
 
 
+def test_survey_template_pastes_into_an_observation_file(tmp_path, capsys):
+    main(["survey", "template"])
+    survey = capsys.readouterr().out.replace("\ngovernance|\n", "\ngovernance|4\n")
+    program = tmp_path / "x.txt"
+    program.write_text("program|X\nCOM-QN-1|10\n" + survey, encoding="utf-8")
+    # Blank answers are unanswered, so only the domain verdict remains:
+    # four categories have no input.
+    assert main(["validate", str(program)]) == 1
+    assert main(["score", str(program), "--allow-partial"]) == 0
+
+
 def test_survey_template_is_deterministic(capsys):
     main(["survey", "template"])
     first = capsys.readouterr().out
@@ -209,3 +220,34 @@ def test_console_entry_point_runs():
     )
     assert result.returncode == 0
     assert b"GMI" in result.stdout
+
+
+_BIG = "155" + "0" * 306  # 1.55e308: finite, but the column's range is not
+
+
+@pytest.mark.parametrize(
+    "files,argv",
+    [
+        ({"a.txt": f"program|A\nCOM-QN-12|{'9' * 400}\n"},
+         ["a.txt", "--allow-partial"]),
+        ({"a.txt": f"program|A\nCOM-QN-7|{'9' * 308} years\n"},
+         ["a.txt", "--allow-partial"]),
+        ({"a.txt": f"program|A\nCOM-QN-12|-{_BIG}\n", "b.txt": f"program|B\nCOM-QN-12|{_BIG}\n"},
+         ["a.txt", "b.txt", "--allow-partial"]),
+        ({"a.txt": f"program|A\nFAO-QN-2|{'9' * 300} ARB\n", "b.txt": "program|B\nFAO-QN-2|$5\n",
+          "rates.txt": "ARB|1e10\n"},
+         ["a.txt", "b.txt", "--allow-partial", "--rates", "rates.txt"]),
+        ({"t.txt": "program|FAO|PSO|GOV|EFI|TAC|COM\n"
+                   "A|-1.55e308|1|1|1|1|1\nB|1.55e308|2|2|2|2|2\n"},
+         ["t.txt", "--mode", "precomputed-categories"]),
+    ],
+    ids=["400-digit-cell", "unit-conversion-overflow", "column-range-overflow",
+         "token-times-rate-overflow", "table-range-overflow"],
+)
+def test_non_finite_numbers_are_input_errors(tmp_path, capsys, files, argv):
+    for name, text in files.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    code = main(["score", *(str(tmp_path / a) if a in files else a for a in argv)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.count("\n") == 1 and "Traceback" not in err

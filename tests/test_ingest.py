@@ -293,6 +293,9 @@ def test_synthetic_indicator_not_observable():
 def test_rubric_rows_accepted_and_range_checked():
     ds = load_program_dataset("program|X\ngovernance|4\n", SCHEMA)
     assert ds.rubric == {"governance": 4}
+    # A blank score is unanswered, as in survey response files.
+    ds = load_program_dataset("program|X\ngovernance|4\nclarity-of-objectives|\n", SCHEMA)
+    assert ds.rubric == {"governance": 4}
     with pytest.raises(RubricRangeError):
         load_program_dataset("program|X\ngovernance|6\n", SCHEMA)
 

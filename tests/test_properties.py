@@ -14,7 +14,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from gmi.ingest import Observation, ProgramDataset, number
+from gmi.errors import PartialDataError
+from gmi.ingest import Observation, ProgramDataset, number, validate_dataset
 from gmi.rubric import Criterion, RubricTemplate
 from gmi.schema import (
     Category,
@@ -228,6 +229,24 @@ def test_pipeline_matches_brute_force_oracle():
                         assert got is None
                     else:
                         assert got == pytest.approx(expected, abs=1e-9)
+
+
+def test_validate_predicts_partial_data_error():
+    rng = random.Random(20241018)
+    template = _survey()
+    for _ in range(300):
+        _, schema, _, _, _, datasets = make_instance(rng)
+        unscorable = [
+            (ds.program, cat.code)
+            for ds in datasets
+            for cat in validate_dataset(ds, schema, template).unscorable_categories()
+        ]
+        try:
+            score_datasets(datasets, schema, template=template, allow_partial=False)
+        except PartialDataError as exc:
+            assert exc.missing == unscorable
+        else:
+            assert unscorable == []
 
 
 # ---------------------------------------------------------------------------

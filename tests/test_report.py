@@ -7,14 +7,9 @@ import re
 import pytest
 
 from gmi.bundled import bundled_category_table_path, bundled_program_paths
-from gmi.errors import MismatchedProgram
+from gmi.errors import ParseError
 from gmi.ingest import load_program_dataset, validate_dataset
-from gmi.report import (
-    parse_structured,
-    render_comparison,
-    render_program_report,
-    render_validation,
-)
+from gmi.report import parse_structured, render_comparison, render_validation
 from gmi.schema import Category, builtin_schema
 from gmi.scoring import (
     compute_gmi,
@@ -105,52 +100,39 @@ def _raw_results():
     return datasets, results
 
 
-def test_program_report_contains_stage_name():
-    datasets, results = _raw_results()
-    taiko = results[0]
-    validation = validate_dataset(datasets[0], SCHEMA)
-    rendered = render_program_report(taiko, validation).decode()
-    assert taiko.stage.value in rendered
+def _section(rendered: str, title: str) -> list[str]:
+    """Lines of one table-format appendix, without its header."""
+    body = rendered.split(f"\n{title}:\n")[1].split("\n\n")[0]
+    return [ln for ln in body.splitlines() if ln.strip() != "(none)"]
 
 
-def test_program_report_rejects_mismatched_program():
-    datasets, results = _raw_results()
-    validation = validate_dataset(datasets[1], SCHEMA)
-    with pytest.raises(MismatchedProgram):
-        render_program_report(results[0], validation)
+def test_comparison_lists_token_unconverted_budget():
+    _, results = _raw_results()
+    rendered = render_comparison(results).decode()
+    exclusions = _section(rendered, "Exclusions")
+    assert "  Arbitrum STIP | COM-QN-14 | 71.4M ARB | token-unconverted" in exclusions
 
 
-def test_program_report_lists_token_unconverted_budget():
-    datasets, results = _raw_results()
-    arbitrum = next(r for r in results if r.program == "Arbitrum STIP")
-    validation = validate_dataset(datasets[2], SCHEMA)
-    rendered = render_program_report(arbitrum, validation).decode()
-    exclusions = [ln for ln in rendered.splitlines() if "token-unconverted" in ln]
-    assert any("COM-QN-14" in ln and "71.4M ARB" in ln for ln in exclusions)
-
-
-def test_program_report_exclusion_count_matches_audit():
-    datasets, results = _raw_results()
-    result = results[3]  # Optimism
-    validation = validate_dataset(datasets[3], SCHEMA)
-    rendered = render_program_report(result, validation).decode()
-    section = rendered.split("Exclusions:\n")[1].split("\nFootnotes:")[0]
-    listed = [ln for ln in section.splitlines() if ln.strip() and ln.strip() != "(none)"]
-    expected = [rec for rec in result.audit if rec.exclusion is not None]
-    assert len(listed) == len(expected)
+def test_comparison_exclusion_count_matches_audit():
+    _, results = _raw_results()
+    rendered = render_comparison(results).decode()
+    listed = _section(rendered, "Exclusions")
+    expected = [rec for result in results for rec in result.audit if rec.exclusion is not None]
+    assert len(listed) == len(expected) > 0
 
 
 def test_qualifier_footnotes_only_for_scored_values():
-    datasets, results = _raw_results()
+    _, results = _raw_results()
     # Arbitrum's bounded program age scored at face value, so it is footnoted.
     arbitrum = next(r for r in results if r.program == "Arbitrum STIP")
-    rendered = render_program_report(arbitrum, validate_dataset(datasets[2], SCHEMA))
-    assert b"COM-QN-11 '<1 year' scored at face value" in rendered
-    assert b"approximate-upper-bound" in rendered
+    rendered = render_comparison([arbitrum])
+    assert (b"Arbitrum STIP COM-QN-11 '<1 year' scored at face value "
+            b"(approximate-upper-bound)") in rendered
     # Optimism's bounded minimum grant size was excluded (unconverted token),
     # so no face-value footnote appears.
     optimism = next(r for r in results if r.program == "Optimism")
-    rendered = render_program_report(optimism, validate_dataset(datasets[3], SCHEMA))
+    rendered = render_comparison([optimism])
+    assert b"Optimism FAO-QN-2 '<50K OP' excluded" in rendered
     assert b"scored at face value" not in rendered
 
 
@@ -174,3 +156,24 @@ def test_reported_scores_stay_in_documented_ranges():
         elif label in {cat.code for cat in Category}:
             values = [float(tok) for tok in _NUMBER.findall(line)]
             assert all(0.0 <= v <= 1.0 for v in values)
+
+
+_HEAD = "format|gmi-comparison|1\nprograms|A\nprogram|A\n"
+
+
+@pytest.mark.parametrize(
+    "document",
+    [
+        _HEAD + "gmi|x\nstage|Experimental\n",
+        _HEAD + "gmi\nstage|Experimental\n",
+        _HEAD + "gmi|1.0000\nstage|Bogus\n",
+        _HEAD + "gmi|1.0000\nstage|Experimental\ncategory|FAO|score\n",
+        _HEAD + "stage|Experimental\n",
+        _HEAD + "gmi|1.0000\ngmi|2.0000\nstage|Experimental\n",
+    ],
+    ids=["gmi-not-a-number", "gmi-no-value", "unknown-stage", "category-no-value",
+         "no-gmi", "duplicate-gmi"],
+)
+def test_parse_structured_rejects_malformed_documents(document):
+    with pytest.raises(ParseError):
+        parse_structured(document)

@@ -15,7 +15,6 @@ from gmi.scoring import (
     directional_score,
     load_category_table,
     minmax_normalize,
-    rubric_category_score,
     rubric_to_unit,
     score_category,
     score_category_table,
@@ -108,16 +107,6 @@ def test_rubric_to_unit_anchors():
     for bad in (0, 6, -1):
         with pytest.raises(RubricRangeError):
             rubric_to_unit(bad)
-
-
-def test_rubric_category_score():
-    assert rubric_category_score([3, 3, 3]) == 0.5
-    assert rubric_category_score([1, 5]) == 0.5
-    assert rubric_category_score([2, 3, 5]) == pytest.approx(0.583333, abs=1e-6)
-    # oracle: (0.25 + 0.75 + 1.0) / 3
-    assert rubric_category_score([2, 4, 5]) == pytest.approx(2 / 3, abs=1e-9)
-    with pytest.raises(EmptyCategory):
-        rubric_category_score([])
 
 
 def test_score_category():
