@@ -4,11 +4,18 @@ Subcommands: ``validate``, ``score``, ``compare`` (alias of score),
 ``survey template`` and ``schema dump``.  Exit statuses: 0 success,
 1 domain failure (unscorable data, partial cohorts), 2 input or usage
 failure.
+
+``main`` runs a command with the cyclic garbage collector suspended: a
+scoring run keeps every cell of the cohort alive until it returns and
+creates no reference cycles, so automatic collections would only traverse
+live objects.  On return it collects the youngest generation, so that no
+collection is left pending, and restores the caller's collector state.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 from pathlib import Path
@@ -156,6 +163,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
     try:
         return args.func(args)
     except GmiError as exc:
@@ -164,6 +173,10 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    finally:
+        if gc_was_enabled:
+            gc.collect(0)
+            gc.enable()
 
 
 if __name__ == "__main__":

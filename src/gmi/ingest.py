@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import IO, Mapping
 
@@ -123,7 +123,7 @@ class Qualifier(Enum):
     UNSPECIFIED = "unspecified"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TypedValue:
     kind: ValueKind
     value: float | None = None
@@ -207,17 +207,18 @@ def _parse_amount(token: str) -> float | None:
     return base
 
 
-def _parse_country(body: str, raw: str, definition: IndicatorDef) -> TypedValue:
+def _parse_country(body: str, raw: str, definition: IndicatorDef,
+                   qualifier: Qualifier) -> TypedValue:
     cleaned = re.sub(r"\(.*?\)", " ", body).strip()
     words = cleaned.split()
     if words and words[-1].lower() == "foundation":
         words = words[:-1]
     cleaned = " ".join(words)
     if re.fullmatch(r"[A-Za-z]{3}", cleaned):
-        return country(cleaned)
+        return country(cleaned, qualifier)
     code = _JURISDICTIONS.get(cleaned.lower())
     if code:
-        return country(code)
+        return country(code, qualifier)
     raise ValueParseError(raw, definition.id, "not an ISO alpha-3 code or known jurisdiction")
 
 
@@ -253,8 +254,7 @@ def _parse_cell(raw: str, definition: IndicatorDef) -> TypedValue:
         body = body[1:].strip()
 
     if definition.data_type is DataType.ISO_ALPHA_3:
-        parsed = _parse_country(body, raw, definition)
-        return replace(parsed, qualifier=qualifier)
+        return _parse_country(body, raw, definition, qualifier)
 
     if definition.data_type is DataType.BINARY:
         if body in ("0", "1"):
@@ -353,13 +353,13 @@ def coerce_unit(value: TypedValue, from_unit: str | None, definition: IndicatorD
     """
     if from_unit is None or from_unit.lower() == definition.unit.lower():
         if value.kind is ValueKind.NUMBER and value.unit is not None:
-            return replace(value, unit=None)
+            return number(value.value, is_code=value.is_code, qualifier=value.qualifier)
         return value
     src = from_unit.lower()
     dst = definition.unit.lower()
     if src in _TIME_UNITS and dst in _TIME_UNITS and value.kind is ValueKind.NUMBER:
         converted = value.value * _TIME_UNITS[src] / _TIME_UNITS[dst]
-        return replace(value, value=converted, unit=None)
+        return number(converted, is_code=value.is_code, qualifier=value.qualifier)
     raise UnitError(from_unit, definition.unit)
 
 
@@ -367,7 +367,7 @@ def coerce_unit(value: TypedValue, from_unit: str | None, definition: IndicatorD
 # Datasets
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Observation:
     indicator_id: str
     raw: str
@@ -394,10 +394,12 @@ def load_program_dataset(source: IO[bytes] | IO[str] | str, schema: Schema) -> P
     answers: dict[str, int] = {}
     for line_no, fields in records[1:]:
         key = fields[0]
-        if INDICATOR_ID_PATTERN.match(key):
+        # Every schema id matches the indicator id pattern, so the pattern
+        # is consulted only for a key the schema lacks.
+        definition = schema.get(key)
+        if definition is not None or INDICATOR_ID_PATTERN.match(key):
             if len(fields) not in (2, 3):
                 raise ParseError(f"line {line_no}: observation rows have 2 or 3 fields")
-            definition = schema.get(key)
             if definition is None:
                 raise UnknownIndicator(key)
             if definition.kind is not Kind.QUANTITATIVE:

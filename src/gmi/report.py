@@ -127,9 +127,14 @@ def _render_delimited(report: ComparisonReport) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _bound(x: float | None) -> str:
+    return "" if x is None else _fmt(x)
+
+
 def _render_structured(results: Sequence[GmiResult], notes: Sequence[str]) -> str:
     lines = ["format|gmi-comparison|1"]
     lines.append("|".join(["programs", *(r.program for r in results)]))
+    bounds: dict[str, tuple[float | None, float | None, str, str]] = {}
     for result in results:
         lines.append("")
         lines.append(f"program|{result.program}")
@@ -144,8 +149,15 @@ def _render_structured(results: Sequence[GmiResult], notes: Sequence[str]) -> st
                     f"{_fmt(result.normalized_category_scores[cat])}"
                 )
         for rec in result.audit:
-            lo = "" if rec.minimum is None else _fmt(rec.minimum)
-            hi = "" if rec.maximum is None else _fmt(rec.maximum)
+            # A column's records share its bound objects, so each column's
+            # bounds are formatted once.  The check is by identity, never by
+            # value: -0.0 == 0.0, yet they print differently.
+            cached = bounds.get(rec.indicator)
+            if cached is None or cached[0] is not rec.minimum or cached[1] is not rec.maximum:
+                cached = bounds[rec.indicator] = (
+                    rec.minimum, rec.maximum, _bound(rec.minimum), _bound(rec.maximum)
+                )
+            _, _, lo, hi = cached
             if rec.exclusion is None:
                 tail = f"score|{_fmt(rec.score)}"
             else:

@@ -19,6 +19,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from functools import cached_property
 from typing import IO
 
 from .errors import ParseError, SchemaError
@@ -112,7 +113,7 @@ class IndicatorDef:
         if self.direction is Direction.NON_SCORABLE and self.explicit_direction:
             object.__setattr__(self, "explicit_direction", False)
 
-    @property
+    @cached_property
     def scorable(self) -> bool:
         return (
             self.kind is Kind.QUANTITATIVE

@@ -44,12 +44,12 @@ _STAGE_THRESHOLDS: tuple[tuple[float, Stage], ...] = (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Excluded:
     reason: str  # missing | non-scorable | token-unconverted
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AuditRecord:
     indicator: str
     raw: str
@@ -60,6 +60,14 @@ class AuditRecord:
     qualifier: Qualifier = Qualifier.EXACT
 
 
+# Excluded is immutable, so each reason has one shared instance.
+_EXCLUDED = {reason: Excluded(reason)
+             for reason in ("missing", "non-scorable", "token-unconverted")}
+
+# The cell of a program that has no observation of an indicator.
+_ABSENT_CELL = (None, "n.a.", Qualifier.UNSPECIFIED, "missing")
+
+
 @dataclass(frozen=True)
 class ScoreMatrix:
     programs: tuple[str, ...]
@@ -67,7 +75,7 @@ class ScoreMatrix:
     category_scores: dict[tuple[str, Category], float]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GmiResult:
     program: str
     category_scores: dict[Category, float]
@@ -94,14 +102,14 @@ def minmax_normalize(values: Mapping[str, float | None]) -> dict[str, float | Ex
         degenerate = hi <= lo
         for program, value in values.items():
             if value is None:
-                out[program] = Excluded("missing")
+                out[program] = _EXCLUDED["missing"]
             elif degenerate:
                 out[program] = 0.5
             else:
                 out[program] = (value - lo) / (hi - lo)
     else:
         for program in values:
-            out[program] = Excluded("missing")
+            out[program] = _EXCLUDED["missing"]
     return out
 
 
@@ -157,15 +165,17 @@ def _score_column(
     hi = max(present) if present else None
     if present and not math.isfinite(hi - lo):
         raise ParseError(f"column {indicator} spans {lo!r} to {hi!r}, a range that overflows")
+    directional_score(0.0, direction)  # raises on a direction that cannot score
+    reflect = direction is Direction.LOWER_BETTER
     out: dict[str, tuple[float | Excluded, AuditRecord]] = {}
     for program, entry in minmax_normalize(values).items():
         _, raw, qualifier, reason = column[program]
         if isinstance(entry, Excluded):
             reason = reason or entry.reason
-            out[program] = (Excluded(reason),
+            out[program] = (_EXCLUDED[reason],
                             AuditRecord(indicator, raw, lo, hi, None, reason, qualifier))
         else:
-            score = directional_score(entry, direction)
+            score = 1.0 - entry if reflect else entry
             out[program] = (score, AuditRecord(indicator, raw, lo, hi, score, None, qualifier))
     return out
 
@@ -257,7 +267,7 @@ def score_datasets(
         for ds in datasets:
             obs = ds.observations.get(indicator_id)
             if obs is None:
-                column[ds.program] = (None, "n.a.", Qualifier.UNSPECIFIED, "missing")
+                column[ds.program] = _ABSENT_CELL
             else:
                 value, reason = scoring_status(obs.value, definition, rates)
                 column[ds.program] = (value, obs.raw, obs.value.qualifier, reason)
@@ -268,7 +278,7 @@ def score_datasets(
             # Every observed cell of an unscorable indicator reads
             # "non-scorable"; those cells enter the audit trail unbounded.
             scored = {
-                program: (Excluded(reason),
+                program: (_EXCLUDED[reason],
                           AuditRecord(indicator_id, raw, None, None, None, reason, qualifier))
                 for program, (_, raw, qualifier, reason) in column.items()
                 if reason == "non-scorable"

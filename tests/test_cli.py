@@ -2,15 +2,18 @@
 
 from __future__ import annotations
 
+import gc
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import gmi.cli
 from gmi.bundled import bundled_category_table_path, bundled_program_paths
 from gmi.cli import main
 from gmi.rubric import builtin_template, collect_responses, load_responses
+from gmi.schema import builtin_schema
 
 CATEGORY_TABLE = str(bundled_category_table_path())
 PROGRAM_FILES = [str(p) for p in bundled_program_paths()]
@@ -251,3 +254,43 @@ def test_non_finite_numbers_are_input_errors(tmp_path, capsys, files, argv):
     err = capsys.readouterr().err
     assert code == 2
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv,expected",
+    [
+        (["score", *PROGRAM_FILES, "--allow-partial"], 0),
+        (["score", *PROGRAM_FILES], 1),
+        (["score", "does-not-exist.txt"], 2),
+    ],
+    ids=["success", "domain-failure", "input-error"],
+)
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc-enabled", "gc-disabled"])
+def test_main_restores_the_callers_gc_state(capsys, monkeypatch, argv, expected, enabled):
+    # Objects that outlive the command, as a caller keeping results makes,
+    # are what a deferred collection would have to traverse.
+    survivors = []
+
+    def schema_with_survivors():
+        survivors.append([[] for _ in range(2 * gc.get_threshold()[0])])
+        return builtin_schema()
+
+    monkeypatch.setattr(gmi.cli, "builtin_schema", schema_with_survivors)
+    was_enabled = gc.isenabled()
+    if enabled:
+        gc.enable()
+    else:
+        gc.disable()
+    try:
+        assert main(argv) == expected
+        assert gc.isenabled() is enabled
+        if enabled:
+            # main collected what it left behind; no collection is pending.
+            assert gc.get_count()[0] < gc.get_threshold()[0]
+    finally:
+        if was_enabled:
+            gc.enable()
+        else:
+            gc.disable()
+    assert survivors
+    capsys.readouterr()

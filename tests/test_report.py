@@ -177,3 +177,24 @@ _HEAD = "format|gmi-comparison|1\nprograms|A\nprogram|A\n"
 def test_parse_structured_rejects_malformed_documents(document):
     with pytest.raises(ParseError):
         parse_structured(document)
+
+
+def test_structured_bounds_keep_the_sign_of_zero(tmp_path, capsys):
+    # A column's minimum of -0.0 and another's of 0.0 compare equal as
+    # floats but must print as written.
+    from gmi.cli import main
+
+    a = tmp_path / "a.txt"
+    b = tmp_path / "b.txt"
+    a.write_text("program|A\nCOM-QN-13|-0\nCOM-QN-2|0\n", encoding="utf-8")
+    b.write_text("program|B\nCOM-QN-13|5\nCOM-QN-2|5\n", encoding="utf-8")
+    code = main(["score", str(a), str(b), "--allow-partial", "--format", "structured"])
+    out = capsys.readouterr().out
+    assert code == 0
+    minima = {
+        fields[1]: fields[3]
+        for fields in (line.split("|") for line in out.splitlines())
+        if fields[0] == "audit"
+    }
+    assert minima["COM-QN-13"] == "-0.0000"
+    assert minima["COM-QN-2"] == "0.0000"

@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from gmi.errors import EmptyCategory, PartialDataError, RubricRangeError
-from gmi.ingest import ProgramDataset, money, number, token_amount, Observation
+from gmi.ingest import ProgramDataset, Qualifier, money, number, token_amount, Observation
 from gmi.schema import Category, Direction, builtin_schema, with_directions
 from gmi.scoring import (
+    AuditRecord,
     Excluded,
+    GmiResult,
     Stage,
     classify_maturity,
     compute_gmi,
@@ -361,3 +365,39 @@ def test_load_category_table_errors():
     for bad in ("nan", "inf", "-inf"):
         with pytest.raises(ParseError):
             load_category_table(f"program|FAO|PSO|GOV|EFI|TAC|COM\nX|1|2|{bad}|4|5|6\n")
+
+
+# ---------------------------------------------------------------------------
+# Record types
+# ---------------------------------------------------------------------------
+
+
+def _record_samples():
+    value = number(3.5, qualifier=Qualifier.APPROX_LOWER_BOUND)
+    audit = AuditRecord("COM-QN-2", ">3.5", 1.0, 4.0, 0.8333, None,
+                        Qualifier.APPROX_LOWER_BOUND)
+    return [
+        (value, "value", 4.0),
+        (Observation("COM-QN-2", ">3.5", value), "raw", "4"),
+        (Excluded("missing"), "reason", "non-scorable"),
+        (audit, "score", 0.5),
+        (GmiResult("A", {}, {}, 0.0, Stage.EXPERIMENTAL, (audit,)), "gmi", 1.0),
+    ]
+
+
+@pytest.mark.parametrize("record,field,other", _record_samples(),
+                         ids=[type(sample[0]).__name__ for sample in _record_samples()])
+def test_records_are_slotted_values(record, field, other):
+    assert not hasattr(record, "__dict__")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(record, field, other)
+    changed = dataclasses.replace(record, **{field: other})
+    assert getattr(changed, field) == other
+    assert changed != record
+    twin = dataclasses.replace(record)
+    assert twin == record and twin is not record
+    if isinstance(record, GmiResult):  # it holds dicts, so it has never hashed
+        with pytest.raises(TypeError):
+            hash(record)
+    else:
+        assert hash(twin) == hash(record)
