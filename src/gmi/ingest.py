@@ -36,6 +36,19 @@ A first field matching the indicator id pattern is an observation; any other
 first field is read as a rubric criterion id with an integer 1..5 score, or
 a blank score for an unanswered criterion, as in survey response files.
 
+Cell text repeats down every column of a cohort (flags, codes, platforms,
+placeholders), so each indicator definition memoises its cells:
+``parse_value`` keeps each successful parse in ``parsed_cells`` (raw cell ->
+TypedValue), and ``load_program_dataset`` keeps each finished, immutable
+Observation in ``observed_rows`` (``(raw cell, unit field)`` -> Observation)
+and shares it between datasets.  Only successes are stored: a cell or unit
+error is raised afresh, with its own message, every time it is met.  Every
+row check (field count, unknown indicator, kind, duplicate) runs before the
+memo is consulted.  The memos live as long as the definitions, that is, as
+long as the schema: ``builtin_schema()`` builds fresh definitions on every
+call, and a long-lived schema keeps one entry per distinct cell it has
+parsed.
+
 Layer order: this module sits above ``rubric`` and below ``scoring``.
 """
 
@@ -121,6 +134,8 @@ class Qualifier(Enum):
     APPROX_LOWER_BOUND = "approximate-lower-bound"
     APPROX_UPPER_BOUND = "approximate-upper-bound"
     UNSPECIFIED = "unspecified"
+
+    __hash__ = object.__hash__  # identity, as for schema.Category
 
 
 @dataclass(frozen=True, slots=True)
@@ -223,14 +238,23 @@ def _parse_country(body: str, raw: str, definition: IndicatorDef,
 
 
 def parse_value(raw: str, definition: IndicatorDef) -> TypedValue:
-    """Parse one raw cell under *definition*'s declared data type."""
-    try:
-        return _parse_cell(raw, definition)
-    except ValueParseError:
-        raise
-    except ValueError as exc:
-        # constructor guards (negative amounts, zero denominators)
-        raise ValueParseError(raw, definition.id, str(exc)) from exc
+    """Parse one raw cell under *definition*'s declared data type.
+
+    A successful parse is kept in ``definition.parsed_cells``; a cell that
+    fails is parsed again, and fails again, on every call.
+    """
+    memo = definition.parsed_cells
+    value = memo.get(raw)
+    if value is None:
+        try:
+            value = _parse_cell(raw, definition)
+        except ValueParseError:
+            raise
+        except ValueError as exc:
+            # constructor guards (negative amounts, zero denominators)
+            raise ValueParseError(raw, definition.id, str(exc)) from exc
+        memo[raw] = value
+    return value
 
 
 def _parse_cell(raw: str, definition: IndicatorDef) -> TypedValue:
@@ -411,21 +435,26 @@ def load_program_dataset(source: IO[bytes] | IO[str] | str, schema: Schema) -> P
                 raise DuplicateIndicator(key)
             raw = fields[1]
             value = parse_value(raw, definition)
-            annotation = fields[2] if len(fields) == 3 and fields[2] else None
-            if annotation:
-                annotation = annotation.lower()
-                annotation = _CANONICAL_TIME.get(annotation.rstrip("s"), annotation)
-            inline = value.unit if value.kind is ValueKind.NUMBER else None
-            if inline and annotation and inline != annotation:
-                raise ParseError(
-                    f"line {line_no}: unit annotation {annotation!r} contradicts "
-                    f"inline unit {inline!r}"
-                )
-            try:
-                value = coerce_unit(value, inline or annotation or definition.unit, definition)
-            except ValueError as exc:  # the converted number is not finite
-                raise ValueParseError(raw, key, str(exc)) from exc
-            observations[key] = Observation(indicator_id=key, raw=raw, value=value)
+            row = (raw, fields[2] if len(fields) == 3 else "")
+            observation = definition.observed_rows.get(row)
+            if observation is None:
+                annotation = row[1].lower() or None
+                if annotation:
+                    annotation = _CANONICAL_TIME.get(annotation.rstrip("s"), annotation)
+                inline = value.unit if value.kind is ValueKind.NUMBER else None
+                if inline and annotation and inline != annotation:
+                    raise ParseError(
+                        f"line {line_no}: unit annotation {annotation!r} contradicts "
+                        f"inline unit {inline!r}"
+                    )
+                try:
+                    value = coerce_unit(value, inline or annotation or definition.unit,
+                                        definition)
+                except ValueError as exc:  # the converted number is not finite
+                    raise ValueParseError(raw, key, str(exc)) from exc
+                observation = definition.observed_rows[row] = Observation(
+                    indicator_id=key, raw=raw, value=value)
+            observations[key] = observation
         else:
             rubric.read_answer(answers, line_no, fields)
 

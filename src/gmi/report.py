@@ -131,6 +131,13 @@ def _bound(x: float | None) -> str:
     return "" if x is None else _fmt(x)
 
 
+# Enum ``.value``/``.name`` reads go through a Python-level descriptor, so
+# the structured renderer reads these texts from tables built at import.
+_QUALIFIER_TEXT = {q: q.value for q in Qualifier}
+_STAGE_TEXT = {s: s.value for s in Stage}
+_CATEGORY_CODES = tuple((cat, cat.code) for cat in Category)
+
+
 def _render_structured(results: Sequence[GmiResult], notes: Sequence[str]) -> str:
     lines = ["format|gmi-comparison|1"]
     lines.append("|".join(["programs", *(r.program for r in results)]))
@@ -139,13 +146,13 @@ def _render_structured(results: Sequence[GmiResult], notes: Sequence[str]) -> st
         lines.append("")
         lines.append(f"program|{result.program}")
         lines.append(f"gmi|{_fmt(result.gmi)}")
-        lines.append(f"stage|{result.stage.value}")
-        for cat in Category:
+        lines.append(f"stage|{_STAGE_TEXT[result.stage]}")
+        for cat, code in _CATEGORY_CODES:
             if cat in result.category_scores:
-                lines.append(f"category|{cat.code}|input|{_fmt(result.category_scores[cat])}")
+                lines.append(f"category|{code}|input|{_fmt(result.category_scores[cat])}")
             if cat in result.normalized_category_scores:
                 lines.append(
-                    f"category|{cat.code}|score|"
+                    f"category|{code}|score|"
                     f"{_fmt(result.normalized_category_scores[cat])}"
                 )
         for rec in result.audit:
@@ -163,7 +170,8 @@ def _render_structured(results: Sequence[GmiResult], notes: Sequence[str]) -> st
             else:
                 tail = f"excluded|{rec.exclusion}"
             lines.append(
-                f"audit|{rec.indicator}|{rec.raw}|{lo}|{hi}|{tail}|{rec.qualifier.value}"
+                f"audit|{rec.indicator}|{rec.raw}|{lo}|{hi}|{tail}|"
+                f"{_QUALIFIER_TEXT[rec.qualifier]}"
             )
     if notes:
         lines.append("")

@@ -54,6 +54,11 @@ class Category(Enum):
     TAC = "Transparency and Accountability"
     COM = "Community Engagement"
 
+    # Members are singletons and compare by identity, so hashing by identity
+    # agrees with equality; it runs in C where Enum.__hash__ runs in Python.
+    # No set of categories is ever iterated, so no output order depends on it.
+    __hash__ = object.__hash__
+
     @property
     def code(self) -> str:
         return self.name
@@ -120,6 +125,20 @@ class IndicatorDef:
             and self.direction is not Direction.NON_SCORABLE
             and self.data_type in (DataType.NUMERIC, DataType.RATIONAL, DataType.BINARY)
         )
+
+    # Per-definition memos that ``ingest`` fills.  A parse depends only on
+    # the cell text and this definition, so an entry is valid for as long as
+    # the definition lives; a copy made with ``replace`` starts empty.
+    @cached_property
+    def parsed_cells(self) -> dict:
+        """``ingest.parse_value``'s successful results, keyed by raw cell."""
+        return {}
+
+    @cached_property
+    def observed_rows(self) -> dict:
+        """``ingest.load_program_dataset``'s finished observations, keyed by
+        the row's ``(raw cell, unit field)``."""
+        return {}
 
     def validate(self) -> None:
         if not INDICATOR_ID_PATTERN.match(self.id):

@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import copy
+import math
+import pickle
+from dataclasses import replace
+
 import pytest
 
 from gmi.bundled import bundled_program_paths
@@ -27,7 +32,7 @@ from gmi.ingest import (
     token_amount,
     validate_dataset,
 )
-from gmi.schema import Category, builtin_schema
+from gmi.schema import Category, builtin_schema, dump_schema, load_schema
 
 SCHEMA = builtin_schema()
 
@@ -315,6 +320,84 @@ def test_unit_annotation_matching_declared_unit_is_identity():
     assert ds.observations["FAO-QN-2"].value.value == 5000
     ds = load_program_dataset("program|X\nCOM-QN-8|18 weeks|weeks\n", SCHEMA)
     assert ds.observations["COM-QN-8"].value.value == 18
+
+
+# ---------------------------------------------------------------------------
+# Per-definition memos of parsed cells and finished observations
+# ---------------------------------------------------------------------------
+
+
+def test_identical_rows_share_one_observation():
+    schema = builtin_schema()
+    rows = "FAO-QN-2|$5,000\nCOM-QN-8|6|months\nGOV-QN-4|Link\n"
+    first = load_program_dataset("program|A\n" + rows, schema)
+    second = load_program_dataset("program|B\n" + rows, schema)
+    for key, obs in first.observations.items():
+        assert second.observations[key] is obs
+    assert first.observations["COM-QN-8"].value.value == pytest.approx(6 * 4.345)
+
+
+def test_cell_errors_are_never_memoised():
+    schema = builtin_schema()
+    definition = schema.get("COM-QN-1")
+    for program in ("A", "B"):
+        with pytest.raises(ValueParseError, match="lots of grants"):
+            load_program_dataset(f"program|{program}\nCOM-QN-1|lots of grants\n", schema)
+    assert "lots of grants" not in definition.parsed_cells
+    with pytest.raises(ValueParseError):
+        parse_value("lots of grants", definition)
+    # A unit error after a successful parse is not memoised either.
+    for _ in range(2):
+        with pytest.raises(ParseError, match="line 2"):
+            load_program_dataset("program|X\nCOM-QN-8|18 weeks|months\n", schema)
+    assert ("18 weeks", "months") not in schema.get("COM-QN-8").observed_rows
+
+
+def test_repeated_row_hitting_the_memo_is_still_a_duplicate():
+    schema = builtin_schema()
+    load_program_dataset("program|A\nFAO-QN-2|$5,000\n", schema)
+    with pytest.raises(DuplicateIndicator):
+        load_program_dataset("program|B\nFAO-QN-2|$5,000\nFAO-QN-2|$5,000\n", schema)
+
+
+def test_unit_fields_keep_rows_apart():
+    schema = builtin_schema()
+    weeks = load_program_dataset("program|A\nCOM-QN-8|2|weeks\n", schema)
+    months = load_program_dataset("program|B\nCOM-QN-8|2|months\n", schema)
+    assert weeks.observations["COM-QN-8"].value.value == 2
+    assert months.observations["COM-QN-8"].value.value == pytest.approx(2 * 4.345)
+
+
+def test_signed_zeros_keep_their_signs():
+    schema = builtin_schema()
+    for raw, sign in (("-0", -1.0), ("0", 1.0), ("-0", -1.0)):
+        ds = load_program_dataset(f"program|X\nCOM-QN-1|{raw}\n", schema)
+        assert math.copysign(1.0, ds.observations["COM-QN-1"].value.value) == sign
+        assert math.copysign(1.0, parse_value(raw, schema.get("COM-QN-1")).value) == sign
+
+
+def test_memos_belong_to_one_definition():
+    builtin = builtin_schema()
+    custom = load_schema(dump_schema(builtin).replace(
+        "COM-QN-8|COM|quantitative|numeric|weeks|", "COM-QN-8|COM|quantitative|numeric|months|"))
+    assert custom.get("COM-QN-8").unit == "months"
+    row = "program|X\nCOM-QN-8|2|weeks\n"
+    assert load_program_dataset(row, builtin).observations["COM-QN-8"].value.value == 2
+    in_months = load_program_dataset(row, custom).observations["COM-QN-8"].value.value
+    assert in_months == pytest.approx(2 / 4.345)
+    # A fresh schema, and a copy of a definition, start with empty memos.
+    assert builtin_schema().get("COM-QN-8").observed_rows == {}
+    copied = replace(builtin.get("COM-QN-8"), description="copy")
+    assert copied.parsed_cells == {} and copied.observed_rows == {}
+
+
+@pytest.mark.parametrize("enum", [Category, Qualifier])
+def test_enum_members_hash_by_identity(enum):
+    for member in enum:
+        assert hash(member) == object.__hash__(member)
+        assert pickle.loads(pickle.dumps(member)) is member
+        assert copy.deepcopy(member) is member
+        assert {member: 1}[enum(member.value)] == 1
 
 
 def test_load_rates():
