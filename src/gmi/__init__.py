@@ -28,8 +28,6 @@ from .ingest import (
     validate_dataset,
 )
 from .report import (
-    ComparisonReport,
-    build_comparison,
     parse_structured,
     render_comparison,
     render_validation,

@@ -1,9 +1,9 @@
 """Command-line front end for reproducible batch runs.
 
-Subcommands: ``validate``, ``score``, ``compare`` (alias of score),
-``survey template`` and ``schema dump``.  Exit statuses: 0 success,
-1 domain failure (unscorable data, partial cohorts), 2 input or usage
-failure.
+Subcommands: ``validate``, ``score`` (registered with the alias
+``compare``, so both names run one parser), ``survey template`` and
+``schema dump``.  Exit statuses: 0 success, 1 domain failure (unscorable
+data, partial cohorts), 2 input or usage failure.
 
 ``main`` runs a command with the cyclic garbage collector suspended: a
 scoring run keeps every cell of the cohort alive until it returns and
@@ -21,7 +21,7 @@ import sys
 from pathlib import Path
 
 from .errors import GmiError, PartialDataError
-from .ingest import load_program_dataset, load_rates, validate_dataset
+from .ingest import check_distinct_programs, load_program_dataset, load_rates, validate_dataset
 from .report import FORMATS, render_comparison, render_validation
 from .rubric import render_template
 from .schema import Schema, builtin_schema, dump_schema, load_schema
@@ -54,13 +54,16 @@ def _emit(payload: bytes, out: str | None) -> None:
 
 def _cmd_validate(args: argparse.Namespace) -> int:
     schema = _active_schema(args.schema)
+    programs: list[str] = []
     chunks: list[bytes] = []
     all_ok = True
     for path in args.inputs:
         dataset = load_program_dataset(Path(path).read_bytes(), schema)
         report = validate_dataset(dataset, schema)
+        programs.append(dataset.program)
         chunks.append(render_validation(report))
         all_ok = all_ok and report.all_scorable
+    check_distinct_programs(programs)
     _emit(b"".join(chunks), args.out)
     return EXIT_OK if all_ok else EXIT_DOMAIN
 
@@ -113,18 +116,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", metavar="PATH", help="write output to a file")
 
 
-def _add_score_options(parser: argparse.ArgumentParser) -> None:
-    _add_common(parser)
-    parser.add_argument("inputs", nargs="+", metavar="FILE")
-    parser.add_argument("--mode", choices=(MODE_RAW, MODE_PRECOMPUTED),
-                        default=MODE_RAW)
-    parser.add_argument("--allow-partial", action="store_true",
-                        help="rescale composites when categories are missing")
-    parser.add_argument("--rates", metavar="PATH",
-                        help="token conversion table (SYMBOL|usd-per-token)")
-    parser.add_argument("--format", choices=FORMATS, default="table")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gmi",
@@ -137,13 +128,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_validate.add_argument("inputs", nargs="+", metavar="FILE")
     p_validate.set_defaults(func=_cmd_validate)
 
-    for name, help_text in (
-        ("score", "run the scoring pipeline and render a comparison"),
-        ("compare", "alias of score for multi-program runs"),
-    ):
-        p_score = sub.add_parser(name, help=help_text)
-        _add_score_options(p_score)
-        p_score.set_defaults(func=lambda args, p=p_score: _cmd_score(args, p))
+    p_score = sub.add_parser("score", aliases=["compare"],
+                             help="run the scoring pipeline and render a comparison")
+    _add_common(p_score)
+    p_score.add_argument("inputs", nargs="+", metavar="FILE")
+    p_score.add_argument("--mode", choices=(MODE_RAW, MODE_PRECOMPUTED), default=MODE_RAW)
+    p_score.add_argument("--allow-partial", action="store_true",
+                         help="rescale composites when categories are missing")
+    p_score.add_argument("--rates", metavar="PATH",
+                         help="token conversion table (SYMBOL|usd-per-token)")
+    p_score.add_argument("--format", choices=FORMATS, default="table")
+    p_score.set_defaults(func=lambda args: _cmd_score(args, p_score))
 
     p_survey = sub.add_parser("survey", help="self-assessment survey utilities")
     survey_sub = p_survey.add_subparsers(dest="survey_command", required=True)

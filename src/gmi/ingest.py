@@ -58,7 +58,7 @@ import math
 import re
 from dataclasses import dataclass
 from enum import Enum
-from typing import IO, Mapping
+from typing import IO, Mapping, Sequence
 
 from . import rubric
 from .errors import (
@@ -410,7 +410,9 @@ def load_program_dataset(source: IO[bytes] | IO[str] | str, schema: Schema) -> P
     records = read_records(source)
     if not records or records[0][1][0].lower() != "program" or len(records[0][1]) < 2:
         raise ParseError("observation file must start with a 'program|<name>' record")
-    program = records[0][1][1]
+    line_no, (_, program, *extra) = records[0]
+    if extra:
+        raise ParseError(f"line {line_no}: program records have 2 fields")
     if not program:
         raise ParseError("program name is empty")
 
@@ -455,10 +457,19 @@ def load_program_dataset(source: IO[bytes] | IO[str] | str, schema: Schema) -> P
                 observation = definition.observed_rows[row] = Observation(
                     indicator_id=key, raw=raw, value=value)
             observations[key] = observation
+        elif key.lower() == "program":
+            raise ParseError(f"line {line_no}: a second program record; a file holds one program")
         else:
             rubric.read_answer(answers, line_no, fields)
 
     return ProgramDataset(program=program, observations=observations, rubric=answers)
+
+
+def check_distinct_programs(programs: Sequence[str]) -> None:
+    """Raise ParseError when a program name repeats across datasets;
+    ``gmi validate`` and ``gmi score`` both run this check."""
+    if len(set(programs)) != len(programs):
+        raise ParseError("duplicate program names across datasets")
 
 
 def load_rates(source: IO[bytes] | IO[str] | str) -> dict[str, float]:

@@ -8,6 +8,10 @@ reserved delimiter (``|``):
 * ``structured`` a key-value document that ``parse_structured`` reads back
   into GmiResult values (4-decimal fixed-point), rejecting malformed ones.
 
+Each renderer reads the GmiResult values and their audit trails directly;
+the exclusions and footnotes of the table and delimited formats are the
+audit records that carry an exclusion or an approximate qualifier.
+
 The validation report (``gmi validate``) lists each category's coverage.
 All numeric cells are rendered to four decimals with round-half-even.
 Identical inputs render to identical bytes.
@@ -15,7 +19,6 @@ Identical inputs render to identical bytes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import ParseError
@@ -27,33 +30,33 @@ FORMATS = ("table", "delimited", "structured")
 
 _ABSENT = "n.a."
 
+# Enum ``.value``/``.name`` reads go through a Python-level descriptor, so
+# the renderers read these texts from tables built at import.
+_QUALIFIER_TEXT = {q: q.value for q in Qualifier}
+_STAGE_TEXT = {s: s.value for s in Stage}
+_CATEGORY_CODES = tuple((cat, cat.code) for cat in Category)
+
 
 def _fmt(x: float | None) -> str:
     return _ABSENT if x is None else format(x, ".4f")
 
 
-@dataclass(frozen=True)
-class ComparisonReport:
-    programs: tuple[str, ...]
-    gmi_row: dict[str, float]
-    category_rows: dict[Category, dict[str, float | None]]
-    stages: dict[str, Stage]
-    exclusions: tuple[tuple[str, str, str, str], ...]  # program, indicator, raw, reason
-    footnotes: tuple[str, ...]
-
-
-def build_comparison(results: Sequence[GmiResult],
-                     notes: Sequence[str] = ()) -> ComparisonReport:
+def _table_rows(results: Sequence[GmiResult]) -> list[list[str]]:
     if not results:
         raise ValueError("at least one result is required")
-    programs = tuple(r.program for r in results)
-    gmi_row = {r.program: r.gmi for r in results}
-    category_rows = {
-        cat: {r.program: r.normalized_category_scores.get(cat) for r in results}
-        for cat in Category
-    }
-    stages = {r.program: r.stage for r in results}
+    rows = [["ID", *(r.program for r in results)]]
+    rows.append(["GMI", *(_fmt(r.gmi) for r in results)])
+    for cat, code in _CATEGORY_CODES:
+        rows.append([code, *(_fmt(r.normalized_category_scores.get(cat)) for r in results)])
+    return rows
 
+
+def _exclusions_and_footnotes(
+    results: Sequence[GmiResult], notes: Sequence[str]
+) -> tuple[list[tuple[str, str, str, str]], list[str]]:
+    """Walk the audit trails: each exclusion as (program, indicator, raw,
+    reason), and the footnotes for approximate and token-unconverted cells
+    followed by *notes*."""
     exclusions: list[tuple[str, str, str, str]] = []
     footnotes: list[str] = []
     for result in results:
@@ -63,7 +66,7 @@ def build_comparison(results: Sequence[GmiResult],
             elif rec.qualifier in (Qualifier.APPROX_UPPER_BOUND, Qualifier.APPROX_LOWER_BOUND):
                 footnotes.append(
                     f"{result.program} {rec.indicator} {rec.raw!r} scored at face value "
-                    f"({rec.qualifier.value})"
+                    f"({_QUALIFIER_TEXT[rec.qualifier]})"
                 )
             if rec.exclusion == "token-unconverted":
                 footnotes.append(
@@ -71,71 +74,35 @@ def build_comparison(results: Sequence[GmiResult],
                     "token amount with no conversion rate supplied"
                 )
     footnotes.extend(notes)
-    return ComparisonReport(
-        programs=programs,
-        gmi_row=gmi_row,
-        category_rows=category_rows,
-        stages=stages,
-        exclusions=tuple(exclusions),
-        footnotes=tuple(footnotes),
-    )
+    return exclusions, footnotes
 
 
-def _table_rows(report: ComparisonReport) -> list[list[str]]:
-    rows = [["ID", *report.programs]]
-    rows.append(["GMI", *(_fmt(report.gmi_row[p]) for p in report.programs)])
-    for cat in Category:
-        row = report.category_rows[cat]
-        rows.append([cat.code, *(_fmt(row[p]) for p in report.programs)])
-    return rows
-
-
-def _render_table(report: ComparisonReport) -> str:
-    rows = _table_rows(report)
+def _render_table(results: Sequence[GmiResult], notes: Sequence[str]) -> str:
+    rows = _table_rows(results)
     widths = [max(len(r[i]) for r in rows) for i in range(len(rows[0]))]
-    lines = []
-    for row in rows:
-        lines.append(" | ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip())
-    lines.append("")
-    lines.append("Stages:")
-    for program in report.programs:
-        lines.append(f"  {program}: {report.stages[program].value}")
-    lines.append("")
-    lines.append("Exclusions:")
-    if report.exclusions:
-        for program, indicator, raw, reason in report.exclusions:
-            lines.append(f"  {program} | {indicator} | {raw} | {reason}")
-    else:
-        lines.append("  (none)")
-    lines.append("")
-    lines.append("Footnotes:")
-    if report.footnotes:
-        for note in report.footnotes:
-            lines.append(f"  - {note}")
-    else:
-        lines.append("  (none)")
+    lines = [" | ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip()
+             for row in rows]
+    lines += ["", "Stages:"]
+    lines += [f"  {r.program}: {_STAGE_TEXT[r.stage]}" for r in results]
+    exclusions, footnotes = _exclusions_and_footnotes(results, notes)
+    lines += ["", "Exclusions:"]
+    lines += [f"  {' | '.join(row)}" for row in exclusions] or ["  (none)"]
+    lines += ["", "Footnotes:"]
+    lines += [f"  - {note}" for note in footnotes] or ["  (none)"]
     return "\n".join(lines) + "\n"
 
 
-def _render_delimited(report: ComparisonReport) -> str:
-    lines = ["|".join(row) for row in _table_rows(report)]
-    lines.append("|".join(["STAGE", *(report.stages[p].value for p in report.programs)]))
-    for program, indicator, raw, reason in report.exclusions:
-        lines.append(f"EXCLUDED|{program}|{indicator}|{raw}|{reason}")
-    for note in report.footnotes:
-        lines.append(f"NOTE|{note}")
+def _render_delimited(results: Sequence[GmiResult], notes: Sequence[str]) -> str:
+    lines = ["|".join(row) for row in _table_rows(results)]
+    lines.append("|".join(["STAGE", *(_STAGE_TEXT[r.stage] for r in results)]))
+    exclusions, footnotes = _exclusions_and_footnotes(results, notes)
+    lines.extend("|".join(("EXCLUDED", *row)) for row in exclusions)
+    lines.extend(f"NOTE|{note}" for note in footnotes)
     return "\n".join(lines) + "\n"
 
 
 def _bound(x: float | None) -> str:
     return "" if x is None else _fmt(x)
-
-
-# Enum ``.value``/``.name`` reads go through a Python-level descriptor, so
-# the structured renderer reads these texts from tables built at import.
-_QUALIFIER_TEXT = {q: q.value for q in Qualifier}
-_STAGE_TEXT = {s: s.value for s in Stage}
-_CATEGORY_CODES = tuple((cat, cat.code) for cat in Category)
 
 
 def _render_structured(results: Sequence[GmiResult], notes: Sequence[str]) -> str:
@@ -187,12 +154,9 @@ def render_comparison(results: Sequence[GmiResult], fmt: str = "table",
     """
     if fmt not in FORMATS:
         raise ValueError(f"unknown format {fmt!r}; expected one of {FORMATS}")
-    if fmt == "structured":
-        return _render_structured(results, notes).encode("utf-8")
-    report = build_comparison(results, notes)
-    if fmt == "table":
-        return _render_table(report).encode("utf-8")
-    return _render_delimited(report).encode("utf-8")
+    render = {"table": _render_table, "delimited": _render_delimited,
+              "structured": _render_structured}[fmt]
+    return render(results, notes).encode("utf-8")
 
 
 # Field count of each record kind inside a program block.

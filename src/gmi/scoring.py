@@ -18,8 +18,8 @@ from enum import Enum
 from typing import IO, Mapping, Sequence
 
 from . import rubric
-from .errors import EmptyCategory, ParseError, PartialDataError
-from .ingest import ProgramDataset, Qualifier, scoring_status
+from .errors import EmptyCategory, ParseError, PartialDataError, UnknownIndicator
+from .ingest import ProgramDataset, Qualifier, check_distinct_programs, scoring_status
 from .rubric import rubric_to_unit  # noqa: F401  re-exported for gmi.scoring callers
 from .schema import Category, Direction, Schema, read_records
 
@@ -94,22 +94,18 @@ def minmax_normalize(values: Mapping[str, float | None]) -> dict[str, float | Ex
     """
     if not values:
         raise ValueError("at least one program is required")
-    present = {p: v for p, v in values.items() if v is not None}
+    present = [v for v in values.values() if v is not None]
+    lo = min(present, default=0.0)
+    hi = max(present, default=0.0)
+    degenerate = hi <= lo
     out: dict[str, float | Excluded] = {}
-    if present:
-        lo = min(present.values())
-        hi = max(present.values())
-        degenerate = hi <= lo
-        for program, value in values.items():
-            if value is None:
-                out[program] = _EXCLUDED["missing"]
-            elif degenerate:
-                out[program] = 0.5
-            else:
-                out[program] = (value - lo) / (hi - lo)
-    else:
-        for program in values:
+    for program, value in values.items():
+        if value is None:
             out[program] = _EXCLUDED["missing"]
+        elif degenerate:
+            out[program] = 0.5
+        else:
+            out[program] = (value - lo) / (hi - lo)
     return out
 
 
@@ -151,13 +147,14 @@ def _score_column(
     indicator: str,
     column: Mapping[str, tuple[float | None, str, Qualifier, str | None]],
     direction: Direction = Direction.HIGHER_BETTER,
-) -> dict[str, tuple[float | Excluded, AuditRecord]]:
+) -> dict[str, AuditRecord]:
     """Min-max one column across the cohort; both passes use this.
 
     *column* maps each program to its value (None when absent), raw text,
-    qualifier and exclusion reason.  Returns each program's directed score
-    or Excluded, with its audit record; the audit bounds are the column's.
-    Raises ParseError when the column's range overflows a float.
+    qualifier and exclusion reason.  Returns each program's audit record,
+    which holds its directed score or its exclusion; the audit bounds are
+    the column's.  Raises ParseError when the column's range overflows a
+    float.
     """
     values = {program: cell[0] for program, cell in column.items()}
     present = [v for v in values.values() if v is not None]
@@ -167,16 +164,15 @@ def _score_column(
         raise ParseError(f"column {indicator} spans {lo!r} to {hi!r}, a range that overflows")
     directional_score(0.0, direction)  # raises on a direction that cannot score
     reflect = direction is Direction.LOWER_BETTER
-    out: dict[str, tuple[float | Excluded, AuditRecord]] = {}
+    out: dict[str, AuditRecord] = {}
     for program, entry in minmax_normalize(values).items():
         _, raw, qualifier, reason = column[program]
         if isinstance(entry, Excluded):
-            reason = reason or entry.reason
-            out[program] = (_EXCLUDED[reason],
-                            AuditRecord(indicator, raw, lo, hi, None, reason, qualifier))
+            out[program] = AuditRecord(indicator, raw, lo, hi, None,
+                                       reason or entry.reason, qualifier)
         else:
-            score = 1.0 - entry if reflect else entry
-            out[program] = (score, AuditRecord(indicator, raw, lo, hi, score, None, qualifier))
+            out[program] = AuditRecord(indicator, raw, lo, hi,
+                                       1.0 - entry if reflect else entry, None, qualifier)
     return out
 
 
@@ -215,10 +211,10 @@ def compute_gmi(category_scores: Mapping[str, Mapping[Category, float]],
         per_cat: dict[Category, float] = {}
         audit: list[AuditRecord] = []
         for cat in Category:
-            entry, record = columns[cat][program]
+            record = columns[cat][program]
             audit.append(record)
-            if not isinstance(entry, Excluded):
-                per_cat[cat] = entry
+            if record.exclusion is None:
+                per_cat[cat] = record.score
         if not per_cat:
             raise EmptyCategory(f"program {program!r} has no category scores")
         gmi = sum(per_cat.values())
@@ -253,8 +249,7 @@ def score_datasets(
     """
     template = template or rubric.builtin_template()
     programs = [ds.program for ds in datasets]
-    if len(set(programs)) != len(programs):
-        raise ParseError("duplicate program names across datasets")
+    check_distinct_programs(programs)
     observed_ids = dict.fromkeys(i for ds in datasets for i in ds.observations)
 
     entries: dict[tuple[str, str], float | Excluded] = {}
@@ -263,6 +258,8 @@ def score_datasets(
 
     for indicator_id in observed_ids:
         definition = schema.get(indicator_id)
+        if definition is None:
+            raise UnknownIndicator(indicator_id)
         column: dict[str, tuple[float | None, str, Qualifier, str | None]] = {}
         for ds in datasets:
             obs = ds.observations.get(indicator_id)
@@ -278,16 +275,17 @@ def score_datasets(
             # Every observed cell of an unscorable indicator reads
             # "non-scorable"; those cells enter the audit trail unbounded.
             scored = {
-                program: (_EXCLUDED[reason],
-                          AuditRecord(indicator_id, raw, None, None, None, reason, qualifier))
+                program: AuditRecord(indicator_id, raw, None, None, None, reason, qualifier)
                 for program, (_, raw, qualifier, reason) in column.items()
                 if reason == "non-scorable"
             }
-        for program, (entry, record) in scored.items():
-            entries[(program, indicator_id)] = entry
+        for program, record in scored.items():
             audits[program].append(record)
-            if not isinstance(entry, Excluded):
-                included.setdefault((program, definition.category), []).append(entry)
+            if record.exclusion is None:
+                entries[(program, indicator_id)] = record.score
+                included.setdefault((program, definition.category), []).append(record.score)
+            else:
+                entries[(program, indicator_id)] = _EXCLUDED[record.exclusion]
 
     category_scores: dict[str, dict[Category, float]] = {}
     for ds in datasets:
@@ -366,6 +364,8 @@ def load_category_table(source: IO[bytes] | IO[str] | str) -> CategoryTable:
     scores: dict[str, dict[Category, float]] = {}
     for line_no, fields in rows:
         program = fields[0]
+        if not program:
+            raise ParseError(f"line {line_no}: program name is empty")
         if program in scores:
             raise ParseError(f"line {line_no}: duplicate program {program!r}")
         programs.append(program)

@@ -99,6 +99,46 @@ def test_compare_is_alias_of_score(capsys):
     assert score_out == compare_out
 
 
+@pytest.mark.parametrize("fmt", ["delimited", "structured"])
+def test_raw_partial_comparison_matches_golden(capsysbinary, fmt):
+    # Pins the EXCLUDED and NOTE rows and the raw audit records byte for byte.
+    code = main(["score", *PROGRAM_FILES, "--allow-partial", "--format", fmt])
+    assert code == 0
+    expected = (GOLDEN_DIR / f"raw_partial_comparison.{fmt}.txt").read_bytes()
+    assert capsysbinary.readouterr().out == expected
+
+
+def test_validate_and_score_agree_on_repeated_program_names(capsys):
+    statuses = {}
+    for command in ("validate", "score"):
+        statuses[command] = main([command, PROGRAM_FILES[0], PROGRAM_FILES[0]])
+        err = capsys.readouterr().err
+        assert err == "ParseError: duplicate program names across datasets\n", command
+    assert statuses["validate"] == statuses["score"] == 2
+
+
+@pytest.mark.parametrize(
+    "text,argv,line",
+    [
+        ("program|FAO|PSO|GOV|EFI|TAC|COM\nA|1|1|1|1|1|1\n|2|2|2|2|2|2\n",
+         ["--mode", "precomputed-categories"], 3),
+        ("program|A|extra\nCOM-QN-1|10\n", [], 1),
+        ("program|A\nCOM-QN-1|10\nprogram|B\n", [], 3),
+    ],
+    ids=["empty-table-program", "program-record-extra-field", "second-program-record"],
+)
+def test_malformed_program_names_are_input_errors(tmp_path, capsys, text, argv, line):
+    path = tmp_path / "input.txt"
+    path.write_text(text, encoding="utf-8")
+    commands = [["score", "--allow-partial"]]
+    if not argv:
+        commands.append(["validate"])
+    for command in commands:
+        assert main([*command, str(path), *argv]) == 2, command
+        err = capsys.readouterr().err
+        assert err.startswith(f"ParseError: line {line}: ") and "program" in err, err
+
+
 def test_precomputed_mode_forbids_rates(tmp_path, capsys):
     rates = tmp_path / "rates.txt"
     rates.write_text("ARB|1.0\n", encoding="utf-8")

@@ -70,6 +70,12 @@ def test_unknown_format_rejected():
         render_comparison(results, fmt="xml")
 
 
+@pytest.mark.parametrize("fmt", ["table", "delimited"])
+def test_table_formats_reject_an_empty_result_list(fmt):
+    with pytest.raises(ValueError, match="at least one result"):
+        render_comparison([], fmt=fmt)
+
+
 def test_structured_round_trip():
     results, notes = _published_results()
     parsed = parse_structured(render_comparison(results, fmt="structured", notes=notes))

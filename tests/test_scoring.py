@@ -6,7 +6,7 @@ import dataclasses
 
 import pytest
 
-from gmi.errors import EmptyCategory, PartialDataError, RubricRangeError
+from gmi.errors import EmptyCategory, PartialDataError, RubricRangeError, UnknownIndicator
 from gmi.ingest import ProgramDataset, Qualifier, money, number, token_amount, Observation
 from gmi.schema import Category, Direction, builtin_schema, with_directions
 from gmi.scoring import (
@@ -259,6 +259,13 @@ def test_score_datasets_tokens_excluded_without_rates():
     matrix, _ = score_datasets(datasets, schema, allow_partial=True)
     assert matrix.entries[("B", "FAO-QN-2")] == Excluded("token-unconverted")
     assert matrix.entries[("A", "FAO-QN-2")] == 0.5  # degenerate after exclusion
+
+
+def test_score_datasets_rejects_an_indicator_the_schema_lacks():
+    # A dataset loaded against one schema and scored against another.
+    datasets = [_dataset("A", {"FAO-QN-99": money(1000)}, _full_rubric(3))]
+    with pytest.raises(UnknownIndicator, match="FAO-QN-99"):
+        score_datasets(datasets, builtin_schema(), allow_partial=True)
 
 
 def test_score_datasets_tokens_convert_with_rates():
