@@ -25,7 +25,7 @@ from .ingest import check_distinct_programs, load_program_dataset, load_rates, v
 from .report import FORMATS, render_comparison, render_validation
 from .rubric import render_template
 from .schema import Schema, builtin_schema, dump_schema, load_schema
-from .scoring import load_category_table, score_category_table, score_datasets
+from .scoring import GmiResult, load_category_table, score_category_table, score_datasets
 
 SCHEMA_ENV_VAR = "GMI_SCHEMA"
 
@@ -68,6 +68,17 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     return EXIT_OK if all_ok else EXIT_DOMAIN
 
 
+def _score_raw(args: argparse.Namespace) -> list[GmiResult]:
+    """Load and score the observation files.  Only the results leave this
+    frame, so the schema with its parse memos and the datasets are freed
+    before the output is rendered."""
+    schema = _active_schema(args.schema)
+    rates = load_rates(Path(args.rates).read_bytes()) if args.rates else None
+    datasets = [load_program_dataset(Path(path).read_bytes(), schema) for path in args.inputs]
+    _, results = score_datasets(datasets, schema, rates=rates, allow_partial=args.allow_partial)
+    return results
+
+
 def _cmd_score(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     if args.mode == MODE_PRECOMPUTED:
         if args.rates:
@@ -81,15 +92,7 @@ def _cmd_score(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
             results = score_category_table(table, allow_partial=args.allow_partial)
             notes = table.notes
         else:
-            schema = _active_schema(args.schema)
-            rates = load_rates(Path(args.rates).read_bytes()) if args.rates else None
-            datasets = [
-                load_program_dataset(Path(path).read_bytes(), schema)
-                for path in args.inputs
-            ]
-            _, results = score_datasets(
-                datasets, schema, rates=rates, allow_partial=args.allow_partial
-            )
+            results = _score_raw(args)
             notes = ()
     except PartialDataError as exc:
         print(f"PartialDataError: {exc}", file=sys.stderr)

@@ -408,13 +408,14 @@ class ProgramDataset:
 def load_program_dataset(source: IO[bytes] | IO[str] | str, schema: Schema) -> ProgramDataset:
     """Load one program's observation file against *schema*."""
     records = read_records(source)
-    if not records or records[0][1][0].lower() != "program" or len(records[0][1]) < 2:
+    if not records or records[0][1][0].lower() != "program":
         raise ParseError("observation file must start with a 'program|<name>' record")
-    line_no, (_, program, *extra) = records[0]
-    if extra:
+    line_no, fields = records[0]
+    if len(fields) != 2:
         raise ParseError(f"line {line_no}: program records have 2 fields")
+    program = fields[1]
     if not program:
-        raise ParseError("program name is empty")
+        raise ParseError(f"line {line_no}: program name is empty")
 
     observations: dict[str, Observation] = {}
     answers: dict[str, int] = {}
@@ -502,7 +503,7 @@ def scoring_status(value: TypedValue, definition: IndicatorDef,
     (None, exclusion reason)."""
     if not definition.scorable:
         return None, "non-scorable"
-    if value.missing:
+    if value.kind is ValueKind.MISSING:
         return None, "missing"
     if value.kind is ValueKind.TOKEN_AMOUNT:
         rate = (rates or {}).get(value.symbol or "")

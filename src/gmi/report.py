@@ -10,7 +10,10 @@ reserved delimiter (``|``):
 
 Each renderer reads the GmiResult values and their audit trails directly;
 the exclusions and footnotes of the table and delimited formats are the
-audit records that carry an exclusion or an approximate qualifier.
+audit records that carry an exclusion or an approximate qualifier.  A
+renderer yields UTF-8 chunks of at most one program's lines, or one
+section of the table headers, and ``render_comparison`` joins them once:
+no list of every line and no whole-document ``str`` is ever held.
 
 The validation report (``gmi validate``) lists each category's coverage.
 All numeric cells are rendered to four decimals with round-half-even.
@@ -19,7 +22,8 @@ Identical inputs render to identical bytes.
 
 from __future__ import annotations
 
-from typing import Sequence
+from itertools import chain
+from typing import Iterable, Iterator, Sequence
 
 from .errors import ParseError
 from .ingest import CategoryValidation, Qualifier, ValidationReport
@@ -51,69 +55,85 @@ def _table_rows(results: Sequence[GmiResult]) -> list[list[str]]:
     return rows
 
 
-def _exclusions_and_footnotes(
-    results: Sequence[GmiResult], notes: Sequence[str]
-) -> tuple[list[tuple[str, str, str, str]], list[str]]:
-    """Walk the audit trails: each exclusion as (program, indicator, raw,
-    reason), and the footnotes for approximate and token-unconverted cells
-    followed by *notes*."""
-    exclusions: list[tuple[str, str, str, str]] = []
-    footnotes: list[str] = []
-    for result in results:
-        for rec in result.audit:
-            if rec.exclusion is not None:
-                exclusions.append((result.program, rec.indicator, rec.raw, rec.exclusion))
-            elif rec.qualifier in (Qualifier.APPROX_UPPER_BOUND, Qualifier.APPROX_LOWER_BOUND):
+def _encoded(lines: Iterable[str]) -> bytes:
+    """*lines*, each ended by a newline, as UTF-8; no lines give ``b""``."""
+    return "".join(f"{line}\n" for line in lines).encode("utf-8")
+
+
+def _exclusions(result: GmiResult) -> list[tuple[str, str, str, str]]:
+    """Each excluded cell of *result* as (program, indicator, raw, reason)."""
+    return [(result.program, rec.indicator, rec.raw, rec.exclusion)
+            for rec in result.audit if rec.exclusion is not None]
+
+
+def _footnotes(result: GmiResult) -> list[str]:
+    """The footnotes for *result*'s approximate and token-unconverted cells."""
+    footnotes = []
+    for rec in result.audit:
+        if rec.exclusion is None:
+            if rec.qualifier in (Qualifier.APPROX_UPPER_BOUND, Qualifier.APPROX_LOWER_BOUND):
                 footnotes.append(
                     f"{result.program} {rec.indicator} {rec.raw!r} scored at face value "
                     f"({_QUALIFIER_TEXT[rec.qualifier]})"
                 )
-            if rec.exclusion == "token-unconverted":
-                footnotes.append(
-                    f"{result.program} {rec.indicator} {rec.raw!r} excluded: "
-                    "token amount with no conversion rate supplied"
-                )
-    footnotes.extend(notes)
-    return exclusions, footnotes
+        elif rec.exclusion == "token-unconverted":
+            footnotes.append(
+                f"{result.program} {rec.indicator} {rec.raw!r} excluded: "
+                "token amount with no conversion rate supplied"
+            )
+    return footnotes
 
 
-def _render_table(results: Sequence[GmiResult], notes: Sequence[str]) -> str:
+def _table_section(title: str, chunks: Iterable[bytes]) -> Iterator[bytes]:
+    yield f"\n{title}:\n".encode("utf-8")
+    empty = True
+    for chunk in chunks:
+        empty = empty and not chunk
+        yield chunk
+    if empty:
+        yield b"  (none)\n"
+
+
+# The table and delimited formats list every exclusion before every
+# footnote, so each walks the results once per section.
+
+def _render_table(results: Sequence[GmiResult], notes: Sequence[str]) -> Iterator[bytes]:
     rows = _table_rows(results)
     widths = [max(len(r[i]) for r in rows) for i in range(len(rows[0]))]
-    lines = [" | ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip()
-             for row in rows]
-    lines += ["", "Stages:"]
-    lines += [f"  {r.program}: {_STAGE_TEXT[r.stage]}" for r in results]
-    exclusions, footnotes = _exclusions_and_footnotes(results, notes)
-    lines += ["", "Exclusions:"]
-    lines += [f"  {' | '.join(row)}" for row in exclusions] or ["  (none)"]
-    lines += ["", "Footnotes:"]
-    lines += [f"  - {note}" for note in footnotes] or ["  (none)"]
-    return "\n".join(lines) + "\n"
+    yield _encoded(" | ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip()
+                   for row in rows)
+    yield b"\nStages:\n"
+    for r in results:
+        yield f"  {r.program}: {_STAGE_TEXT[r.stage]}\n".encode("utf-8")
+    yield from _table_section("Exclusions", (
+        _encoded(f"  {' | '.join(row)}" for row in _exclusions(r)) for r in results))
+    yield from _table_section("Footnotes", chain(
+        (_encoded(f"  - {note}" for note in _footnotes(r)) for r in results),
+        [_encoded(f"  - {note}" for note in notes)]))
 
 
-def _render_delimited(results: Sequence[GmiResult], notes: Sequence[str]) -> str:
-    lines = ["|".join(row) for row in _table_rows(results)]
-    lines.append("|".join(["STAGE", *(_STAGE_TEXT[r.stage] for r in results)]))
-    exclusions, footnotes = _exclusions_and_footnotes(results, notes)
-    lines.extend("|".join(("EXCLUDED", *row)) for row in exclusions)
-    lines.extend(f"NOTE|{note}" for note in footnotes)
-    return "\n".join(lines) + "\n"
+def _render_delimited(results: Sequence[GmiResult], notes: Sequence[str]) -> Iterator[bytes]:
+    rows = _table_rows(results)
+    rows.append(["STAGE", *(_STAGE_TEXT[r.stage] for r in results)])
+    yield _encoded("|".join(row) for row in rows)
+    for r in results:
+        yield _encoded("|".join(("EXCLUDED", *row)) for row in _exclusions(r))
+    for r in results:
+        yield _encoded(f"NOTE|{note}" for note in _footnotes(r))
+    yield _encoded(f"NOTE|{note}" for note in notes)
 
 
 def _bound(x: float | None) -> str:
     return "" if x is None else _fmt(x)
 
 
-def _render_structured(results: Sequence[GmiResult], notes: Sequence[str]) -> str:
-    lines = ["format|gmi-comparison|1"]
-    lines.append("|".join(["programs", *(r.program for r in results)]))
+def _render_structured(results: Sequence[GmiResult], notes: Sequence[str]) -> Iterator[bytes]:
+    yield _encoded(["format|gmi-comparison|1",
+                    "|".join(["programs", *(r.program for r in results)])])
     bounds: dict[str, tuple[float | None, float | None, str, str]] = {}
     for result in results:
-        lines.append("")
-        lines.append(f"program|{result.program}")
-        lines.append(f"gmi|{_fmt(result.gmi)}")
-        lines.append(f"stage|{_STAGE_TEXT[result.stage]}")
+        lines = ["", f"program|{result.program}", f"gmi|{_fmt(result.gmi)}",
+                 f"stage|{_STAGE_TEXT[result.stage]}"]
         for cat, code in _CATEGORY_CODES:
             if cat in result.category_scores:
                 lines.append(f"category|{code}|input|{_fmt(result.category_scores[cat])}")
@@ -140,23 +160,24 @@ def _render_structured(results: Sequence[GmiResult], notes: Sequence[str]) -> st
                 f"audit|{rec.indicator}|{rec.raw}|{lo}|{hi}|{tail}|"
                 f"{_QUALIFIER_TEXT[rec.qualifier]}"
             )
+        yield _encoded(lines)
     if notes:
-        lines.append("")
-        for note in notes:
-            lines.append(f"note|{note}")
-    return "\n".join(lines) + "\n"
+        yield _encoded(["", *(f"note|{note}" for note in notes)])
 
 
 def render_comparison(results: Sequence[GmiResult], fmt: str = "table",
                       notes: Sequence[str] = ()) -> bytes:
     """Render the Mantle-style comparison: composite row first, then the six
     category rows in FAO/PSO/GOV/EFI/TAC/COM order, programs in input order.
+
+    Each renderer yields encoded chunks of at most one program's lines (or
+    one section of the table headers), which are joined once here.
     """
     if fmt not in FORMATS:
         raise ValueError(f"unknown format {fmt!r}; expected one of {FORMATS}")
     render = {"table": _render_table, "delimited": _render_delimited,
               "structured": _render_structured}[fmt]
-    return render(results, notes).encode("utf-8")
+    return b"".join(render(results, notes))
 
 
 # Field count of each record kind inside a program block.

@@ -20,7 +20,7 @@ import re
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import cached_property
-from typing import IO
+from typing import IO, Callable
 
 from .errors import ParseError, SchemaError
 
@@ -42,7 +42,7 @@ def read_records(source: IO[bytes] | IO[str] | bytes | str) -> list[tuple[int, l
     for line_no, line in enumerate(data.splitlines(), start=1):
         stripped = line.strip()
         if stripped and not stripped.startswith("#"):
-            records.append((line_no, [f.strip() for f in line.split(DELIMITER)]))
+            records.append((line_no, list(map(str.strip, line.split(DELIMITER)))))
     return records
 
 
@@ -177,15 +177,19 @@ class IndicatorDef:
 @dataclass(frozen=True)
 class Schema:
     indicators: tuple[IndicatorDef, ...]
-    _by_id: dict[str, IndicatorDef] = field(
-        init=False, repr=False, compare=False, default_factory=dict
+    #: ``get(indicator_id)`` returns the indicator with that id, or None.
+    #: It is the id map's own bound ``dict.get``, so each lookup (one per
+    #: ingested row and per scored column) is a single call into C.
+    get: Callable[[str], IndicatorDef | None] = field(
+        init=False, repr=False, compare=False
     )
 
     def __post_init__(self):
-        object.__setattr__(self, "_by_id", {ind.id: ind for ind in self.indicators})
+        object.__setattr__(self, "get", {ind.id: ind for ind in self.indicators}.get)
 
-    def get(self, indicator_id: str) -> IndicatorDef | None:
-        return self._by_id.get(indicator_id)
+    def __reduce__(self):
+        # Copies and pickles rebuild the id map from the indicators.
+        return Schema, (self.indicators,)
 
     def validate(self) -> None:
         seen: set[str] = set()

@@ -7,6 +7,14 @@ channel counts as one element), a second min-max pass over the category
 scores, and the composite as the plain sum of the six normalized category
 scores (range 0..6).  Both min-max passes run through one column routine.
 
+Cells repeat down a column, so the column routine builds one frozen
+``AuditRecord`` per distinct cell ``(value, raw, qualifier, reason)`` and
+hands the same object to every program whose cell is identical; the map is
+local to the call.  ``score_datasets`` returns the results with a
+``ScoreMatrix`` whose ``entries`` and ``category_scores`` are derived from
+those results on first access, so a caller that never reads them never
+builds them.
+
 Layer order: this module sits above ``ingest`` and below ``report``.
 """
 
@@ -15,6 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import cached_property
 from typing import IO, Mapping, Sequence
 
 from . import rubric
@@ -27,6 +36,9 @@ from .schema import Category, Direction, Schema, read_records
 CATEGORY_COUNT = 6
 
 _EPS = 1e-9
+
+# Iterating an Enum class runs a Python-level generator; a tuple does not.
+_CATEGORIES = tuple(Category)
 
 
 class Stage(Enum):
@@ -68,13 +80,6 @@ _EXCLUDED = {reason: Excluded(reason)
 _ABSENT_CELL = (None, "n.a.", Qualifier.UNSPECIFIED, "missing")
 
 
-@dataclass(frozen=True)
-class ScoreMatrix:
-    programs: tuple[str, ...]
-    entries: dict[tuple[str, str], float | Excluded]
-    category_scores: dict[tuple[str, Category], float]
-
-
 @dataclass(frozen=True, slots=True)
 class GmiResult:
     program: str
@@ -83,6 +88,35 @@ class GmiResult:
     gmi: float
     stage: Stage
     audit: tuple[AuditRecord, ...] = ()
+
+
+@dataclass(frozen=True)
+class ScoreMatrix:
+    """The cohort's scores keyed by ``(program, indicator id)`` and by
+    ``(program, category)``, read from *results* on first access.
+
+    Each result's audit trail is its indicator records followed by its
+    ``CATEGORY_COUNT`` category records, so ``entries`` reads the former.
+    """
+    programs: tuple[str, ...]
+    results: tuple[GmiResult, ...]
+
+    @cached_property
+    def entries(self) -> dict[tuple[str, str], float | Excluded]:
+        return {
+            (result.program, record.indicator):
+                record.score if record.exclusion is None else _EXCLUDED[record.exclusion]
+            for result in self.results
+            for record in result.audit[:-CATEGORY_COUNT]
+        }
+
+    @cached_property
+    def category_scores(self) -> dict[tuple[str, Category], float]:
+        return {
+            (result.program, cat): score
+            for result in self.results
+            for cat, score in result.category_scores.items()
+        }
 
 
 def minmax_normalize(values: Mapping[str, float | None]) -> dict[str, float | Excluded]:
@@ -150,11 +184,13 @@ def _score_column(
 ) -> dict[str, AuditRecord]:
     """Min-max one column across the cohort; both passes use this.
 
-    *column* maps each program to its value (None when absent), raw text,
-    qualifier and exclusion reason.  Returns each program's audit record,
-    which holds its directed score or its exclusion; the audit bounds are
-    the column's.  Raises ParseError when the column's range overflows a
-    float.
+    *column* maps each program to its cell: value (None when absent), raw
+    text, qualifier and exclusion reason.  Returns each program's audit
+    record, which holds its directed score or its exclusion; the audit
+    bounds are the column's.  Programs with identical cells share one
+    record: the cell tuple is the key, and it tells ``0`` from ``-0``
+    because equal raw text gives equal values, sign included.  Raises
+    ParseError when the column's range overflows a float.
     """
     values = {program: cell[0] for program, cell in column.items()}
     present = [v for v in values.values() if v is not None]
@@ -165,14 +201,20 @@ def _score_column(
     directional_score(0.0, direction)  # raises on a direction that cannot score
     reflect = direction is Direction.LOWER_BETTER
     out: dict[str, AuditRecord] = {}
+    records: dict[tuple, AuditRecord] = {}
     for program, entry in minmax_normalize(values).items():
-        _, raw, qualifier, reason = column[program]
-        if isinstance(entry, Excluded):
-            out[program] = AuditRecord(indicator, raw, lo, hi, None,
-                                       reason or entry.reason, qualifier)
-        else:
-            out[program] = AuditRecord(indicator, raw, lo, hi,
-                                       1.0 - entry if reflect else entry, None, qualifier)
+        cell = column[program]
+        record = records.get(cell)
+        if record is None:
+            _, raw, qualifier, reason = cell
+            if isinstance(entry, Excluded):
+                record = AuditRecord(indicator, raw, lo, hi, None,
+                                     reason or entry.reason, qualifier)
+            else:
+                record = AuditRecord(indicator, raw, lo, hi,
+                                     1.0 - entry if reflect else entry, None, qualifier)
+            records[cell] = record
+        out[program] = record
     return out
 
 
@@ -191,14 +233,14 @@ def compute_gmi(category_scores: Mapping[str, Mapping[Category, float]],
     missing = [
         (program, cat.code)
         for program in programs
-        for cat in Category
+        for cat in _CATEGORIES
         if cat not in category_scores[program]
     ]
     if missing and not allow_partial:
         raise PartialDataError(missing)
 
     columns = {}
-    for cat in Category:
+    for cat in _CATEGORIES:
         column = {}
         for program in programs:
             value = category_scores[program].get(cat)
@@ -210,7 +252,7 @@ def compute_gmi(category_scores: Mapping[str, Mapping[Category, float]],
     for program in programs:
         per_cat: dict[Category, float] = {}
         audit: list[AuditRecord] = []
-        for cat in Category:
+        for cat in _CATEGORIES:
             record = columns[cat][program]
             audit.append(record)
             if record.exclusion is None:
@@ -245,16 +287,16 @@ def score_datasets(
 ) -> tuple[ScoreMatrix, list[GmiResult]]:
     """Full pipeline from typed observations to composite results.
 
-    Program order follows the input order throughout.
+    Program order follows the input order throughout.  The matrix reads
+    its two maps from the results on first access.
     """
     template = template or rubric.builtin_template()
     programs = [ds.program for ds in datasets]
     check_distinct_programs(programs)
     observed_ids = dict.fromkeys(i for ds in datasets for i in ds.observations)
 
-    entries: dict[tuple[str, str], float | Excluded] = {}
     audits: dict[str, list[AuditRecord]] = {p: [] for p in programs}
-    included: dict[tuple[str, Category], list[float]] = {}
+    included: dict[str, dict[Category, list[float]]] = {p: {} for p in programs}
 
     for indicator_id in observed_ids:
         definition = schema.get(indicator_id)
@@ -273,26 +315,31 @@ def score_datasets(
             scored = _score_column(indicator_id, column, definition.direction)
         else:
             # Every observed cell of an unscorable indicator reads
-            # "non-scorable"; those cells enter the audit trail unbounded.
-            scored = {
-                program: AuditRecord(indicator_id, raw, None, None, None, reason, qualifier)
-                for program, (_, raw, qualifier, reason) in column.items()
-                if reason == "non-scorable"
-            }
+            # "non-scorable"; those cells enter the audit trail unbounded,
+            # one record per distinct cell as in _score_column.
+            scored = {}
+            records: dict[tuple, AuditRecord] = {}
+            for program, cell in column.items():
+                if cell[3] == "non-scorable":
+                    record = records.get(cell)
+                    if record is None:
+                        _, raw, qualifier, reason = cell
+                        record = records[cell] = AuditRecord(
+                            indicator_id, raw, None, None, None, reason, qualifier)
+                    scored[program] = record
+        category = definition.category
         for program, record in scored.items():
             audits[program].append(record)
             if record.exclusion is None:
-                entries[(program, indicator_id)] = record.score
-                included.setdefault((program, definition.category), []).append(record.score)
-            else:
-                entries[(program, indicator_id)] = _EXCLUDED[record.exclusion]
+                included[program].setdefault(category, []).append(record.score)
 
     category_scores: dict[str, dict[Category, float]] = {}
     for ds in datasets:
         grouped = rubric.collect_responses(template, ds.rubric)
+        scores_by_category = included[ds.program]
         per_cat: dict[Category, float] = {}
-        for cat in Category:
-            indicator_scores = included.get((ds.program, cat), [])
+        for cat in _CATEGORIES:
+            indicator_scores = scores_by_category.get(cat, [])
             answers = grouped.get(cat)
             rubric_score = sum(answers) / len(answers) if answers else None
             if indicator_scores or rubric_score is not None:
@@ -304,16 +351,7 @@ def score_datasets(
     for program in programs:
         result = results_by_program[program]
         results.append(replace(result, audit=tuple(audits[program]) + result.audit))
-
-    matrix_scores = {
-        (program, cat): score
-        for program, per_cat in category_scores.items()
-        for cat, score in per_cat.items()
-    }
-    matrix = ScoreMatrix(
-        programs=tuple(programs), entries=entries, category_scores=matrix_scores
-    )
-    return matrix, results
+    return ScoreMatrix(programs=tuple(programs), results=tuple(results)), results
 
 
 # ---------------------------------------------------------------------------

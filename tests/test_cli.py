@@ -124,8 +124,11 @@ def test_validate_and_score_agree_on_repeated_program_names(capsys):
          ["--mode", "precomputed-categories"], 3),
         ("program|A|extra\nCOM-QN-1|10\n", [], 1),
         ("program|A\nCOM-QN-1|10\nprogram|B\n", [], 3),
+        ("program|", [], 1),
+        ("# c\n\nprogram\n", [], 3),
     ],
-    ids=["empty-table-program", "program-record-extra-field", "second-program-record"],
+    ids=["empty-table-program", "program-record-extra-field", "second-program-record",
+         "empty-program-name", "program-record-without-name"],
 )
 def test_malformed_program_names_are_input_errors(tmp_path, capsys, text, argv, line):
     path = tmp_path / "input.txt"
