@@ -188,9 +188,10 @@ def _score_column(
     text, qualifier and exclusion reason.  Returns each program's audit
     record, which holds its directed score or its exclusion; the audit
     bounds are the column's.  Programs with identical cells share one
-    record: the cell tuple is the key, and it tells ``0`` from ``-0``
-    because equal raw text gives equal values, sign included.  Raises
-    ParseError when the column's range overflows a float.
+    record.  The whole cell tuple is the key: its raw text keeps ``0`` and
+    ``-0`` apart, which compare equal as floats yet score as ``0.0000``
+    and ``-0.0000``.  Raises ParseError when the column's range overflows
+    a float.
     """
     values = {program: cell[0] for program, cell in column.items()}
     present = [v for v in values.values() if v is not None]
