@@ -20,6 +20,7 @@ import os
 import sys
 from pathlib import Path
 
+from . import rubric
 from .errors import GmiError, PartialDataError
 from .ingest import check_distinct_programs, load_program_dataset, load_rates, validate_dataset
 from .report import FORMATS, render_comparison, render_validation
@@ -54,12 +55,13 @@ def _emit(payload: bytes, out: str | None) -> None:
 
 def _cmd_validate(args: argparse.Namespace) -> int:
     schema = _active_schema(args.schema)
+    template = rubric.builtin_template()
     programs: list[str] = []
     chunks: list[bytes] = []
     all_ok = True
     for path in args.inputs:
         dataset = load_program_dataset(Path(path).read_bytes(), schema)
-        report = validate_dataset(dataset, schema)
+        report = validate_dataset(dataset, schema, template)
         programs.append(dataset.program)
         chunks.append(render_validation(report))
         all_ok = all_ok and report.all_scorable

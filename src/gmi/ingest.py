@@ -56,7 +56,6 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from enum import Enum
 from typing import IO, Mapping, Sequence
 
@@ -74,8 +73,10 @@ from .schema import (
     DataType,
     IndicatorDef,
     Kind,
+    Record,
     Schema,
     read_records,
+    set_field,
 )
 
 # Fixed time conversions, chosen for reproducibility over calendar precision.
@@ -138,33 +139,45 @@ class Qualifier(Enum):
     __hash__ = object.__hash__  # identity, as for schema.Category
 
 
-@dataclass(frozen=True, slots=True)
-class TypedValue:
-    kind: ValueKind
-    value: float | None = None
-    symbol: str | None = None  # token symbol, or "USD" for money
-    text: str | None = None
-    numerator: float | None = None  # ratio components, kept for round-trips
-    denominator: float | None = None
-    unit: str | None = None  # unit the value is currently expressed in
-    is_code: bool = False  # leading-numeral categorical cell under unit=scoring
-    qualifier: Qualifier = Qualifier.EXACT
+class TypedValue(Record):
+    __slots__ = _fields = ("kind", "value", "symbol", "text", "numerator", "denominator",
+                           "unit", "is_code", "qualifier")
+
+    def __init__(
+        self,
+        kind: ValueKind,
+        value: float | None = None,
+        symbol: str | None = None,  # token symbol, or "USD" for money
+        text: str | None = None,
+        numerator: float | None = None,  # ratio components, kept for round-trips
+        denominator: float | None = None,
+        unit: str | None = None,  # unit the value is currently expressed in
+        is_code: bool = False,  # leading-numeral categorical cell under unit=scoring
+        qualifier: Qualifier = Qualifier.EXACT,
+    ) -> None:
+        for x in (value, numerator, denominator):
+            if x is not None and not math.isfinite(x):
+                raise ValueError(f"{x!r} is not a finite number")
+        if kind in (ValueKind.MONEY, ValueKind.TOKEN_AMOUNT):
+            if value is None or value < 0:
+                raise ValueError(f"{kind.value} amount must be >= 0")
+        if kind is ValueKind.BINARY and value not in (0.0, 1.0):
+            raise ValueError("binary value must be 0 or 1")
+        if kind is ValueKind.MISSING and qualifier is not Qualifier.UNSPECIFIED:
+            raise ValueError("missing values carry no qualifier")
+        set_field(self, "kind", kind)
+        set_field(self, "value", value)
+        set_field(self, "symbol", symbol)
+        set_field(self, "text", text)
+        set_field(self, "numerator", numerator)
+        set_field(self, "denominator", denominator)
+        set_field(self, "unit", unit)
+        set_field(self, "is_code", is_code)
+        set_field(self, "qualifier", qualifier)
 
     @property
     def missing(self) -> bool:
         return self.kind is ValueKind.MISSING
-
-    def __post_init__(self):
-        for x in (self.value, self.numerator, self.denominator):
-            if x is not None and not math.isfinite(x):
-                raise ValueError(f"{x!r} is not a finite number")
-        if self.kind in (ValueKind.MONEY, ValueKind.TOKEN_AMOUNT):
-            if self.value is None or self.value < 0:
-                raise ValueError(f"{self.kind.value} amount must be >= 0")
-        if self.kind is ValueKind.BINARY and self.value not in (0.0, 1.0):
-            raise ValueError("binary value must be 0 or 1")
-        if self.kind is ValueKind.MISSING and self.qualifier is not Qualifier.UNSPECIFIED:
-            raise ValueError("missing values carry no qualifier")
 
 
 MISSING = TypedValue(kind=ValueKind.MISSING, qualifier=Qualifier.UNSPECIFIED)
@@ -362,11 +375,20 @@ def format_value(value: TypedValue) -> str:
 
 
 def _format_number(x: float | None) -> str:
+    """The shortest round-tripping digits of *x*, always in positional form:
+    the value grammar has no exponents."""
     if x is None:
         return ""
-    if math.isfinite(x) and x == int(x):
+    if x == int(x):
         return str(int(x))
-    return repr(x)
+    text = repr(x)
+    mantissa, _, exponent = text.partition("e")
+    if not exponent:
+        return text
+    # Every float of 1e16 or more is an integer, so only a magnitude below
+    # 1e-4 reaches here: "d.ddd" or "d" times a negative power of ten.
+    _, sign, digits = mantissa.rpartition("-")
+    return f"{sign}0.{'0' * (-int(exponent) - 1)}{digits.replace('.', '')}"
 
 
 def coerce_unit(value: TypedValue, from_unit: str | None, definition: IndicatorDef) -> TypedValue:
@@ -391,15 +413,17 @@ def coerce_unit(value: TypedValue, from_unit: str | None, definition: IndicatorD
 # Datasets
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, slots=True)
-class Observation:
-    indicator_id: str
-    raw: str
-    value: TypedValue
+class Observation(Record):
+    __slots__ = _fields = ("indicator_id", "raw", "value")
+
+    def __init__(self, indicator_id: str, raw: str, value: TypedValue) -> None:
+        set_field(self, "indicator_id", indicator_id)
+        set_field(self, "raw", raw)
+        set_field(self, "value", value)
 
 
-@dataclass(frozen=True)
-class ProgramDataset:
+class ProgramDataset(Record):
+    __slots__ = _fields = ("program", "observations", "rubric")
     program: str
     observations: dict[str, Observation]
     rubric: dict[str, int]
@@ -517,8 +541,9 @@ def scoring_status(value: TypedValue, definition: IndicatorDef,
     return value.value, None
 
 
-@dataclass(frozen=True)
-class CategoryValidation:
+class CategoryValidation(Record):
+    __slots__ = _fields = ("category", "scorable_present", "missing", "non_scorable",
+                           "token_unconverted", "rubric_responses", "scorable")
     category: Category
     scorable_present: tuple[str, ...]
     missing: tuple[str, ...]
@@ -528,8 +553,8 @@ class CategoryValidation:
     scorable: bool
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(Record):
+    __slots__ = _fields = ("program", "categories")
     program: str
     categories: dict[Category, CategoryValidation]
 

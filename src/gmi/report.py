@@ -27,7 +27,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .errors import ParseError
 from .ingest import CategoryValidation, Qualifier, ValidationReport
-from .schema import Category
+from .schema import Category, split_lines
 from .scoring import AuditRecord, GmiResult, Stage
 
 FORMATS = ("table", "delimited", "structured")
@@ -193,7 +193,7 @@ def parse_structured(data: bytes | str) -> list[GmiResult]:
     """
     if isinstance(data, bytes):
         data = data.decode("utf-8")
-    lines = [ln for ln in data.splitlines() if ln.strip()]
+    lines = [ln for ln in split_lines(data) if ln.strip()]
     if not lines or not lines[0].startswith("format|gmi-comparison"):
         raise ParseError("not a structured comparison document")
 

@@ -12,11 +12,10 @@ scoring all apply.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import IO, Mapping
 
 from .errors import ParseError, RubricRangeError, UnknownCriterion
-from .schema import Category, read_records
+from .schema import Category, Record, read_records, set_field
 
 SCALE_MIN = 1
 SCALE_MAX = 5
@@ -35,24 +34,24 @@ def rubric_to_unit(score: int) -> float:
     return (check_score(score) - 1) / 4
 
 
-@dataclass(frozen=True)
-class Criterion:
+class Criterion(Record):
+    __slots__ = _fields = ("id", "category", "name", "prompt")
     id: str
     category: Category
     name: str
     prompt: str
 
 
-@dataclass(frozen=True)
-class RubricTemplate:
-    criteria: tuple[Criterion, ...]
+class RubricTemplate(Record):
+    __slots__ = _fields = ("criteria",)
 
-    def __post_init__(self):
+    def __init__(self, criteria: tuple[Criterion, ...]) -> None:
         seen: set[str] = set()
-        for criterion in self.criteria:
+        for criterion in criteria:
             if criterion.id in seen:
                 raise ParseError(f"duplicate criterion id {criterion.id!r}")
             seen.add(criterion.id)
+        set_field(self, "criteria", criteria)
 
     def get(self, criterion_id: str) -> Criterion | None:
         for criterion in self.criteria:

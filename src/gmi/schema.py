@@ -11,22 +11,35 @@ explicit polarity claim; code-valued cells under such indicators are excluded
 from scoring as non-ordinal.
 
 Layer order: this module sits directly above ``errors`` and imports no
-other engine module; it owns the record reader every document loader uses.
+other engine module; it owns the record reader every document loader uses
+and ``Record``, the immutable value base of every engine record class.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import cached_property
-from typing import IO, Callable
+from typing import IO, Any, Callable
 
 from .errors import ParseError, SchemaError
 
 DELIMITER = "|"
 
 INDICATOR_ID_PATTERN = re.compile(r"^(FAO|PSO|GOV|EFI|TAC|COM)-(QN|QL|AUX)(-\d+)?$")
+
+
+def split_lines(text: str) -> list[str]:
+    """Split *text* into lines at ``\\n``, ``\\r\\n`` and ``\\r`` only.
+
+    ``str.splitlines`` also breaks at ``\\v``, ``\\f``, ``\\x1c``-``\\x1e``,
+    U+0085, U+2028 and U+2029, which a text cell may hold.  A final line
+    break ends the last line and starts no empty one.
+    """
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    if not lines[-1]:
+        lines.pop()
+    return lines
 
 
 def read_records(source: IO[bytes] | IO[str] | bytes | str) -> list[tuple[int, list[str]]]:
@@ -39,11 +52,82 @@ def read_records(source: IO[bytes] | IO[str] | bytes | str) -> list[tuple[int, l
         except UnicodeDecodeError as exc:
             raise ParseError(f"document is not UTF-8: {exc}") from exc
     records = []
-    for line_no, line in enumerate(data.splitlines(), start=1):
+    for line_no, line in enumerate(split_lines(data), start=1):
         stripped = line.strip()
         if stripped and not stripped.startswith("#"):
             records.append((line_no, list(map(str.strip, line.split(DELIMITER)))))
     return records
+
+
+#: Stores one field of a record under construction, past its frozen
+#: ``__setattr__``.  Reading a module global is cheaper than reading
+#: ``object.__setattr__`` for every field.
+set_field = object.__setattr__
+
+
+class Record:
+    """Base of the engine's immutable value records.
+
+    A subclass names its fields, in constructor order, in ``_fields``, and
+    is slotted unless it keeps ``cached_property`` memos.  Assigning or
+    deleting an attribute raises AttributeError.  Records compare (only
+    with their own class), hash and print by their fields; ``copy``,
+    ``deepcopy`` and ``pickle`` rebuild them from their fields through the
+    constructor, so a copy starts with empty memos, as does ``replace``.
+
+    The generic constructor binds positional and keyword arguments to
+    ``_fields`` and fills the others from ``_defaults``.  Records built per
+    cell, per program or per indicator write their own, which store each
+    field with ``set_field`` and cost less per call.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+    _defaults: dict[str, Any] = {}
+
+    def __init__(self, *args: Any, **kwargs: Any) -> None:
+        name = type(self).__name__
+        if len(args) > len(self._fields):
+            raise TypeError(f"{name} takes {len(self._fields)} fields, got {len(args)}")
+        values = dict(zip(self._fields, args))
+        for key in kwargs:
+            if key not in self._fields or key in values:
+                raise TypeError(f"{name} got an unknown or repeated field {key!r}")
+        values.update(kwargs)
+        for key in self._fields:
+            if key not in values:
+                if key not in self._defaults:
+                    raise TypeError(f"{name} is missing field {key!r}")
+                values[key] = self._defaults[key]
+            set_field(self, key, values[key])
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, key) for key in self._fields])
+
+    def __setattr__(self, key: str, value: Any) -> None:
+        raise AttributeError(f"cannot assign to field {key!r} of a {type(self).__name__}")
+
+    def __delattr__(self, key: str) -> None:
+        raise AttributeError(f"cannot delete field {key!r} of a {type(self).__name__}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{key}={getattr(self, key)!r}" for key in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+    def replace(self, **changes: Any):
+        """A new record with *changes* applied to this one's fields."""
+        return type(self)(**{key: getattr(self, key) for key in self._fields} | changes)
 
 
 class Category(Enum):
@@ -100,23 +184,28 @@ class Direction(Enum):
     NON_SCORABLE = "non-scorable"
 
 
-@dataclass(frozen=True)
-class IndicatorDef:
-    id: str
-    category: Category
-    kind: Kind
-    data_type: DataType | None
-    unit: str
-    direction: Direction
-    description: str
-    # True when the schema author asserted the polarity rather than relying
-    # on the higher-better default; gates scoring of code-valued cells.
-    explicit_direction: bool = False
+class IndicatorDef(Record):
+    # Not slotted: the cached_property memos below live in the instance dict.
+    _fields = ("id", "category", "kind", "data_type", "unit", "direction", "description",
+               "explicit_direction")
 
-    def __post_init__(self):
+    def __init__(self, id: str, category: Category, kind: Kind, data_type: DataType | None,
+                 unit: str, direction: Direction, description: str,
+                 explicit_direction: bool = False) -> None:
+        """*explicit_direction* is True when the schema author asserted the
+        polarity rather than relying on the higher-better default; it gates
+        scoring of code-valued cells."""
         # Explicitness is meaningless without a polarity.
-        if self.direction is Direction.NON_SCORABLE and self.explicit_direction:
-            object.__setattr__(self, "explicit_direction", False)
+        if direction is Direction.NON_SCORABLE and explicit_direction:
+            explicit_direction = False
+        set_field(self, "id", id)
+        set_field(self, "category", category)
+        set_field(self, "kind", kind)
+        set_field(self, "data_type", data_type)
+        set_field(self, "unit", unit)
+        set_field(self, "direction", direction)
+        set_field(self, "description", description)
+        set_field(self, "explicit_direction", explicit_direction)
 
     @cached_property
     def scorable(self) -> bool:
@@ -174,22 +263,17 @@ class IndicatorDef:
             )
 
 
-@dataclass(frozen=True)
-class Schema:
-    indicators: tuple[IndicatorDef, ...]
-    #: ``get(indicator_id)`` returns the indicator with that id, or None.
-    #: It is the id map's own bound ``dict.get``, so each lookup (one per
-    #: ingested row and per scored column) is a single call into C.
-    get: Callable[[str], IndicatorDef | None] = field(
-        init=False, repr=False, compare=False
-    )
+class Schema(Record):
+    __slots__ = ("indicators", "get")
+    _fields = ("indicators",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "get", {ind.id: ind for ind in self.indicators}.get)
-
-    def __reduce__(self):
-        # Copies and pickles rebuild the id map from the indicators.
-        return Schema, (self.indicators,)
+    def __init__(self, indicators: tuple[IndicatorDef, ...]) -> None:
+        set_field(self, "indicators", indicators)
+        #: ``get(indicator_id)`` returns the indicator with that id, or None.
+        #: It is the id map's own bound ``dict.get``, so each lookup (one per
+        #: ingested row and per scored column) is a single call into C.  It
+        #: is no field: copies and pickles rebuild it from the indicators.
+        set_field(self, "get", {ind.id: ind for ind in indicators}.get)
 
     def validate(self) -> None:
         seen: set[str] = set()
@@ -419,9 +503,7 @@ def with_directions(schema: Schema, overrides: dict[str, Direction]) -> Schema:
     updated = []
     for ind in schema.indicators:
         if ind.id in overrides:
-            updated.append(
-                replace(ind, direction=overrides[ind.id], explicit_direction=True)
-            )
+            updated.append(ind.replace(direction=overrides[ind.id], explicit_direction=True))
         else:
             updated.append(ind)
     out = Schema(indicators=tuple(updated))

@@ -21,7 +21,6 @@ Layer order: this module sits above ``ingest`` and below ``report``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property
 from typing import IO, Mapping, Sequence
@@ -30,7 +29,7 @@ from . import rubric
 from .errors import EmptyCategory, ParseError, PartialDataError, UnknownIndicator
 from .ingest import ProgramDataset, Qualifier, check_distinct_programs, scoring_status
 from .rubric import rubric_to_unit  # noqa: F401  re-exported for gmi.scoring callers
-from .schema import Category, Direction, Schema, read_records
+from .schema import Category, Direction, Record, Schema, read_records, set_field
 
 #: Width of the composite range: six categories, each normalized to [0, 1].
 CATEGORY_COUNT = 6
@@ -56,20 +55,27 @@ _STAGE_THRESHOLDS: tuple[tuple[float, Stage], ...] = (
 )
 
 
-@dataclass(frozen=True, slots=True)
-class Excluded:
-    reason: str  # missing | non-scorable | token-unconverted
+class Excluded(Record):
+    __slots__ = _fields = ("reason",)
+
+    def __init__(self, reason: str) -> None:  # missing | non-scorable | token-unconverted
+        set_field(self, "reason", reason)
 
 
-@dataclass(frozen=True, slots=True)
-class AuditRecord:
-    indicator: str
-    raw: str
-    minimum: float | None
-    maximum: float | None
-    score: float | None
-    exclusion: str | None = None
-    qualifier: Qualifier = Qualifier.EXACT
+class AuditRecord(Record):
+    __slots__ = _fields = ("indicator", "raw", "minimum", "maximum", "score", "exclusion",
+                           "qualifier")
+
+    def __init__(self, indicator: str, raw: str, minimum: float | None,
+                 maximum: float | None, score: float | None, exclusion: str | None = None,
+                 qualifier: Qualifier = Qualifier.EXACT) -> None:
+        set_field(self, "indicator", indicator)
+        set_field(self, "raw", raw)
+        set_field(self, "minimum", minimum)
+        set_field(self, "maximum", maximum)
+        set_field(self, "score", score)
+        set_field(self, "exclusion", exclusion)
+        set_field(self, "qualifier", qualifier)
 
 
 # Excluded is immutable, so each reason has one shared instance.
@@ -80,24 +86,30 @@ _EXCLUDED = {reason: Excluded(reason)
 _ABSENT_CELL = (None, "n.a.", Qualifier.UNSPECIFIED, "missing")
 
 
-@dataclass(frozen=True, slots=True)
-class GmiResult:
-    program: str
-    category_scores: dict[Category, float]
-    normalized_category_scores: dict[Category, float]
-    gmi: float
-    stage: Stage
-    audit: tuple[AuditRecord, ...] = ()
+class GmiResult(Record):
+    __slots__ = _fields = ("program", "category_scores", "normalized_category_scores", "gmi",
+                           "stage", "audit")
+
+    def __init__(self, program: str, category_scores: dict[Category, float],
+                 normalized_category_scores: dict[Category, float], gmi: float, stage: Stage,
+                 audit: tuple[AuditRecord, ...] = ()) -> None:
+        set_field(self, "program", program)
+        set_field(self, "category_scores", category_scores)
+        set_field(self, "normalized_category_scores", normalized_category_scores)
+        set_field(self, "gmi", gmi)
+        set_field(self, "stage", stage)
+        set_field(self, "audit", audit)
 
 
-@dataclass(frozen=True)
-class ScoreMatrix:
+class ScoreMatrix(Record):
     """The cohort's scores keyed by ``(program, indicator id)`` and by
     ``(program, category)``, read from *results* on first access.
 
     Each result's audit trail is its indicator records followed by its
     ``CATEGORY_COUNT`` category records, so ``entries`` reads the former.
+    Not slotted: the two maps are ``cached_property`` memos.
     """
+    _fields = ("programs", "results")
     programs: tuple[str, ...]
     results: tuple[GmiResult, ...]
 
@@ -351,7 +363,7 @@ def score_datasets(
     results = []
     for program in programs:
         result = results_by_program[program]
-        results.append(replace(result, audit=tuple(audits[program]) + result.audit))
+        results.append(result.replace(audit=tuple(audits[program]) + result.audit))
     return ScoreMatrix(programs=tuple(programs), results=tuple(results)), results
 
 
@@ -362,11 +374,12 @@ def score_datasets(
 _TABLE_HEADER = ("program",) + tuple(cat.code for cat in Category)
 
 
-@dataclass(frozen=True)
-class CategoryTable:
+class CategoryTable(Record):
+    __slots__ = _fields = ("programs", "scores", "notes")
+    _defaults = {"notes": ()}
     programs: tuple[str, ...]
     scores: dict[str, dict[Category, float]]
-    notes: tuple[str, ...] = ()
+    notes: tuple[str, ...]
 
 
 def load_category_table(source: IO[bytes] | IO[str] | str) -> CategoryTable:

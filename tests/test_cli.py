@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import gmi.cli
+import gmi.rubric
 from gmi.bundled import bundled_category_table_path, bundled_program_paths
 from gmi.cli import main
 from gmi.rubric import builtin_template, collect_responses, load_responses
@@ -28,6 +29,35 @@ def test_validate_bundled_reports_unscorable_categories(capsys):
     assert code == 1
     assert "unscorable categories: GOV" in out
     assert "unscorable categories: GOV, TAC" in out
+
+
+def test_validate_builds_the_rubric_template_once(monkeypatch, capsys):
+    built = []
+    original = gmi.rubric.builtin_template
+
+    def counting():
+        built.append(1)
+        return original()
+
+    monkeypatch.setattr(gmi.rubric, "builtin_template", counting)
+    assert main(["validate", *PROGRAM_FILES]) == 1
+    assert "unscorable categories: GOV, TAC" in capsys.readouterr().out
+    assert len(built) == 1
+
+
+def test_validate_keeps_a_line_separator_inside_a_cell(tmp_path, capsys):
+    # str.splitlines would end the line at U+0085 inside the cell and read
+    # its tail as a malformed rubric row.
+    expected_code = main(["validate", *PROGRAM_FILES])
+    expected = capsys.readouterr().out
+    source = Path(PROGRAM_FILES[0]).read_text(encoding="utf-8")
+    lines = source.split("\n")
+    row = lines.index("PSO-AUX-1|DAO + Foundation")
+    lines[row] = "PSO-AUX-1|DAO\x85Foundation"
+    edited = tmp_path / "edited.txt"
+    edited.write_text("\n".join(lines), encoding="utf-8")
+    assert main(["validate", str(edited), *PROGRAM_FILES[1:]]) == expected_code
+    assert capsys.readouterr().out == expected
 
 
 def test_validate_rejects_out_of_range_rubric(tmp_path, capsys):

@@ -5,9 +5,10 @@ from __future__ import annotations
 import copy
 import math
 import pickle
-from dataclasses import replace
 
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from gmi.bundled import bundled_program_paths
 from gmi.errors import (
@@ -206,6 +207,37 @@ def test_format_parse_round_trip(value, indicator):
     assert parse_value(format_value(value), _def(indicator)) == value
 
 
+def test_format_writes_small_numbers_without_an_exponent():
+    assert format_value(number(1e-07)) == "0.0000001"
+    assert format_value(money(1.5e-05)) == "$0.000015"
+    assert format_value(number(-2.5e-10)) == "-0.00000000025"
+    assert format_value(ratio(1e-07, 3)) == "0.0000001:3"
+    assert parse_value("0.0000001", _def("COM-AUX-1")) == number(1e-07)
+    with pytest.raises(ValueParseError):  # the grammar itself has no exponents
+        parse_value("1e-07", _def("COM-AUX-1"))
+
+
+_AMOUNTS = st.floats(min_value=0.0, allow_nan=False, allow_infinity=False)
+_PARTS = st.floats(min_value=0.0, exclude_min=True, allow_nan=False, allow_infinity=False)
+_QUALIFIERS = st.sampled_from(
+    [Qualifier.EXACT, Qualifier.APPROX_LOWER_BOUND, Qualifier.APPROX_UPPER_BOUND])
+
+
+@given(_AMOUNTS, _QUALIFIERS, st.sampled_from(["OP", "ARB", "TAIKO"]))
+def test_format_parse_round_trip_property(amount, qualifier, symbol):
+    for value, indicator in ((number(amount, qualifier=qualifier), "COM-AUX-1"),
+                             (money(amount, qualifier), "COM-QN-14"),
+                             (token_amount(amount, symbol, qualifier), "FAO-QN-2")):
+        assert parse_value(format_value(value), _def(indicator)) == value
+
+
+@given(_PARTS, _PARTS, _QUALIFIERS)
+def test_format_parse_round_trip_property_ratio(numerator, denominator, qualifier):
+    assume(math.isfinite(numerator / denominator))
+    value = ratio(numerator, denominator, qualifier)
+    assert parse_value(format_value(value), _def("TAC-QN-6")) == value
+
+
 def test_format_parse_round_trip_binary_country_text():
     assert parse_value(format_value(parse_value("1", _def("EFI-QN-1"))), _def("EFI-QN-1")).value == 1
     country = parse_value("Cayman Islands", _def("EFI-QN-6"))
@@ -387,7 +419,7 @@ def test_memos_belong_to_one_definition():
     assert in_months == pytest.approx(2 / 4.345)
     # A fresh schema, and a copy of a definition, start with empty memos.
     assert builtin_schema().get("COM-QN-8").observed_rows == {}
-    copied = replace(builtin.get("COM-QN-8"), description="copy")
+    copied = builtin.get("COM-QN-8").replace(description="copy")
     assert copied.parsed_cells == {} and copied.observed_rows == {}
 
 
@@ -454,3 +486,21 @@ def test_validate_token_amounts_listed_separately():
     assert "COM-QN-14" in report.categories[Category.COM].token_unconverted
     # tokens alone do not make a category scorable, but COM has plain numbers
     assert report.categories[Category.COM].scorable
+
+
+@pytest.mark.parametrize(
+    "separator", ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"])
+def test_only_newlines_end_a_line(separator):
+    cell = f"Grants{separator}Council"
+    ds = load_program_dataset(f"program|X\nFAO-QN-7|{cell}\ngovernance|4\n".encode(), SCHEMA)
+    assert ds.observations["FAO-QN-7"].raw == cell
+    assert ds.rubric == {"governance": 4}
+    with pytest.raises(ParseError, match="^line 3: rubric rows have 2 fields$"):
+        load_program_dataset(f"program|X\nFAO-QN-7|{cell}\ngovernance\n", SCHEMA)
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["LF", "CRLF", "CR"])
+def test_line_numbers_count_each_newline_once(newline):
+    text = newline.join(["program|X", "# note", "", "governance"]) + newline
+    with pytest.raises(ParseError, match="^line 4: rubric rows have 2 fields$"):
+        load_program_dataset(text, SCHEMA)

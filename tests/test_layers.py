@@ -1,8 +1,12 @@
-"""Import layering of the engine package: one direction, no hidden cycles."""
+"""Import layering of the engine package: one direction, no hidden cycles,
+and a start-up that loads no module it does not use."""
 
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "gmi"
@@ -50,3 +54,18 @@ def test_relative_imports_point_down_the_layers():
         if RANK[target] >= RANK[module]
     ]
     assert upward == []
+
+
+#: Modules that ``import gmi.cli`` must not load: ``dataclasses`` and the
+#: ``inspect`` it pulls in cost a short ``gmi`` run more than the engine's
+#: own imports.
+HEAVY_AT_START_UP = ("dataclasses", "inspect")
+
+
+def test_start_up_imports_no_heavy_module():
+    code = ("import sys; import gmi, gmi.cli; "
+            f"print(' '.join(m for m in {HEAVY_AT_START_UP!r} if m in sys.modules))")
+    path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": path})
+    assert out.stdout.split() == []

@@ -204,3 +204,20 @@ def test_structured_bounds_keep_the_sign_of_zero(tmp_path, capsys):
     }
     assert minima["COM-QN-13"] == "-0.0000"
     assert minima["COM-QN-2"] == "0.0000"
+
+
+@pytest.mark.parametrize("separator", ["\x85", "\u2028", "\x1e"], ids=["NEL", "LS", "RS"])
+def test_structured_round_trip_keeps_line_separators_inside_cells(separator):
+    schema = builtin_schema()
+    datasets = [
+        load_program_dataset(f"program|{name}\nFAO-QN-7|Grants{separator}{name}\n"
+                             f"COM-QN-1|{count}\n", schema)
+        for name, count in (("A", 3), ("B", 5))
+    ]
+    results = score_datasets(datasets, schema, allow_partial=True)[1]
+    document = render_comparison(results, fmt="structured")
+    parsed = parse_structured(document)
+    assert [[rec.raw for rec in r.audit] for r in parsed] == \
+        [[rec.raw for rec in r.audit] for r in results]
+    assert parsed[0].audit[0].raw == f"Grants{separator}A"
+    assert render_comparison(parsed, fmt="structured") == document

@@ -2,17 +2,37 @@
 
 from __future__ import annotations
 
-import dataclasses
+import copy
+import pickle
 
 import pytest
 
 from gmi.errors import EmptyCategory, PartialDataError, RubricRangeError, UnknownIndicator
-from gmi.ingest import ProgramDataset, Qualifier, money, number, token_amount, Observation
-from gmi.schema import Category, Direction, builtin_schema, with_directions
+from gmi.ingest import (
+    CategoryValidation,
+    Observation,
+    ProgramDataset,
+    Qualifier,
+    ValidationReport,
+    money,
+    number,
+    token_amount,
+)
+from gmi.rubric import Criterion, RubricTemplate
+from gmi.schema import (
+    Category,
+    Direction,
+    IndicatorDef,
+    Schema,
+    builtin_schema,
+    with_directions,
+)
 from gmi.scoring import (
     AuditRecord,
+    CategoryTable,
     Excluded,
     GmiResult,
+    ScoreMatrix,
     Stage,
     classify_maturity,
     compute_gmi,
@@ -380,31 +400,105 @@ def test_load_category_table_errors():
 
 
 def _record_samples():
+    """One record of each engine record class, a field of it and another
+    value for that field."""
+    schema = builtin_schema()
+    definition = schema.get("COM-QN-2")
     value = number(3.5, qualifier=Qualifier.APPROX_LOWER_BOUND)
+    observation = Observation("COM-QN-2", ">3.5", value)
     audit = AuditRecord("COM-QN-2", ">3.5", 1.0, 4.0, 0.8333, None,
                         Qualifier.APPROX_LOWER_BOUND)
+    result = GmiResult("A", {}, {}, 0.0, Stage.EXPERIMENTAL, (audit,))
+    criterion = Criterion("governance", Category.GOV, "Governance", "How decisions are made.")
+    coverage = CategoryValidation(Category.COM, ("COM-QN-2",), (), (), (), 0, True)
     return [
+        (definition, "description", "copy"),
+        (Schema((definition,)), "indicators", (schema.get("COM-QN-1"),)),
+        (criterion, "name", "Decisions"),
+        (RubricTemplate((criterion,)), "criteria", ()),
         (value, "value", 4.0),
-        (Observation("COM-QN-2", ">3.5", value), "raw", "4"),
+        (observation, "raw", "4"),
+        (ProgramDataset("A", {"COM-QN-2": observation}, {"governance": 4}), "program", "B"),
+        (coverage, "scorable", False),
+        (ValidationReport("A", {Category.COM: coverage}), "program", "B"),
         (Excluded("missing"), "reason", "non-scorable"),
         (audit, "score", 0.5),
-        (GmiResult("A", {}, {}, 0.0, Stage.EXPERIMENTAL, (audit,)), "gmi", 1.0),
+        (result, "gmi", 1.0),
+        (ScoreMatrix(("A",), (result,)), "programs", ("B",)),
+        (CategoryTable(("A",), {"A": {Category.COM: 1.0}}), "notes", ("a note",)),
     ]
+
+
+#: Records that hold a dict, so they have never hashed.
+_UNHASHABLE = (ProgramDataset, ValidationReport, GmiResult, ScoreMatrix, CategoryTable)
 
 
 @pytest.mark.parametrize("record,field,other", _record_samples(),
                          ids=[type(sample[0]).__name__ for sample in _record_samples()])
 def test_records_are_slotted_values(record, field, other):
-    assert not hasattr(record, "__dict__")
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    # Only the two records with cached_property memos keep an instance dict.
+    assert hasattr(record, "__dict__") == isinstance(record, (IndicatorDef, ScoreMatrix))
+    with pytest.raises(AttributeError):
         setattr(record, field, other)
-    changed = dataclasses.replace(record, **{field: other})
-    assert getattr(changed, field) == other
-    assert changed != record
-    twin = dataclasses.replace(record)
-    assert twin == record and twin is not record
-    if isinstance(record, GmiResult):  # it holds dicts, so it has never hashed
+    with pytest.raises(AttributeError):
+        delattr(record, field)
+    assert getattr(record, field) != other
+
+    changed = record.replace(**{field: other})
+    assert type(changed) is type(record) and changed != record
+    for name in record._fields:
+        if name == field:
+            assert getattr(changed, name) == other
+        else:
+            assert getattr(changed, name) is getattr(record, name)
+
+    assert record.__eq__(record._values()) is NotImplemented
+    assert repr(record).startswith(f"{type(record).__name__}({record._fields[0]}=")
+    copies = (record.replace(), copy.copy(record), copy.deepcopy(record),
+              pickle.loads(pickle.dumps(record)))
+    for twin in copies:
+        assert type(twin) is type(record)
+        assert twin == record and twin is not record
+        if isinstance(record, _UNHASHABLE):
+            with pytest.raises(TypeError):
+                hash(twin)
+        else:
+            assert hash(twin) == hash(record)
+
+
+def test_copies_of_a_definition_start_with_empty_memos():
+    definition = builtin_schema().get("COM-QN-2")
+    assert definition.parsed_cells == {} and definition.observed_rows == {}
+    definition.parsed_cells["3"] = number(3)
+    definition.observed_rows[("3", "")] = Observation("COM-QN-2", "3", number(3))
+    assert definition.scorable
+    for twin in (definition.replace(), copy.copy(definition), copy.deepcopy(definition),
+                 pickle.loads(pickle.dumps(definition))):
+        assert twin == definition
+        assert vars(twin) == {key: getattr(definition, key) for key in definition._fields}
+        assert twin.parsed_cells == {} and twin.observed_rows == {}
+
+
+def test_schema_copies_rebuild_the_id_map():
+    schema = builtin_schema()
+    for twin in (schema.replace(), copy.copy(schema), copy.deepcopy(schema),
+                 pickle.loads(pickle.dumps(schema))):
+        assert twin == schema and twin.get is not schema.get
+        assert [twin.get(ind.id) for ind in schema.indicators] == list(schema.indicators)
+        assert twin.get("COM-QN-99") is None
+    assert repr(Schema(())) == "Schema(indicators=())"
+
+
+def test_record_constructors_bind_fields_like_a_signature():
+    table = CategoryTable(("A",), scores={})
+    assert table.notes == () and table == CategoryTable(programs=("A",), scores={}, notes=())
+    assert repr(Excluded("missing")) == "Excluded(reason='missing')"
+    fields = ("governance", Category.GOV, "Governance")
+    for bad in (lambda: Criterion(*fields),                       # a field is missing
+                lambda: Criterion(*fields, "p", "extra"),         # one argument too many
+                lambda: Criterion(*fields, "p", id="again"),      # a field given twice
+                lambda: Criterion(*fields, prompt="p", colour=1),  # no such field
+                lambda: AuditRecord("COM-QN-2", "3", None, None, None, colour=1),
+                lambda: Excluded("missing").replace(colour=1)):
         with pytest.raises(TypeError):
-            hash(record)
-    else:
-        assert hash(twin) == hash(record)
+            bad()

@@ -9,7 +9,6 @@ here, and that rendering holds little beyond the output itself.
 
 from __future__ import annotations
 
-import dataclasses
 import importlib.util
 import random
 import sys
@@ -51,8 +50,7 @@ def cohort_300():
 
 def _unshared(results):
     """*results* with every audit record replaced by a private copy."""
-    return [dataclasses.replace(r, audit=tuple(dataclasses.replace(a) for a in r.audit))
-            for r in results]
+    return [r.replace(audit=tuple(a.replace() for a in r.audit)) for r in results]
 
 
 def _records(result):
