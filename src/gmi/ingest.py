@@ -49,6 +49,13 @@ long as the schema: ``builtin_schema()`` builds fresh definitions on every
 call, and a long-lived schema keeps one entry per distinct cell it has
 parsed.
 
+Per-row and per-cell code compares kinds, qualifiers and data types with
+module-level bindings of the Enum members made at import (``_NUMBER``,
+``_EXACT``, ``_TEXT_DATA`` and so on), never with a read through the class:
+on Python 3.10 and 3.11 ``ValueKind.NUMBER`` runs ``EnumType.__getattr__``
+in Python every time.  A cohort is a list of datasets, and ``scoring``
+builds each indicator column from it by position.
+
 Layer order: this module sits above ``rubric`` and below ``scoring``.
 """
 
@@ -56,8 +63,8 @@ from __future__ import annotations
 
 import math
 import re
+from collections.abc import Mapping, Sequence
 from enum import Enum
-from typing import IO, Mapping, Sequence
 
 from . import rubric
 from .errors import (
@@ -68,6 +75,7 @@ from .errors import (
     ValueParseError,
 )
 from .schema import (
+    CATEGORIES,
     INDICATOR_ID_PATTERN,
     Category,
     DataType,
@@ -78,6 +86,10 @@ from .schema import (
     read_records,
     set_field,
 )
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:  # annotations only: start-up does not import typing
+    from typing import IO
 
 # Fixed time conversions, chosen for reproducibility over calendar precision.
 WEEKS_PER_MONTH = 4.345
@@ -139,6 +151,19 @@ class Qualifier(Enum):
     __hash__ = object.__hash__  # identity, as for schema.Category
 
 
+# The members per-row and per-cell code compares with (see the module
+# docstring for why they are bound once).
+_NUMBER, _RATIO, _MONEY, _TOKEN_AMOUNT = (
+    ValueKind.NUMBER, ValueKind.RATIO, ValueKind.MONEY, ValueKind.TOKEN_AMOUNT)
+_BINARY, _COUNTRY, _TEXT, _MISSING = (
+    ValueKind.BINARY, ValueKind.COUNTRY, ValueKind.TEXT, ValueKind.MISSING)
+_EXACT, _UNSPECIFIED = Qualifier.EXACT, Qualifier.UNSPECIFIED
+_LOWER_BOUND, _UPPER_BOUND = Qualifier.APPROX_LOWER_BOUND, Qualifier.APPROX_UPPER_BOUND
+_TEXT_DATA, _COUNTRY_DATA, _BINARY_DATA = DataType.TEXT, DataType.ISO_ALPHA_3, DataType.BINARY
+_NUMERIC_DATA = (DataType.NUMERIC, DataType.RATIONAL)
+_QUANTITATIVE = Kind.QUANTITATIVE
+
+
 class TypedValue(Record):
     __slots__ = _fields = ("kind", "value", "symbol", "text", "numerator", "denominator",
                            "unit", "is_code", "qualifier")
@@ -158,12 +183,12 @@ class TypedValue(Record):
         for x in (value, numerator, denominator):
             if x is not None and not math.isfinite(x):
                 raise ValueError(f"{x!r} is not a finite number")
-        if kind in (ValueKind.MONEY, ValueKind.TOKEN_AMOUNT):
+        if kind is _MONEY or kind is _TOKEN_AMOUNT:
             if value is None or value < 0:
                 raise ValueError(f"{kind.value} amount must be >= 0")
-        if kind is ValueKind.BINARY and value not in (0.0, 1.0):
+        if kind is _BINARY and value not in (0.0, 1.0):
             raise ValueError("binary value must be 0 or 1")
-        if kind is ValueKind.MISSING and qualifier is not Qualifier.UNSPECIFIED:
+        if kind is _MISSING and qualifier is not _UNSPECIFIED:
             raise ValueError("missing values carry no qualifier")
         set_field(self, "kind", kind)
         set_field(self, "value", value)
@@ -177,26 +202,26 @@ class TypedValue(Record):
 
     @property
     def missing(self) -> bool:
-        return self.kind is ValueKind.MISSING
+        return self.kind is _MISSING
 
 
-MISSING = TypedValue(kind=ValueKind.MISSING, qualifier=Qualifier.UNSPECIFIED)
+MISSING = TypedValue(kind=_MISSING, qualifier=_UNSPECIFIED)
 
 
 def number(value: float, unit: str | None = None, is_code: bool = False,
            qualifier: Qualifier = Qualifier.EXACT) -> TypedValue:
-    return TypedValue(kind=ValueKind.NUMBER, value=float(value), unit=unit,
+    return TypedValue(kind=_NUMBER, value=float(value), unit=unit,
                       is_code=is_code, qualifier=qualifier)
 
 
 def money(amount: float, qualifier: Qualifier = Qualifier.EXACT) -> TypedValue:
-    return TypedValue(kind=ValueKind.MONEY, value=float(amount), symbol="USD",
+    return TypedValue(kind=_MONEY, value=float(amount), symbol="USD",
                       qualifier=qualifier)
 
 
 def token_amount(amount: float, symbol: str,
                  qualifier: Qualifier = Qualifier.EXACT) -> TypedValue:
-    return TypedValue(kind=ValueKind.TOKEN_AMOUNT, value=float(amount),
+    return TypedValue(kind=_TOKEN_AMOUNT, value=float(amount),
                       symbol=symbol.upper(), qualifier=qualifier)
 
 
@@ -204,21 +229,21 @@ def ratio(numerator: float, denominator: float,
           qualifier: Qualifier = Qualifier.EXACT) -> TypedValue:
     if denominator == 0:
         raise ValueError("ratio denominator must be non-zero")
-    return TypedValue(kind=ValueKind.RATIO, value=numerator / denominator,
+    return TypedValue(kind=_RATIO, value=numerator / denominator,
                       numerator=float(numerator), denominator=float(denominator),
                       qualifier=qualifier)
 
 
 def binary(value: int, qualifier: Qualifier = Qualifier.EXACT) -> TypedValue:
-    return TypedValue(kind=ValueKind.BINARY, value=float(value), qualifier=qualifier)
+    return TypedValue(kind=_BINARY, value=float(value), qualifier=qualifier)
 
 
 def country(code: str, qualifier: Qualifier = Qualifier.EXACT) -> TypedValue:
-    return TypedValue(kind=ValueKind.COUNTRY, text=code.upper(), qualifier=qualifier)
+    return TypedValue(kind=_COUNTRY, text=code.upper(), qualifier=qualifier)
 
 
 def text(value: str, qualifier: Qualifier = Qualifier.EXACT) -> TypedValue:
-    return TypedValue(kind=ValueKind.TEXT, text=value, qualifier=qualifier)
+    return TypedValue(kind=_TEXT, text=value, qualifier=qualifier)
 
 
 def _to_float(token: str) -> float:
@@ -274,33 +299,34 @@ def _parse_cell(raw: str, definition: IndicatorDef) -> TypedValue:
     body = raw.strip()
     lowered = body.lower()
 
+    data_type = definition.data_type
     if lowered in _MISSING_SENTINELS:
         return MISSING
-    if lowered == "link" and definition.data_type is not DataType.TEXT:
+    if lowered == "link" and data_type is not _TEXT_DATA:
         return MISSING
 
-    if definition.data_type is DataType.TEXT:
+    if data_type is _TEXT_DATA:
         return text(body)
 
-    qualifier = Qualifier.EXACT
+    qualifier = _EXACT
     if body.startswith("<"):
-        qualifier = Qualifier.APPROX_UPPER_BOUND
+        qualifier = _UPPER_BOUND
         body = body[1:].strip()
     elif body.startswith(">"):
-        qualifier = Qualifier.APPROX_LOWER_BOUND
+        qualifier = _LOWER_BOUND
         body = body[1:].strip()
 
-    if definition.data_type is DataType.ISO_ALPHA_3:
+    if data_type is _COUNTRY_DATA:
         return _parse_country(body, raw, definition, qualifier)
 
-    if definition.data_type is DataType.BINARY:
+    if data_type is _BINARY_DATA:
         if body in ("0", "1"):
             return binary(int(body), qualifier)
         if body.lower() in ("no", "yes"):
             return binary(int(body.lower() == "yes"), qualifier)
         raise ValueParseError(raw, definition.id, "binary cells must be 0/1 or no/yes")
 
-    if definition.data_type not in (DataType.NUMERIC, DataType.RATIONAL):
+    if data_type not in _NUMERIC_DATA:
         raise ValueParseError(raw, definition.id, "indicator is not observable")
 
     if body.startswith("$"):
@@ -349,22 +375,21 @@ def _parse_cell(raw: str, definition: IndicatorDef) -> TypedValue:
 
 def format_value(value: TypedValue) -> str:
     """Canonical text form; parse_value(format_value(v), def) == v."""
-    prefix = {Qualifier.APPROX_UPPER_BOUND: "<", Qualifier.APPROX_LOWER_BOUND: ">"}.get(
-        value.qualifier, ""
-    )
-    if value.kind is ValueKind.MISSING:
+    prefix = {_UPPER_BOUND: "<", _LOWER_BOUND: ">"}.get(value.qualifier, "")
+    kind = value.kind
+    if kind is _MISSING:
         return "n.a."
-    if value.kind is ValueKind.TEXT:
+    if kind is _TEXT:
         return value.text or ""
-    if value.kind is ValueKind.COUNTRY:
+    if kind is _COUNTRY:
         return prefix + (value.text or "")
-    if value.kind is ValueKind.BINARY:
+    if kind is _BINARY:
         return prefix + str(int(value.value))
-    if value.kind is ValueKind.MONEY:
+    if kind is _MONEY:
         return prefix + "$" + _format_number(value.value)
-    if value.kind is ValueKind.TOKEN_AMOUNT:
+    if kind is _TOKEN_AMOUNT:
         return f"{prefix}{_format_number(value.value)} {value.symbol}"
-    if value.kind is ValueKind.RATIO:
+    if kind is _RATIO:
         return f"{prefix}{_format_number(value.numerator)}:{_format_number(value.denominator)}"
     out = prefix + _format_number(value.value)
     if value.is_code:
@@ -398,12 +423,12 @@ def coerce_unit(value: TypedValue, from_unit: str | None, definition: IndicatorD
     (fixed week factors above). Any other mismatch raises UnitError.
     """
     if from_unit is None or from_unit.lower() == definition.unit.lower():
-        if value.kind is ValueKind.NUMBER and value.unit is not None:
+        if value.kind is _NUMBER and value.unit is not None:
             return number(value.value, is_code=value.is_code, qualifier=value.qualifier)
         return value
     src = from_unit.lower()
     dst = definition.unit.lower()
-    if src in _TIME_UNITS and dst in _TIME_UNITS and value.kind is ValueKind.NUMBER:
+    if src in _TIME_UNITS and dst in _TIME_UNITS and value.kind is _NUMBER:
         converted = value.value * _TIME_UNITS[src] / _TIME_UNITS[dst]
         return number(converted, is_code=value.is_code, qualifier=value.qualifier)
     raise UnitError(from_unit, definition.unit)
@@ -453,7 +478,7 @@ def load_program_dataset(source: IO[bytes] | IO[str] | str, schema: Schema) -> P
                 raise ParseError(f"line {line_no}: observation rows have 2 or 3 fields")
             if definition is None:
                 raise UnknownIndicator(key)
-            if definition.kind is not Kind.QUANTITATIVE:
+            if definition.kind is not _QUANTITATIVE:
                 raise ParseError(
                     f"line {line_no}: {key} is a {definition.kind.value} indicator "
                     "and cannot be observed directly"
@@ -468,7 +493,7 @@ def load_program_dataset(source: IO[bytes] | IO[str] | str, schema: Schema) -> P
                 annotation = row[1].lower() or None
                 if annotation:
                     annotation = _CANONICAL_TIME.get(annotation.rstrip("s"), annotation)
-                inline = value.unit if value.kind is ValueKind.NUMBER else None
+                inline = value.unit if value.kind is _NUMBER else None
                 if inline and annotation and inline != annotation:
                     raise ParseError(
                         f"line {line_no}: unit annotation {annotation!r} contradicts "
@@ -527,16 +552,17 @@ def scoring_status(value: TypedValue, definition: IndicatorDef,
     (None, exclusion reason)."""
     if not definition.scorable:
         return None, "non-scorable"
-    if value.kind is ValueKind.MISSING:
+    kind = value.kind
+    if kind is _MISSING:
         return None, "missing"
-    if value.kind is ValueKind.TOKEN_AMOUNT:
+    if kind is _TOKEN_AMOUNT:
         rate = (rates or {}).get(value.symbol or "")
         if rate is None:
             return None, "token-unconverted"
         return value.value * rate, None
-    if value.kind is ValueKind.NUMBER and value.is_code and not definition.explicit_direction:
+    if kind is _NUMBER and value.is_code and not definition.explicit_direction:
         return None, "non-scorable"
-    if value.kind in (ValueKind.TEXT, ValueKind.COUNTRY):
+    if kind is _TEXT or kind is _COUNTRY:
         return None, "non-scorable"
     return value.value, None
 
@@ -579,7 +605,7 @@ def validate_dataset(dataset: ProgramDataset, schema: Schema,
     # Keyed by scoring_status's exclusion reason; None collects what scores.
     by_category: dict[Category, dict[str | None, list[str]]] = {
         cat: {None: [], "missing": [], "non-scorable": [], "token-unconverted": []}
-        for cat in Category
+        for cat in CATEGORIES
     }
     for obs in dataset.observations.values():
         definition = schema.get(obs.indicator_id)
@@ -589,7 +615,7 @@ def validate_dataset(dataset: ProgramDataset, schema: Schema,
         by_category[definition.category][exclusion].append(obs.indicator_id)
 
     grouped = rubric.collect_responses(template, dataset.rubric)
-    rubric_counts = {cat: len(grouped.get(cat, ())) for cat in Category}
+    rubric_counts = {cat: len(grouped.get(cat, ())) for cat in CATEGORIES}
 
     categories = {
         cat: CategoryValidation(

@@ -22,23 +22,25 @@ Identical inputs render to identical bytes.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator, Sequence
 from itertools import chain
-from typing import Iterable, Iterator, Sequence
 
 from .errors import ParseError
 from .ingest import CategoryValidation, Qualifier, ValidationReport
-from .schema import Category, split_lines
+from .schema import CATEGORIES, Category, split_lines
 from .scoring import AuditRecord, GmiResult, Stage
 
 FORMATS = ("table", "delimited", "structured")
 
 _ABSENT = "n.a."
 
-# Enum ``.value``/``.name`` reads go through a Python-level descriptor, so
-# the renderers read these texts from tables built at import.
+# Enum ``.value``/``.name`` reads go through a Python-level descriptor, and
+# on Python 3.10 and 3.11 so does a member read through its class, such as
+# ``Qualifier.EXACT``; the renderers read these tables built at import.
 _QUALIFIER_TEXT = {q: q.value for q in Qualifier}
 _STAGE_TEXT = {s: s.value for s in Stage}
-_CATEGORY_CODES = tuple((cat, cat.code) for cat in Category)
+_CATEGORY_CODES = tuple((cat, cat.code) for cat in CATEGORIES)
+_APPROXIMATE = (Qualifier.APPROX_UPPER_BOUND, Qualifier.APPROX_LOWER_BOUND)
 
 
 def _fmt(x: float | None) -> str:
@@ -71,7 +73,7 @@ def _footnotes(result: GmiResult) -> list[str]:
     footnotes = []
     for rec in result.audit:
         if rec.exclusion is None:
-            if rec.qualifier in (Qualifier.APPROX_UPPER_BOUND, Qualifier.APPROX_LOWER_BOUND):
+            if rec.qualifier in _APPROXIMATE:
                 footnotes.append(
                     f"{result.program} {rec.indicator} {rec.raw!r} scored at face value "
                     f"({_QUALIFIER_TEXT[rec.qualifier]})"
@@ -278,7 +280,7 @@ def _coverage_line(cv: CategoryValidation) -> str:
 
 def render_validation(report: ValidationReport) -> bytes:
     lines = [f"Program: {report.program}"]
-    for cat in Category:
+    for cat in CATEGORIES:
         lines.append(_coverage_line(report.categories[cat]))
     if not report.all_scorable:
         names = ", ".join(cat.code for cat in report.unscorable_categories())

@@ -12,10 +12,14 @@ scoring all apply.
 
 from __future__ import annotations
 
-from typing import IO, Mapping
+from collections.abc import Mapping
 
 from .errors import ParseError, RubricRangeError, UnknownCriterion
 from .schema import Category, Record, read_records, set_field
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:  # annotations only: start-up does not import typing
+    from typing import IO
 
 SCALE_MIN = 1
 SCALE_MAX = 5

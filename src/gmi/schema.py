@@ -20,9 +20,12 @@ from __future__ import annotations
 import re
 from enum import Enum
 from functools import cached_property
-from typing import IO, Any, Callable
 
 from .errors import ParseError, SchemaError
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:  # annotations only: start-up does not import typing
+    from typing import IO
 
 DELIMITER = "|"
 
@@ -44,19 +47,17 @@ def split_lines(text: str) -> list[str]:
 
 def read_records(source: IO[bytes] | IO[str] | bytes | str) -> list[tuple[int, list[str]]]:
     """Decode *source* as UTF-8 and split it into ``(line number, fields)``
-    records on ``|``, skipping blank lines and ``#`` comments."""
+    records on ``|``, skipping blank lines and ``#`` comments.  One leading
+    byte-order mark (U+FEFF), which some editors write, is dropped."""
     data = source.read() if hasattr(source, "read") else source
     if isinstance(data, bytes):
         try:
             data = data.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise ParseError(f"document is not UTF-8: {exc}") from exc
-    records = []
-    for line_no, line in enumerate(split_lines(data), start=1):
-        stripped = line.strip()
-        if stripped and not stripped.startswith("#"):
-            records.append((line_no, list(map(str.strip, line.split(DELIMITER)))))
-    return records
+    return [(line_no, list(map(str.strip, line.split(DELIMITER))))
+            for line_no, line in enumerate(split_lines(data.removeprefix("\ufeff")), start=1)
+            if line.strip()[:1] not in ("", "#")]
 
 
 #: Stores one field of a record under construction, past its frozen
@@ -83,9 +84,9 @@ class Record:
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
-    _defaults: dict[str, Any] = {}
+    _defaults: dict[str, object] = {}
 
-    def __init__(self, *args: Any, **kwargs: Any) -> None:
+    def __init__(self, *args: object, **kwargs: object) -> None:
         name = type(self).__name__
         if len(args) > len(self._fields):
             raise TypeError(f"{name} takes {len(self._fields)} fields, got {len(args)}")
@@ -104,7 +105,7 @@ class Record:
     def _values(self) -> tuple:
         return tuple([getattr(self, key) for key in self._fields])
 
-    def __setattr__(self, key: str, value: Any) -> None:
+    def __setattr__(self, key: str, value: object) -> None:
         raise AttributeError(f"cannot assign to field {key!r} of a {type(self).__name__}")
 
     def __delattr__(self, key: str) -> None:
@@ -125,7 +126,7 @@ class Record:
     def __reduce__(self):
         return type(self), self._values()
 
-    def replace(self, **changes: Any):
+    def replace(self, **changes: object):
         """A new record with *changes* applied to this one's fields."""
         return type(self)(**{key: getattr(self, key) for key in self._fields} | changes)
 
@@ -162,6 +163,11 @@ class Category(Enum):
             return cls[code.upper()]
         except KeyError:
             raise ParseError(f"unknown category code {code!r}") from None
+
+
+#: The six categories in declaration order.  Iterating an Enum class runs a
+#: Python-level generator; iterating this tuple does not.
+CATEGORIES = tuple(Category)
 
 
 class Kind(Enum):
@@ -292,7 +298,7 @@ class Schema(Record):
                     f"category {ind.category.code} lacks its synthetic roll-up {roll_up}",
                     ind.id,
                 )
-        for category in Category:
+        for category in CATEGORIES:
             if not any(
                 ind.category is category and (ind.scorable or ind.kind is Kind.RUBRIC)
                 for ind in self.indicators

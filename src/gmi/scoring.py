@@ -7,6 +7,13 @@ channel counts as one element), a second min-max pass over the category
 scores, and the composite as the plain sum of the six normalized category
 scores (range 0..6).  Both min-max passes run through one column routine.
 
+Columns are position-indexed: a column is a list of cells in program
+order (the order of the datasets, or of the category-score map), and the
+column routine returns its audit records in the same order, so every
+per-program list here is read with ``zip``, never by program name.
+``minmax_normalize`` alone takes a program-keyed map, once per scorable
+column.
+
 Cells repeat down a column, so the column routine builds one frozen
 ``AuditRecord`` per distinct cell ``(value, raw, qualifier, reason)`` and
 hands the same object to every program whose cell is identical; the map is
@@ -21,23 +28,29 @@ Layer order: this module sits above ``ingest`` and below ``report``.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping, Sequence
 from enum import Enum
 from functools import cached_property
-from typing import IO, Mapping, Sequence
 
 from . import rubric
 from .errors import EmptyCategory, ParseError, PartialDataError, UnknownIndicator
 from .ingest import ProgramDataset, Qualifier, check_distinct_programs, scoring_status
 from .rubric import rubric_to_unit  # noqa: F401  re-exported for gmi.scoring callers
-from .schema import Category, Direction, Record, Schema, read_records, set_field
+from .schema import CATEGORIES, Category, Direction, Record, Schema, read_records, set_field
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:  # annotations only: start-up does not import typing
+    from typing import IO
 
 #: Width of the composite range: six categories, each normalized to [0, 1].
 CATEGORY_COUNT = 6
 
 _EPS = 1e-9
 
-# Iterating an Enum class runs a Python-level generator; a tuple does not.
-_CATEGORIES = tuple(Category)
+# Members compared per column or per program, bound once: on Python 3.10
+# and 3.11 a read such as ``Direction.LOWER_BETTER`` runs Python code.
+_HIGHER_BETTER, _LOWER_BETTER = Direction.HIGHER_BETTER, Direction.LOWER_BETTER
+_EXACT = Qualifier.EXACT
 
 
 class Stage(Enum):
@@ -157,9 +170,9 @@ def minmax_normalize(values: Mapping[str, float | None]) -> dict[str, float | Ex
 
 def directional_score(normalized: float, direction: Direction) -> float:
     """Identity for higher-better, reflection for lower-better."""
-    if direction is Direction.HIGHER_BETTER:
+    if direction is _HIGHER_BETTER:
         return normalized
-    if direction is Direction.LOWER_BETTER:
+    if direction is _LOWER_BETTER:
         return 1.0 - normalized
     raise ValueError("direction must be higher-better or lower-better")
 
@@ -191,32 +204,35 @@ def _format_score(x: float) -> str:
 
 def _score_column(
     indicator: str,
-    column: Mapping[str, tuple[float | None, str, Qualifier, str | None]],
+    programs: Sequence[str],
+    cells: Sequence[tuple[float | None, str, Qualifier, str | None]],
     direction: Direction = Direction.HIGHER_BETTER,
-) -> dict[str, AuditRecord]:
+) -> list[AuditRecord]:
     """Min-max one column across the cohort; both passes use this.
 
-    *column* maps each program to its cell: value (None when absent), raw
-    text, qualifier and exclusion reason.  Returns each program's audit
-    record, which holds its directed score or its exclusion; the audit
-    bounds are the column's.  Programs with identical cells share one
-    record.  The whole cell tuple is the key: its raw text keeps ``0`` and
-    ``-0`` apart, which compare equal as floats yet score as ``0.0000``
-    and ``-0.0000``.  Raises ParseError when the column's range overflows
-    a float.
+    *cells* holds each program's cell, in the order of *programs*: value
+    (None when absent), raw text, qualifier and exclusion reason.  Returns
+    each program's audit record in the same order, which holds its directed
+    score or its exclusion; the audit bounds are the column's.  Programs
+    with identical cells share one record.  The whole cell tuple is the
+    key: its raw text keeps ``0`` and ``-0`` apart, which compare equal as
+    floats yet score as ``0.0000`` and ``-0.0000``.  Raises ParseError when
+    the column's range overflows a float.
     """
-    values = {program: cell[0] for program, cell in column.items()}
-    present = [v for v in values.values() if v is not None]
+    values = [cell[0] for cell in cells]
+    present = [v for v in values if v is not None]
     lo = min(present) if present else None
     hi = max(present) if present else None
     if present and not math.isfinite(hi - lo):
         raise ParseError(f"column {indicator} spans {lo!r} to {hi!r}, a range that overflows")
     directional_score(0.0, direction)  # raises on a direction that cannot score
-    reflect = direction is Direction.LOWER_BETTER
-    out: dict[str, AuditRecord] = {}
+    reflect = direction is _LOWER_BETTER
+    out: list[AuditRecord] = []
     records: dict[tuple, AuditRecord] = {}
-    for program, entry in minmax_normalize(values).items():
-        cell = column[program]
+    # The programs are distinct, so the normalized map holds one entry per
+    # cell, in the order of *cells*.
+    normalized = minmax_normalize(dict(zip(programs, values)))
+    for cell, entry in zip(cells, normalized.values()):
         record = records.get(cell)
         if record is None:
             _, raw, qualifier, reason = cell
@@ -227,7 +243,7 @@ def _score_column(
                 record = AuditRecord(indicator, raw, lo, hi,
                                      1.0 - entry if reflect else entry, None, qualifier)
             records[cell] = record
-        out[program] = record
+        out.append(record)
     return out
 
 
@@ -243,33 +259,29 @@ def compute_gmi(category_scores: Mapping[str, Mapping[Category, float]],
     if not category_scores:
         raise ValueError("at least one program is required")
     programs = list(category_scores)
+    rows = list(category_scores.values())
     missing = [
         (program, cat.code)
-        for program in programs
-        for cat in _CATEGORIES
-        if cat not in category_scores[program]
+        for program, scores in zip(programs, rows)
+        for cat in CATEGORIES
+        if cat not in scores
     ]
     if missing and not allow_partial:
         raise PartialDataError(missing)
 
-    columns = {}
-    for cat in _CATEGORIES:
-        column = {}
-        for program in programs:
-            value = category_scores[program].get(cat)
-            raw = "n.a." if value is None else _format_score(value)
-            column[program] = (value, raw, Qualifier.EXACT, None)
-        columns[cat] = _score_column(cat.roll_up, column)
+    columns = []
+    for cat in CATEGORIES:
+        cells = []
+        for scores in rows:
+            value = scores.get(cat)
+            cells.append((value, "n.a." if value is None else _format_score(value), _EXACT, None))
+        columns.append(_score_column(cat.roll_up, programs, cells))
 
     results: dict[str, GmiResult] = {}
-    for program in programs:
-        per_cat: dict[Category, float] = {}
-        audit: list[AuditRecord] = []
-        for cat in _CATEGORIES:
-            record = columns[cat][program]
-            audit.append(record)
-            if record.exclusion is None:
-                per_cat[cat] = record.score
+    # zip(*columns) gives each program's six category records in order.
+    for program, scores, audit in zip(programs, rows, zip(*columns)):
+        per_cat = {cat: record.score for cat, record in zip(CATEGORIES, audit)
+                   if record.exclusion is None}
         if not per_cat:
             raise EmptyCategory(f"program {program!r} has no category scores")
         gmi = sum(per_cat.values())
@@ -277,11 +289,11 @@ def compute_gmi(category_scores: Mapping[str, Mapping[Category, float]],
             gmi *= CATEGORY_COUNT / len(per_cat)
         results[program] = GmiResult(
             program=program,
-            category_scores={cat: category_scores[program][cat] for cat in per_cat},
+            category_scores={cat: scores[cat] for cat in per_cat},
             normalized_category_scores=per_cat,
             gmi=gmi,
             stage=classify_maturity(gmi),
-            audit=tuple(audit),
+            audit=audit,
         )
     return results
 
@@ -300,70 +312,67 @@ def score_datasets(
 ) -> tuple[ScoreMatrix, list[GmiResult]]:
     """Full pipeline from typed observations to composite results.
 
-    Program order follows the input order throughout.  The matrix reads
-    its two maps from the results on first access.
+    Program order follows the input order throughout: every column, every
+    per-program list and the results are aligned with *datasets*.  The
+    matrix reads its two maps from the results on first access.
     """
     template = template or rubric.builtin_template()
     programs = [ds.program for ds in datasets]
     check_distinct_programs(programs)
     observed_ids = dict.fromkeys(i for ds in datasets for i in ds.observations)
 
-    audits: dict[str, list[AuditRecord]] = {p: [] for p in programs}
-    included: dict[str, dict[Category, list[float]]] = {p: {} for p in programs}
+    audits: list[list[AuditRecord]] = [[] for _ in datasets]
+    # included[category][i]: the indicator scores program i has in category.
+    included = {cat: [[] for _ in datasets] for cat in CATEGORIES}
 
     for indicator_id in observed_ids:
         definition = schema.get(indicator_id)
         if definition is None:
             raise UnknownIndicator(indicator_id)
-        column: dict[str, tuple[float | None, str, Qualifier, str | None]] = {}
+        cells: list[tuple[float | None, str, Qualifier, str | None]] = []
         for ds in datasets:
             obs = ds.observations.get(indicator_id)
             if obs is None:
-                column[ds.program] = _ABSENT_CELL
+                cells.append(_ABSENT_CELL)
             else:
                 value, reason = scoring_status(obs.value, definition, rates)
-                column[ds.program] = (value, obs.raw, obs.value.qualifier, reason)
+                cells.append((value, obs.raw, obs.value.qualifier, reason))
 
         if definition.scorable:
-            scored = _score_column(indicator_id, column, definition.direction)
+            scored = _score_column(indicator_id, programs, cells, definition.direction)
+            for audit, scores, record in zip(audits, included[definition.category], scored):
+                audit.append(record)
+                if record.exclusion is None:
+                    scores.append(record.score)
         else:
             # Every observed cell of an unscorable indicator reads
             # "non-scorable"; those cells enter the audit trail unbounded,
             # one record per distinct cell as in _score_column.
-            scored = {}
             records: dict[tuple, AuditRecord] = {}
-            for program, cell in column.items():
+            for audit, cell in zip(audits, cells):
                 if cell[3] == "non-scorable":
                     record = records.get(cell)
                     if record is None:
                         _, raw, qualifier, reason = cell
                         record = records[cell] = AuditRecord(
                             indicator_id, raw, None, None, None, reason, qualifier)
-                    scored[program] = record
-        category = definition.category
-        for program, record in scored.items():
-            audits[program].append(record)
-            if record.exclusion is None:
-                included[program].setdefault(category, []).append(record.score)
+                    audit.append(record)
 
     category_scores: dict[str, dict[Category, float]] = {}
-    for ds in datasets:
+    # zip(*included.values()) gives each program's six score lists in order.
+    for ds, by_category in zip(datasets, zip(*included.values())):
         grouped = rubric.collect_responses(template, ds.rubric)
-        scores_by_category = included[ds.program]
         per_cat: dict[Category, float] = {}
-        for cat in _CATEGORIES:
-            indicator_scores = scores_by_category.get(cat, [])
+        for cat, indicator_scores in zip(CATEGORIES, by_category):
             answers = grouped.get(cat)
             rubric_score = sum(answers) / len(answers) if answers else None
             if indicator_scores or rubric_score is not None:
                 per_cat[cat] = score_category(indicator_scores, rubric_score)
         category_scores[ds.program] = per_cat
 
-    results_by_program = compute_gmi(category_scores, allow_partial=allow_partial)
-    results = []
-    for program in programs:
-        result = results_by_program[program]
-        results.append(result.replace(audit=tuple(audits[program]) + result.audit))
+    by_program = compute_gmi(category_scores, allow_partial=allow_partial)
+    results = [result.replace(audit=tuple(audit) + result.audit)
+               for audit, result in zip(audits, by_program.values())]
     return ScoreMatrix(programs=tuple(programs), results=tuple(results)), results
 
 
@@ -371,7 +380,7 @@ def score_datasets(
 # Precomputed category-score path
 # ---------------------------------------------------------------------------
 
-_TABLE_HEADER = ("program",) + tuple(cat.code for cat in Category)
+_TABLE_HEADER = ("program",) + tuple(cat.code for cat in CATEGORIES)
 
 
 class CategoryTable(Record):
@@ -422,7 +431,7 @@ def load_category_table(source: IO[bytes] | IO[str] | str) -> CategoryTable:
             raise ParseError(f"line {line_no}: duplicate program {program!r}")
         programs.append(program)
         per_cat: dict[Category, float] = {}
-        for cat, cell in zip(Category, fields[1:]):
+        for cat, cell in zip(CATEGORIES, fields[1:]):
             if cell.lower() in ("n.a.", ""):
                 continue
             try:

@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import pytest
 
+from gmi.bundled import bundled_category_table_path, bundled_program_paths
 from gmi.errors import ParseError, SchemaError
+from gmi.ingest import load_program_dataset, load_rates
+from gmi.rubric import load_responses
 from gmi.schema import (
     Category,
     DataType,
@@ -13,8 +16,10 @@ from gmi.schema import (
     builtin_schema,
     dump_schema,
     load_schema,
+    read_records,
     with_directions,
 )
+from gmi.scoring import load_category_table
 
 
 def test_builtin_has_six_categories():
@@ -119,6 +124,35 @@ def test_comments_and_blank_lines_ignored():
     text = dump_schema(builtin_schema())
     commented = "# registry\n\n" + text.replace("\n", "\n# noise\n", 1)
     assert load_schema(commented) == builtin_schema()
+
+
+BOM = "\ufeff"
+
+# Every loader reads its document with read_records.  A byte-order mark left
+# in place turns a first comment line into a record, or joins the first
+# field of a first record.
+LOADERS = {
+    "observations": (lambda source: load_program_dataset(source, builtin_schema()),
+                     bundled_program_paths()[0].read_text(encoding="utf-8")),
+    "schema": (load_schema, dump_schema(builtin_schema())),
+    "rates": (load_rates, "OP|1.75\nARB|0.55\n"),
+    "category-table": (load_category_table,
+                       bundled_category_table_path().read_text(encoding="utf-8")),
+    "survey-responses": (load_responses, "governance|4\nclarity-of-objectives|\n"),
+}
+
+
+@pytest.mark.parametrize("loader, text", LOADERS.values(), ids=LOADERS)
+def test_a_leading_byte_order_mark_is_dropped(loader, text):
+    assert not text.startswith(BOM)
+    expected = loader(text)
+    assert loader(BOM + text) == expected
+    assert loader((BOM + text).encode("utf-8")) == expected
+
+
+def test_only_one_byte_order_mark_is_dropped_and_line_numbers_stay():
+    assert read_records(f"{BOM}a|b\n\n# c\n d | e ") == [(1, ["a", "b"]), (4, ["d", "e"])]
+    assert read_records(f"{BOM}{BOM}a") == [(1, [f"{BOM}a"])]
 
 
 def test_with_directions_marks_explicit():
