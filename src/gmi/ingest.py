@@ -36,18 +36,20 @@ A first field matching the indicator id pattern is an observation; any other
 first field is read as a rubric criterion id with an integer 1..5 score, or
 a blank score for an unanswered criterion, as in survey response files.
 
-Cell text repeats down every column of a cohort (flags, codes, platforms,
-placeholders), so each indicator definition memoises its cells:
-``parse_value`` keeps each successful parse in ``parsed_cells`` (raw cell ->
-TypedValue), and ``load_program_dataset`` keeps each finished, immutable
-Observation in ``observed_rows`` (``(raw cell, unit field)`` -> Observation)
-and shares it between datasets.  Only successes are stored: a cell or unit
-error is raised afresh, with its own message, every time it is met.  Every
-row check (field count, unknown indicator, kind, duplicate) runs before the
-memo is consulted.  The memos live as long as the definitions, that is, as
-long as the schema: ``builtin_schema()`` builds fresh definitions on every
-call, and a long-lived schema keeps one entry per distinct cell it has
-parsed.
+Observation lines repeat across a cohort (flags, codes, platforms,
+placeholders), so ingest memoises at two levels.  ``schema.observed_lines``
+maps each observation line read without error to ``(indicator id,
+definition, raw cell, finished Observation)``.  ``load_program_dataset``
+looks up every line after the program record there.  A hit runs only the
+per-file duplicate check, the cell's ``parse_value`` call (perfbench's
+trace counts one per observation row) and the store, and shares the
+immutable Observation; a miss takes the full path of filter, split, row
+checks, parse, unit annotation and ``coerce_unit``.  Below it,
+``definition.parsed_cells`` maps each raw cell to its TypedValue.  Only
+successes are stored: an error is raised afresh, with its own line number,
+every time it is met.  Both memos start empty when their owner is built,
+copied or unpickled (``builtin_schema()`` builds a fresh schema per call);
+a long-lived schema keeps one entry per distinct line and cell.
 
 Per-row and per-cell code compares kinds, qualifiers and data types with
 module-level bindings of the Enum members made at import (``_NUMBER``,
@@ -83,7 +85,9 @@ from .schema import (
     Kind,
     Record,
     Schema,
+    read_lines,
     read_records,
+    record_fields,
     set_field,
 )
 
@@ -209,20 +213,17 @@ MISSING = TypedValue(kind=_MISSING, qualifier=_UNSPECIFIED)
 
 
 def number(value: float, unit: str | None = None, is_code: bool = False,
-           qualifier: Qualifier = Qualifier.EXACT) -> TypedValue:
-    return TypedValue(kind=_NUMBER, value=float(value), unit=unit,
-                      is_code=is_code, qualifier=qualifier)
+           qualifier: Qualifier = _EXACT) -> TypedValue:
+    return TypedValue(_NUMBER, float(value), None, None, None, None, unit, is_code, qualifier)
 
 
-def money(amount: float, qualifier: Qualifier = Qualifier.EXACT) -> TypedValue:
-    return TypedValue(kind=_MONEY, value=float(amount), symbol="USD",
-                      qualifier=qualifier)
+def money(amount: float, qualifier: Qualifier = _EXACT) -> TypedValue:
+    return TypedValue(_MONEY, float(amount), "USD", None, None, None, None, False, qualifier)
 
 
-def token_amount(amount: float, symbol: str,
-                 qualifier: Qualifier = Qualifier.EXACT) -> TypedValue:
-    return TypedValue(kind=_TOKEN_AMOUNT, value=float(amount),
-                      symbol=symbol.upper(), qualifier=qualifier)
+def token_amount(amount: float, symbol: str, qualifier: Qualifier = _EXACT) -> TypedValue:
+    return TypedValue(_TOKEN_AMOUNT, float(amount), symbol.upper(), None, None, None, None,
+                      False, qualifier)
 
 
 def ratio(numerator: float, denominator: float,
@@ -329,6 +330,12 @@ def _parse_cell(raw: str, definition: IndicatorDef) -> TypedValue:
     if data_type not in _NUMERIC_DATA:
         raise ValueParseError(raw, definition.id, "indicator is not observable")
 
+    # A bare amount, the commonest numeric cell, holds no whitespace, colon,
+    # parenthesis or dollar sign, so no pattern below matches it.
+    amount = _parse_amount(body)
+    if amount is not None:
+        return number(amount, qualifier=qualifier)
+
     if body.startswith("$"):
         rest = body[1:].strip()
         # A trailing token symbol after a dollar amount is ignored in favour
@@ -365,10 +372,6 @@ def _parse_cell(raw: str, definition: IndicatorDef) -> TypedValue:
                 raise ValueParseError(raw, definition.id, "malformed token amount")
             return token_amount(amount, word, qualifier)
         raise ValueParseError(raw, definition.id, f"unrecognised suffix {word!r}")
-
-    amount = _parse_amount(body)
-    if amount is not None:
-        return number(amount, qualifier=qualifier)
 
     raise ValueParseError(raw, definition.id)
 
@@ -455,20 +458,37 @@ class ProgramDataset(Record):
 
 
 def load_program_dataset(source: IO[bytes] | IO[str] | str, schema: Schema) -> ProgramDataset:
-    """Load one program's observation file against *schema*."""
-    records = read_records(source)
-    if not records or records[0][1][0].lower() != "program":
+    """Load one program's observation file against *schema*, through the
+    schema's line memo (see the module docstring)."""
+    lines = read_lines(source)
+    fields = None
+    for start, line in enumerate(lines, start=1):
+        fields = record_fields(line)
+        if fields is not None:
+            break
+    if fields is None or fields[0].lower() != "program":
         raise ParseError("observation file must start with a 'program|<name>' record")
-    line_no, fields = records[0]
     if len(fields) != 2:
-        raise ParseError(f"line {line_no}: program records have 2 fields")
+        raise ParseError(f"line {start}: program records have 2 fields")
     program = fields[1]
     if not program:
-        raise ParseError(f"line {line_no}: program name is empty")
+        raise ParseError(f"line {start}: program name is empty")
 
     observations: dict[str, Observation] = {}
     answers: dict[str, int] = {}
-    for line_no, fields in records[1:]:
+    memo = schema.observed_lines
+    for line_no, line in enumerate(lines[start:], start=start + 1):
+        hit = memo.get(line)
+        if hit is not None:
+            key, definition, raw, observation = hit
+            if key in observations:
+                raise DuplicateIndicator(key)
+            parse_value(raw, definition)  # counted once per row: see the module docstring
+            observations[key] = observation
+            continue
+        fields = record_fields(line)
+        if fields is None:
+            continue
         key = fields[0]
         # Every schema id matches the indicator id pattern, so the pattern
         # is consulted only for a key the schema lacks.
@@ -487,26 +507,21 @@ def load_program_dataset(source: IO[bytes] | IO[str] | str, schema: Schema) -> P
                 raise DuplicateIndicator(key)
             raw = fields[1]
             value = parse_value(raw, definition)
-            row = (raw, fields[2] if len(fields) == 3 else "")
-            observation = definition.observed_rows.get(row)
-            if observation is None:
-                annotation = row[1].lower() or None
-                if annotation:
-                    annotation = _CANONICAL_TIME.get(annotation.rstrip("s"), annotation)
-                inline = value.unit if value.kind is _NUMBER else None
-                if inline and annotation and inline != annotation:
-                    raise ParseError(
-                        f"line {line_no}: unit annotation {annotation!r} contradicts "
-                        f"inline unit {inline!r}"
-                    )
-                try:
-                    value = coerce_unit(value, inline or annotation or definition.unit,
-                                        definition)
-                except ValueError as exc:  # the converted number is not finite
-                    raise ValueParseError(raw, key, str(exc)) from exc
-                observation = definition.observed_rows[row] = Observation(
-                    indicator_id=key, raw=raw, value=value)
-            observations[key] = observation
+            annotation = fields[2].lower() if len(fields) == 3 else None
+            if annotation:
+                annotation = _CANONICAL_TIME.get(annotation.rstrip("s"), annotation)
+            inline = value.unit if value.kind is _NUMBER else None
+            if inline and annotation and inline != annotation:
+                raise ParseError(
+                    f"line {line_no}: unit annotation {annotation!r} contradicts "
+                    f"inline unit {inline!r}"
+                )
+            try:
+                value = coerce_unit(value, inline or annotation or definition.unit, definition)
+            except ValueError as exc:  # the converted number is not finite
+                raise ValueParseError(raw, key, str(exc)) from exc
+            observation = observations[key] = Observation(key, raw, value)
+            memo[line] = (key, definition, raw, observation)
         elif key.lower() == "program":
             raise ParseError(f"line {line_no}: a second program record; a file holds one program")
         else:

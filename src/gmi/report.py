@@ -129,10 +129,32 @@ def _bound(x: float | None) -> str:
     return "" if x is None else _fmt(x)
 
 
+def _audit_line(rec: AuditRecord,
+                bounds: dict[str, tuple[float | None, float | None, str, str]]) -> str:
+    # A column's records share its bound objects, so each column's bounds
+    # are formatted once.  The check is by identity, never by value:
+    # -0.0 == 0.0, yet they print differently.
+    cached = bounds.get(rec.indicator)
+    if cached is None or cached[0] is not rec.minimum or cached[1] is not rec.maximum:
+        cached = bounds[rec.indicator] = (
+            rec.minimum, rec.maximum, _bound(rec.minimum), _bound(rec.maximum)
+        )
+    _, _, lo, hi = cached
+    if rec.exclusion is None:
+        tail = f"score|{_fmt(rec.score)}"
+    else:
+        tail = f"excluded|{rec.exclusion}"
+    return f"audit|{rec.indicator}|{rec.raw}|{lo}|{hi}|{tail}|{_QUALIFIER_TEXT[rec.qualifier]}"
+
+
 def _render_structured(results: Sequence[GmiResult], notes: Sequence[str]) -> Iterator[bytes]:
     yield _encoded(["format|gmi-comparison|1",
                     "|".join(["programs", *(r.program for r in results)])])
     bounds: dict[str, tuple[float | None, float | None, str, str]] = {}
+    # Programs share their audit records, so each distinct record's line is
+    # formatted once.  The key is the record's identity: an AuditRecord
+    # hashes by its fields in Python, and every record outlives this call.
+    audit_lines: dict[int, str] = {}
     for result in results:
         lines = ["", f"program|{result.program}", f"gmi|{_fmt(result.gmi)}",
                  f"stage|{_STAGE_TEXT[result.stage]}"]
@@ -145,23 +167,10 @@ def _render_structured(results: Sequence[GmiResult], notes: Sequence[str]) -> It
                     f"{_fmt(result.normalized_category_scores[cat])}"
                 )
         for rec in result.audit:
-            # A column's records share its bound objects, so each column's
-            # bounds are formatted once.  The check is by identity, never by
-            # value: -0.0 == 0.0, yet they print differently.
-            cached = bounds.get(rec.indicator)
-            if cached is None or cached[0] is not rec.minimum or cached[1] is not rec.maximum:
-                cached = bounds[rec.indicator] = (
-                    rec.minimum, rec.maximum, _bound(rec.minimum), _bound(rec.maximum)
-                )
-            _, _, lo, hi = cached
-            if rec.exclusion is None:
-                tail = f"score|{_fmt(rec.score)}"
-            else:
-                tail = f"excluded|{rec.exclusion}"
-            lines.append(
-                f"audit|{rec.indicator}|{rec.raw}|{lo}|{hi}|{tail}|"
-                f"{_QUALIFIER_TEXT[rec.qualifier]}"
-            )
+            line = audit_lines.get(id(rec))
+            if line is None:
+                line = audit_lines[id(rec)] = _audit_line(rec, bounds)
+            lines.append(line)
         yield _encoded(lines)
     if notes:
         yield _encoded(["", *(f"note|{note}" for note in notes)])

@@ -45,19 +45,32 @@ def split_lines(text: str) -> list[str]:
     return lines
 
 
-def read_records(source: IO[bytes] | IO[str] | bytes | str) -> list[tuple[int, list[str]]]:
-    """Decode *source* as UTF-8 and split it into ``(line number, fields)``
-    records on ``|``, skipping blank lines and ``#`` comments.  One leading
-    byte-order mark (U+FEFF), which some editors write, is dropped."""
+def read_lines(source: IO[bytes] | IO[str] | bytes | str) -> list[str]:
+    """Decode *source* as UTF-8 and split it into lines with ``split_lines``.
+    One leading byte-order mark (U+FEFF), which some editors write, is
+    dropped."""
     data = source.read() if hasattr(source, "read") else source
     if isinstance(data, bytes):
         try:
             data = data.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise ParseError(f"document is not UTF-8: {exc}") from exc
-    return [(line_no, list(map(str.strip, line.split(DELIMITER))))
-            for line_no, line in enumerate(split_lines(data.removeprefix("\ufeff")), start=1)
-            if line.strip()[:1] not in ("", "#")]
+    return split_lines(data.removeprefix("\ufeff"))
+
+
+def record_fields(line: str) -> list[str] | None:
+    """The ``|``-separated fields of *line*, each stripped, or None for a
+    blank line or a ``#`` comment."""
+    if line.strip()[:1] in ("", "#"):
+        return None
+    return list(map(str.strip, line.split(DELIMITER)))
+
+
+def read_records(source: IO[bytes] | IO[str] | bytes | str) -> list[tuple[int, list[str]]]:
+    """The ``(line number, fields)`` records of *source*: its ``read_lines``
+    passed through ``record_fields``, skipping blank lines and comments."""
+    return [(line_no, fields) for line_no, line in enumerate(read_lines(source), start=1)
+            if (fields := record_fields(line)) is not None]
 
 
 #: Stores one field of a record under construction, past its frozen
@@ -221,18 +234,12 @@ class IndicatorDef(Record):
             and self.data_type in (DataType.NUMERIC, DataType.RATIONAL, DataType.BINARY)
         )
 
-    # Per-definition memos that ``ingest`` fills.  A parse depends only on
+    # A per-definition memo that ``ingest`` fills.  A parse depends only on
     # the cell text and this definition, so an entry is valid for as long as
     # the definition lives; a copy made with ``replace`` starts empty.
     @cached_property
     def parsed_cells(self) -> dict:
         """``ingest.parse_value``'s successful results, keyed by raw cell."""
-        return {}
-
-    @cached_property
-    def observed_rows(self) -> dict:
-        """``ingest.load_program_dataset``'s finished observations, keyed by
-        the row's ``(raw cell, unit field)``."""
         return {}
 
     def validate(self) -> None:
@@ -270,7 +277,7 @@ class IndicatorDef(Record):
 
 
 class Schema(Record):
-    __slots__ = ("indicators", "get")
+    __slots__ = ("indicators", "get", "observed_lines")
     _fields = ("indicators",)
 
     def __init__(self, indicators: tuple[IndicatorDef, ...]) -> None:
@@ -280,6 +287,11 @@ class Schema(Record):
         #: ingested row and per scored column) is a single call into C.  It
         #: is no field: copies and pickles rebuild it from the indicators.
         set_field(self, "get", {ind.id: ind for ind in indicators}.get)
+        #: ``ingest.load_program_dataset``'s memo of observation lines read
+        #: under this schema: line text -> (indicator id, definition, raw
+        #: cell, finished Observation).  It is no field either, so copies
+        #: and pickles start with it empty.
+        set_field(self, "observed_lines", {})
 
     def validate(self) -> None:
         seen: set[str] = set()

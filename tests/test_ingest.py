@@ -7,12 +7,13 @@ import math
 import pickle
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gmi.bundled import bundled_program_paths
 from gmi.errors import (
     DuplicateIndicator,
+    GmiError,
     ParseError,
     RubricRangeError,
     UnitError,
@@ -33,7 +34,8 @@ from gmi.ingest import (
     token_amount,
     validate_dataset,
 )
-from gmi.schema import Category, builtin_schema, dump_schema, load_schema
+from gmi.schema import Category, Schema, builtin_schema, dump_schema, load_schema
+from test_sharing import _load_cohort_module
 
 SCHEMA = builtin_schema()
 
@@ -189,6 +191,40 @@ def test_parse_rejects_out_of_domain_values():
 def test_parse_is_deterministic():
     for raw, indicator in (("$276m", "COM-QN-14"), ("1:28", "TAC-QN-6")):
         assert parse_value(raw, _def(indicator)) == parse_value(raw, _def(indicator))
+
+
+# One case per numeric cell form.  The bare-amount pattern is tried first;
+# these cases pin that no form changes its value or its error for it.
+@pytest.mark.parametrize(
+    "raw,indicator,expected",
+    [
+        ("12", "COM-QN-1", number(12)),
+        ("-3", "COM-QN-1", number(-3)),
+        ("1,200.5k", "COM-QN-1", number(1_200_500)),
+        ("$5 OP", "COM-QN-1", money(5)),
+        ("1:2", "COM-QN-1", ratio(1, 2)),
+        ("3 (code)", "FAO-QN-9", number(3, is_code=True)),
+        ("3 (code)", "COM-QN-1", number(3)),
+        ("2 weeks", "COM-QN-1", number(2, unit="weeks")),
+        ("5 OP", "COM-QN-1", token_amount(5, "OP")),
+        ("5 op", "COM-QN-1", "cannot parse '5 op' for indicator COM-QN-1: "
+                             "unrecognised suffix 'op'"),
+        ("1:0", "COM-QN-1", "cannot parse '1:0' for indicator COM-QN-1: "
+                            "ratio denominator must be non-zero"),
+        ("12 xyz", "COM-QN-1", "cannot parse '12 xyz' for indicator COM-QN-1: "
+                               "unrecognised suffix 'xyz'"),
+    ],
+)
+def test_parse_order_keeps_each_numeric_form(raw, indicator, expected):
+    definition = builtin_schema().get(indicator)  # empty memos: a first parse
+    if isinstance(expected, str):
+        with pytest.raises(ValueParseError) as exc:
+            parse_value(raw, definition)
+        assert str(exc.value) == expected
+    else:
+        value = parse_value(raw, definition)
+        assert value == expected
+        assert math.copysign(1.0, value.value) == math.copysign(1.0, expected.value)
 
 
 @pytest.mark.parametrize(
@@ -382,7 +418,7 @@ def test_cell_errors_are_never_memoised():
     for _ in range(2):
         with pytest.raises(ParseError, match="line 2"):
             load_program_dataset("program|X\nCOM-QN-8|18 weeks|months\n", schema)
-    assert ("18 weeks", "months") not in schema.get("COM-QN-8").observed_rows
+    assert schema.observed_lines == {}  # neither failing line was stored
 
 
 def test_repeated_row_hitting_the_memo_is_still_a_duplicate():
@@ -418,9 +454,89 @@ def test_memos_belong_to_one_definition():
     in_months = load_program_dataset(row, custom).observations["COM-QN-8"].value.value
     assert in_months == pytest.approx(2 / 4.345)
     # A fresh schema, and a copy of a definition, start with empty memos.
-    assert builtin_schema().get("COM-QN-8").observed_rows == {}
+    assert builtin_schema().observed_lines == {}
     copied = builtin.get("COM-QN-8").replace(description="copy")
-    assert copied.parsed_cells == {} and copied.observed_rows == {}
+    assert copied.parsed_cells == {}
+    # A line memoised under one schema is unknown under a schema without
+    # its indicator, though that schema shares the other definitions.
+    assert "COM-QN-8|2|weeks" in builtin.observed_lines
+    lacking = Schema(tuple(ind for ind in builtin.indicators if ind.id != "COM-QN-8"))
+    lacking.validate()
+    with pytest.raises(UnknownIndicator):
+        load_program_dataset(row, lacking)
+
+
+# ---------------------------------------------------------------------------
+# The per-schema memo of observation lines
+# ---------------------------------------------------------------------------
+
+
+def test_a_memoised_line_cannot_stand_first():
+    schema = builtin_schema()
+    load_program_dataset("program|A\nFAO-QN-2|$5,000\n", schema)
+    assert "FAO-QN-2|$5,000" in schema.observed_lines
+    for text in ("FAO-QN-2|$5,000\nprogram|B\n", "# note\n\nFAO-QN-2|$5,000\n"):
+        with pytest.raises(ParseError, match="must start with a 'program|<name>' record"):
+            load_program_dataset(text, schema)
+
+
+@pytest.mark.parametrize("bad,message", [
+    ("COM-QN-8|18 weeks|months", "^line 5: unit annotation"),
+    ("COM-QN-2|lots of grants", "lots of grants"),
+    ("COM-QN-1|3|headcount|extra", "^line 5: observation rows have 2 or 3 fields$"),
+    ("COM-QN|3", "^line 5: COM-QN is a synthetic indicator"),
+    ("governance|9", "criterion 'governance'"),
+])
+def test_a_bad_line_after_memoised_lines_reports_its_own_line(bad, message):
+    schema = builtin_schema()
+    rows = "FAO-QN-2|$5,000\n# note\nCOM-QN-1|12\n"
+    load_program_dataset("program|A\n" + rows, schema)
+    with pytest.raises(GmiError, match=message):
+        load_program_dataset(f"program|B\n{rows}{bad}\n", schema)
+    assert bad not in schema.observed_lines
+
+
+def test_schema_copies_start_with_an_empty_line_memo():
+    schema = builtin_schema()
+    text = "program|A\nFAO-QN-2|$5,000\nCOM-QN-8|6|months\n"
+    first = load_program_dataset(text, schema)
+    assert len(schema.observed_lines) == 2
+    for twin in (copy.copy(schema), copy.deepcopy(schema), pickle.loads(pickle.dumps(schema))):
+        assert twin == schema and twin.observed_lines == {}
+        again = load_program_dataset(text, twin)
+        assert again == first
+        assert again.observations["FAO-QN-2"] is not first.observations["FAO-QN-2"]
+        assert len(twin.observed_lines) == 2
+    assert len(schema.observed_lines) == 2
+
+
+# Lines a test inserts into generated files: some were read without error
+# elsewhere in the cohort, the others fail in their own ways.
+_INSERTED = ("FAO-QN-7|Questbook", "TAC-QN-5|1", "COM-QN-8|18 weeks|months",
+             "COM-QN-1|lots of grants", "FAO-QN-99|1", "program|Again", "governance|4")
+
+
+def _outcome(text: str, schema: Schema):
+    try:
+        return repr(load_program_dataset(text, schema))
+    except GmiError as exc:
+        return type(exc).__name__, str(exc)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**16), count=st.integers(1, 8),
+       inserts=st.lists(st.tuples(st.integers(0, 7), st.integers(0, 80),
+                                  st.sampled_from(_INSERTED)), max_size=4))
+def test_a_shared_schema_loads_as_fresh_schemas_do(seed, count, inserts):
+    texts = [p.text for p in _load_cohort_module().generate(seed, count).programs]
+    for index, where, line in inserts:
+        lines = texts[index % count].split("\n")
+        lines.insert(where % len(lines), line)
+        texts[index % count] = "\n".join(lines)
+    fresh = [_outcome(text, builtin_schema()) for text in texts]
+    shared = builtin_schema()
+    assert [_outcome(text, shared) for text in texts] == fresh
+    assert [_outcome(text, shared) for text in texts] == fresh  # every line met before
 
 
 @pytest.mark.parametrize("enum", [Category, Qualifier])

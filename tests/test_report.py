@@ -206,6 +206,20 @@ def test_structured_bounds_keep_the_sign_of_zero(tmp_path, capsys):
     assert minima["COM-QN-2"] == "0.0000"
 
 
+def test_structured_audit_lines_follow_each_record_not_its_value():
+    # Two records equal as values may differ in the sign of a zero, which
+    # the structured format prints: each record gets its own line.
+    _, results = _raw_results()
+    rec = results[0].audit[0]
+    negative, positive = rec.replace(minimum=-0.0), rec.replace(minimum=0.0)
+    assert negative == positive and hash(negative) == hash(positive)
+    doctored = [results[0].replace(audit=(negative, positive)),
+                results[1].replace(audit=(positive, negative))]
+    document = render_comparison(doctored, fmt="structured").decode("utf-8")
+    minima = [line.split("|")[3] for line in document.splitlines() if line.startswith("audit|")]
+    assert minima == ["-0.0000", "0.0000", "0.0000", "-0.0000"]
+
+
 @pytest.mark.parametrize("separator", ["\x85", "\u2028", "\x1e"], ids=["NEL", "LS", "RS"])
 def test_structured_round_trip_keeps_line_separators_inside_cells(separator):
     schema = builtin_schema()

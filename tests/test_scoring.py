@@ -467,16 +467,22 @@ def test_records_are_slotted_values(record, field, other):
 
 
 def test_copies_of_a_definition_start_with_empty_memos():
-    definition = builtin_schema().get("COM-QN-2")
-    assert definition.parsed_cells == {} and definition.observed_rows == {}
+    schema = builtin_schema()
+    definition = schema.get("COM-QN-2")
+    assert definition.parsed_cells == {} and schema.observed_lines == {}
     definition.parsed_cells["3"] = number(3)
-    definition.observed_rows[("3", "")] = Observation("COM-QN-2", "3", number(3))
+    schema.observed_lines["COM-QN-2|3"] = (
+        "COM-QN-2", definition, "3", Observation("COM-QN-2", "3", number(3)))
     assert definition.scorable
     for twin in (definition.replace(), copy.copy(definition), copy.deepcopy(definition),
                  pickle.loads(pickle.dumps(definition))):
         assert twin == definition
         assert vars(twin) == {key: getattr(definition, key) for key in definition._fields}
-        assert twin.parsed_cells == {} and twin.observed_rows == {}
+        assert twin.parsed_cells == {}
+    # The line memo lives on the schema, and copies of it start empty too.
+    for twin in (schema.replace(), copy.copy(schema), copy.deepcopy(schema),
+                 pickle.loads(pickle.dumps(schema))):
+        assert twin == schema and twin.observed_lines == {}
 
 
 def test_schema_copies_rebuild_the_id_map():
