@@ -37,7 +37,6 @@ from .rubric import (
     RubricTemplate,
     builtin_template,
     collect_responses,
-    load_responses,
     render_template,
     rubric_to_unit,
 )
@@ -51,7 +50,6 @@ from .schema import (
     builtin_schema,
     dump_schema,
     load_schema,
-    with_directions,
 )
 from .scoring import (
     AuditRecord,

@@ -2,20 +2,19 @@
 
 from __future__ import annotations
 
-from importlib.resources import files
 from pathlib import Path
 
 PROGRAM_FILES = ("taiko.txt", "mantle.txt", "arbitrum-stip.txt", "optimism.txt")
 
-
-def _data_root() -> Path:
-    return Path(str(files("gmi").joinpath("data")))
+#: The package data lives beside this module; ``importlib.resources`` would
+#: find the same directory but loads ``typing``, ``tempfile`` and ``shutil``.
+_DATA_ROOT = Path(__file__).parent / "data"
 
 
 def bundled_program_paths() -> list[Path]:
-    root = _data_root() / "programs"
+    root = _DATA_ROOT / "programs"
     return [root / name for name in PROGRAM_FILES]
 
 
 def bundled_category_table_path() -> Path:
-    return _data_root() / "category_scores.txt"
+    return _DATA_ROOT / "category_scores.txt"

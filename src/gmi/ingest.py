@@ -34,7 +34,8 @@ Observation files are pipe-delimited UTF-8 text::
 
 A first field matching the indicator id pattern is an observation; any other
 first field is read as a rubric criterion id with an integer 1..5 score, or
-a blank score for an unanswered criterion, as in survey response files.
+a blank score for an unanswered criterion, as ``gmi survey template``
+prints them.
 
 Observation lines repeat across a cohort (flags, codes, platforms,
 placeholders), so ingest memoises at two levels.  ``schema.observed_lines``
@@ -90,10 +91,6 @@ from .schema import (
     record_fields,
     set_field,
 )
-
-TYPE_CHECKING = False
-if TYPE_CHECKING:  # annotations only: start-up does not import typing
-    from typing import IO
 
 # Fixed time conversions, chosen for reproducibility over calendar precision.
 WEEKS_PER_MONTH = 4.345
@@ -457,7 +454,7 @@ class ProgramDataset(Record):
     rubric: dict[str, int]
 
 
-def load_program_dataset(source: IO[bytes] | IO[str] | str, schema: Schema) -> ProgramDataset:
+def load_program_dataset(source: bytes | str, schema: Schema) -> ProgramDataset:
     """Load one program's observation file against *schema*, through the
     schema's line memo (see the module docstring)."""
     lines = read_lines(source)
@@ -537,7 +534,7 @@ def check_distinct_programs(programs: Sequence[str]) -> None:
         raise ParseError("duplicate program names across datasets")
 
 
-def load_rates(source: IO[bytes] | IO[str] | str) -> dict[str, float]:
+def load_rates(source: bytes | str) -> dict[str, float]:
     """Load a token conversion table (``SYMBOL|usd-per-token`` lines)."""
     rates: dict[str, float] = {}
     for line_no, fields in read_records(source):

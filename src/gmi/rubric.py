@@ -1,9 +1,9 @@
 """Self-assessment survey: builtin criteria, response handling, grouping.
 
-Response files are pipe-delimited ``criterion-id|score`` lines; scores run
-from 1 (Low) to 5 (High). A blank score means the criterion was left
-unanswered and is simply omitted from the aggregation. Observation files
-carry the same rows, read by the same function.
+Survey responses are pipe-delimited ``criterion-id|score`` rows inside an
+observation file (``gmi survey template`` prints them blank, ready to paste
+in); scores run from 1 (Low) to 5 (High). A blank score means the criterion
+was left unanswered and is simply omitted from the aggregation.
 
 Layer order: this module sits above ``schema`` and below ``ingest``; it owns
 the rubric row reader and the 1..5 range check that loading, validation and
@@ -15,11 +15,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 
 from .errors import ParseError, RubricRangeError, UnknownCriterion
-from .schema import Category, Record, read_records, set_field
-
-TYPE_CHECKING = False
-if TYPE_CHECKING:  # annotations only: start-up does not import typing
-    from typing import IO
+from .schema import Category, Record, set_field
 
 SCALE_MIN = 1
 SCALE_MAX = 5
@@ -109,7 +105,8 @@ def collect_responses(template: RubricTemplate,
 
 
 def render_template(template: RubricTemplate | None = None) -> str:
-    """Blank survey in the response file format, ready to fill offline."""
+    """Blank survey rows, ready to fill offline and paste into an observation
+    file."""
     template = template or builtin_template()
     lines = [
         f"# Self-assessment survey: score each criterion from "
@@ -140,11 +137,3 @@ def read_answer(answers: dict[str, int], line_no: int, fields: list[str]) -> Non
     if criterion_id in answers:
         raise ParseError(f"line {line_no}: duplicate rubric row for {criterion_id!r}")
     answers[criterion_id] = score
-
-
-def load_responses(source: IO[bytes] | IO[str] | str) -> dict[str, int]:
-    """Read filled survey lines; blank scores are skipped."""
-    answers: dict[str, int] = {}
-    for line_no, fields in read_records(source):
-        read_answer(answers, line_no, fields)
-    return answers

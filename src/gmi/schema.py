@@ -19,13 +19,8 @@ from __future__ import annotations
 
 import re
 from enum import Enum
-from functools import cached_property
 
 from .errors import ParseError, SchemaError
-
-TYPE_CHECKING = False
-if TYPE_CHECKING:  # annotations only: start-up does not import typing
-    from typing import IO
 
 DELIMITER = "|"
 
@@ -45,17 +40,16 @@ def split_lines(text: str) -> list[str]:
     return lines
 
 
-def read_lines(source: IO[bytes] | IO[str] | bytes | str) -> list[str]:
+def read_lines(source: bytes | str) -> list[str]:
     """Decode *source* as UTF-8 and split it into lines with ``split_lines``.
     One leading byte-order mark (U+FEFF), which some editors write, is
     dropped."""
-    data = source.read() if hasattr(source, "read") else source
-    if isinstance(data, bytes):
+    if isinstance(source, bytes):
         try:
-            data = data.decode("utf-8")
+            source = source.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise ParseError(f"document is not UTF-8: {exc}") from exc
-    return split_lines(data.removeprefix("\ufeff"))
+    return split_lines(source.removeprefix("\ufeff"))
 
 
 def record_fields(line: str) -> list[str] | None:
@@ -66,7 +60,7 @@ def record_fields(line: str) -> list[str] | None:
     return list(map(str.strip, line.split(DELIMITER)))
 
 
-def read_records(source: IO[bytes] | IO[str] | bytes | str) -> list[tuple[int, list[str]]]:
+def read_records(source: bytes | str) -> list[tuple[int, list[str]]]:
     """The ``(line number, fields)`` records of *source*: its ``read_lines``
     passed through ``record_fields``, skipping blank lines and comments."""
     return [(line_no, fields) for line_no, line in enumerate(read_lines(source), start=1)
@@ -83,21 +77,21 @@ class Record:
     """Base of the engine's immutable value records.
 
     A subclass names its fields, in constructor order, in ``_fields``, and
-    is slotted unless it keeps ``cached_property`` memos.  Assigning or
-    deleting an attribute raises AttributeError.  Records compare (only
-    with their own class), hash and print by their fields; ``copy``,
-    ``deepcopy`` and ``pickle`` rebuild them from their fields through the
-    constructor, so a copy starts with empty memos, as does ``replace``.
+    is slotted (``ScoreMatrix`` alone keeps ``cached_property`` memos in an
+    instance dict).  Assigning or deleting an attribute raises
+    AttributeError.  Records compare (only with their own class), hash and
+    print by their fields; ``copy``, ``deepcopy`` and ``pickle`` rebuild
+    them from their fields through the constructor, so a copy starts with
+    empty memos, as does ``replace``.
 
     The generic constructor binds positional and keyword arguments to
-    ``_fields`` and fills the others from ``_defaults``.  Records built per
-    cell, per program or per indicator write their own, which store each
-    field with ``set_field`` and cost less per call.
+    ``_fields``; every field must be given.  Records built per cell, per
+    program or per indicator write their own, which store each field with
+    ``set_field`` and cost less per call.
     """
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
-    _defaults: dict[str, object] = {}
 
     def __init__(self, *args: object, **kwargs: object) -> None:
         name = type(self).__name__
@@ -110,9 +104,7 @@ class Record:
         values.update(kwargs)
         for key in self._fields:
             if key not in values:
-                if key not in self._defaults:
-                    raise TypeError(f"{name} is missing field {key!r}")
-                values[key] = self._defaults[key]
+                raise TypeError(f"{name} is missing field {key!r}")
             set_field(self, key, values[key])
 
     def _values(self) -> tuple:
@@ -204,9 +196,9 @@ class Direction(Enum):
 
 
 class IndicatorDef(Record):
-    # Not slotted: the cached_property memos below live in the instance dict.
     _fields = ("id", "category", "kind", "data_type", "unit", "direction", "description",
                "explicit_direction")
+    __slots__ = _fields + ("scorable", "parsed_cells")
 
     def __init__(self, id: str, category: Category, kind: Kind, data_type: DataType | None,
                  unit: str, direction: Direction, description: str,
@@ -225,22 +217,16 @@ class IndicatorDef(Record):
         set_field(self, "direction", direction)
         set_field(self, "description", description)
         set_field(self, "explicit_direction", explicit_direction)
-
-    @cached_property
-    def scorable(self) -> bool:
-        return (
-            self.kind is Kind.QUANTITATIVE
-            and self.direction is not Direction.NON_SCORABLE
-            and self.data_type in (DataType.NUMERIC, DataType.RATIONAL, DataType.BINARY)
-        )
-
-    # A per-definition memo that ``ingest`` fills.  A parse depends only on
-    # the cell text and this definition, so an entry is valid for as long as
-    # the definition lives; a copy made with ``replace`` starts empty.
-    @cached_property
-    def parsed_cells(self) -> dict:
-        """``ingest.parse_value``'s successful results, keyed by raw cell."""
-        return {}
+        set_field(self, "scorable", (
+            kind is Kind.QUANTITATIVE
+            and direction is not Direction.NON_SCORABLE
+            and data_type in (DataType.NUMERIC, DataType.RATIONAL, DataType.BINARY)
+        ))
+        #: ``ingest.parse_value``'s successful results, keyed by raw cell.
+        #: A parse depends only on the cell text and this definition, so an
+        #: entry is valid for as long as the definition lives.  It is no
+        #: field: copies, ``replace`` and pickles start with it empty.
+        set_field(self, "parsed_cells", {})
 
     def validate(self) -> None:
         if not INDICATOR_ID_PATTERN.match(self.id):
@@ -468,7 +454,7 @@ def dump_schema(schema: Schema) -> str:
     return "\n".join(lines) + "\n"
 
 
-def load_schema(source: IO[bytes] | IO[str] | str) -> Schema:
+def load_schema(source: bytes | str) -> Schema:
     """Parse and validate a schema document.
 
     Raises ParseError for malformed documents and SchemaError when indicator
@@ -514,16 +500,3 @@ def load_schema(source: IO[bytes] | IO[str] | str) -> Schema:
     schema = Schema(indicators=tuple(indicators))
     schema.validate()
     return schema
-
-
-def with_directions(schema: Schema, overrides: dict[str, Direction]) -> Schema:
-    """Return a copy of *schema* with explicit direction overrides applied."""
-    updated = []
-    for ind in schema.indicators:
-        if ind.id in overrides:
-            updated.append(ind.replace(direction=overrides[ind.id], explicit_direction=True))
-        else:
-            updated.append(ind)
-    out = Schema(indicators=tuple(updated))
-    out.validate()
-    return out

@@ -38,10 +38,6 @@ from .ingest import ProgramDataset, Qualifier, check_distinct_programs, scoring_
 from .rubric import rubric_to_unit  # noqa: F401  re-exported for gmi.scoring callers
 from .schema import CATEGORIES, Category, Direction, Record, Schema, read_records, set_field
 
-TYPE_CHECKING = False
-if TYPE_CHECKING:  # annotations only: start-up does not import typing
-    from typing import IO
-
 #: Width of the composite range: six categories, each normalized to [0, 1].
 CATEGORY_COUNT = 6
 
@@ -385,26 +381,22 @@ _TABLE_HEADER = ("program",) + tuple(cat.code for cat in CATEGORIES)
 
 class CategoryTable(Record):
     __slots__ = _fields = ("programs", "scores", "notes")
-    _defaults = {"notes": ()}
     programs: tuple[str, ...]
     scores: dict[str, dict[Category, float]]
     notes: tuple[str, ...]
 
 
-def load_category_table(source: IO[bytes] | IO[str] | str) -> CategoryTable:
+def load_category_table(source: bytes | str) -> CategoryTable:
     """Read a precomputed category-score table.
 
     Format: header ``program|FAO|PSO|GOV|EFI|TAC|COM``, one program per row,
     cells numeric or ``n.a.`` for absent categories; ``note|...`` lines are
     carried into report footnotes.
     """
-    records = read_records(source)
-    if not records:
-        raise ParseError("category table has no header row")
-    rows = []
+    scores: dict[str, dict[Category, float]] = {}
     notes: list[str] = []
     header_seen = False
-    for line_no, fields in records:
+    for line_no, fields in read_records(source):
         if fields[0].lower() == "note":
             notes.append("|".join(fields[1:]))
             continue
@@ -417,19 +409,11 @@ def load_category_table(source: IO[bytes] | IO[str] | str) -> CategoryTable:
             continue
         if len(fields) != len(_TABLE_HEADER):
             raise ParseError(f"line {line_no}: expected {len(_TABLE_HEADER)} fields")
-        rows.append((line_no, fields))
-    if not header_seen:
-        raise ParseError("category table has no header row")
-
-    programs: list[str] = []
-    scores: dict[str, dict[Category, float]] = {}
-    for line_no, fields in rows:
         program = fields[0]
         if not program:
             raise ParseError(f"line {line_no}: program name is empty")
         if program in scores:
             raise ParseError(f"line {line_no}: duplicate program {program!r}")
-        programs.append(program)
         per_cat: dict[Category, float] = {}
         for cat, cell in zip(CATEGORIES, fields[1:]):
             if cell.lower() in ("n.a.", ""):
@@ -444,9 +428,11 @@ def load_category_table(source: IO[bytes] | IO[str] | str) -> CategoryTable:
                 raise ParseError(f"line {line_no}: score {cell!r} is not finite")
             per_cat[cat] = score
         scores[program] = per_cat
-    if not programs:
+    if not header_seen:
+        raise ParseError("category table has no header row")
+    if not scores:
         raise ParseError("category table has no program rows")
-    return CategoryTable(programs=tuple(programs), scores=scores, notes=tuple(notes))
+    return CategoryTable(programs=tuple(scores), scores=scores, notes=tuple(notes))
 
 
 def score_category_table(table: CategoryTable,

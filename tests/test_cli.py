@@ -13,7 +13,8 @@ import gmi.cli
 import gmi.rubric
 from gmi.bundled import bundled_category_table_path, bundled_program_paths
 from gmi.cli import main
-from gmi.rubric import builtin_template, collect_responses, load_responses
+from gmi.ingest import load_program_dataset
+from gmi.rubric import builtin_template, collect_responses
 from gmi.schema import builtin_schema
 
 CATEGORY_TABLE = str(bundled_category_table_path())
@@ -255,7 +256,7 @@ def test_survey_template_round_trip(capsys):
         line + "4" if line and not line.startswith("#") else line
         for line in template_text.splitlines()
     ]
-    answers = load_responses("\n".join(filled))
+    answers = load_program_dataset("program|X\n" + "\n".join(filled), builtin_schema()).rubric
     grouped = collect_responses(builtin_template(), answers)
     assert sum(len(v) for v in grouped.values()) == 6
 

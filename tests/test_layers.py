@@ -56,15 +56,16 @@ def test_relative_imports_point_down_the_layers():
     assert upward == []
 
 
-#: Modules that ``import gmi.cli`` must not load: ``dataclasses`` and the
-#: ``inspect`` it pulls in cost a short ``gmi`` run more than the engine's
-#: own imports, and ``typing`` is needed only by type checkers.
+#: Modules that ``import gmi.cli`` and ``import gmi.bundled`` must not load:
+#: ``dataclasses`` and the ``inspect`` it pulls in cost a short ``gmi`` run
+#: more than the engine's own imports, and ``typing`` is needed only by type
+#: checkers.
 HEAVY_AT_START_UP = ("dataclasses", "inspect", "typing")
 
 
 def test_start_up_imports_no_heavy_module():
     # -S: a site-packages ``.pth`` file may import any of them before gmi.
-    code = ("import sys; import gmi, gmi.cli; "
+    code = ("import sys; import gmi, gmi.cli, gmi.bundled; "
             f"print(' '.join(m for m in {HEAVY_AT_START_UP!r} if m in sys.modules))")
     path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
     out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,

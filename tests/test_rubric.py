@@ -7,16 +7,21 @@ import random
 import pytest
 
 from gmi.errors import ParseError, RubricRangeError, UnknownCriterion
+from gmi.ingest import load_program_dataset
 from gmi.rubric import (
     SCALE_ANCHORS,
     SCALE_MAX,
     SCALE_MIN,
     builtin_template,
     collect_responses,
-    load_responses,
     render_template,
 )
-from gmi.schema import Category
+from gmi.schema import Category, builtin_schema
+
+
+def _answers(rows: str) -> dict[str, int]:
+    """The rubric answers of an observation file holding *rows*."""
+    return load_program_dataset("program|X\n" + rows, builtin_schema()).rubric
 
 
 def test_builtin_template_has_six_criteria():
@@ -114,21 +119,20 @@ def test_template_round_trips_through_responses():
         else:
             score = score % 5 + 1
             filled.append(line + str(score))
-    answers = load_responses("\n".join(filled))
+    answers = _answers("\n".join(filled))
     assert len(answers) == 6
     grouped = collect_responses(builtin_template(), answers)
     assert sum(len(v) for v in grouped.values()) == 6
 
 
-def test_load_responses_skips_blank_scores():
-    answers = load_responses("governance|4\nclarity-of-objectives|\n")
-    assert answers == {"governance": 4}
+def test_rubric_rows_skip_blank_scores():
+    assert _answers("governance|4\nclarity-of-objectives|\n") == {"governance": 4}
 
 
-def test_load_responses_errors():
+def test_rubric_row_errors():
     with pytest.raises(ParseError):
-        load_responses("governance|x\n")
+        _answers("governance|x\n")
     with pytest.raises(RubricRangeError):
-        load_responses("governance|9\n")
+        _answers("governance|9\n")
     with pytest.raises(ParseError):
-        load_responses("governance|4\ngovernance|5\n")
+        _answers("governance|4\ngovernance|5\n")

@@ -7,7 +7,6 @@ import pytest
 from gmi.bundled import bundled_category_table_path, bundled_program_paths
 from gmi.errors import ParseError, SchemaError
 from gmi.ingest import load_program_dataset, load_rates
-from gmi.rubric import load_responses
 from gmi.schema import (
     Category,
     DataType,
@@ -17,7 +16,6 @@ from gmi.schema import (
     dump_schema,
     load_schema,
     read_records,
-    with_directions,
 )
 from gmi.scoring import load_category_table
 
@@ -138,7 +136,8 @@ LOADERS = {
     "rates": (load_rates, "OP|1.75\nARB|0.55\n"),
     "category-table": (load_category_table,
                        bundled_category_table_path().read_text(encoding="utf-8")),
-    "survey-responses": (load_responses, "governance|4\nclarity-of-objectives|\n"),
+    "survey-responses": (lambda source: load_program_dataset(source, builtin_schema()),
+                         "program|X\ngovernance|4\nclarity-of-objectives|\n"),
 }
 
 
@@ -155,8 +154,10 @@ def test_only_one_byte_order_mark_is_dropped_and_line_numbers_stay():
     assert read_records(f"{BOM}{BOM}a") == [(1, [f"{BOM}a"])]
 
 
-def test_with_directions_marks_explicit():
-    schema = with_directions(builtin_schema(), {"FAO-QN-6": Direction.LOWER_BETTER})
+def test_an_explicit_direction_round_trips():
+    schema = load_schema(dump_schema(builtin_schema()).replace(
+        "FAO-QN-6|FAO|quantitative|numeric|weeks|default|",
+        "FAO-QN-6|FAO|quantitative|numeric|weeks|lower-better|"))
     ind = schema.get("FAO-QN-6")
     assert ind.direction is Direction.LOWER_BETTER
     assert ind.explicit_direction

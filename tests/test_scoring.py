@@ -22,10 +22,10 @@ from gmi.rubric import Criterion, RubricTemplate
 from gmi.schema import (
     Category,
     Direction,
-    IndicatorDef,
     Schema,
     builtin_schema,
-    with_directions,
+    dump_schema,
+    load_schema,
 )
 from gmi.scoring import (
     AuditRecord,
@@ -308,14 +308,20 @@ def test_score_datasets_codes_need_explicit_direction():
     matrix, _ = score_datasets(datasets, schema, allow_partial=True)
     assert matrix.entries[("A", "PSO-QN-1")] == Excluded("non-scorable")
 
-    explicit = with_directions(schema, {"PSO-QN-1": Direction.HIGHER_BETTER})
+    explicit = load_schema(dump_schema(schema).replace(
+        "PSO-QN-1|PSO|quantitative|numeric|scoring|default|",
+        "PSO-QN-1|PSO|quantitative|numeric|scoring|higher-better|"))
+    assert explicit.get("PSO-QN-1").explicit_direction
     matrix, _ = score_datasets(datasets, explicit, allow_partial=True)
     assert matrix.entries[("A", "PSO-QN-1")] == 1.0
     assert matrix.entries[("B", "PSO-QN-1")] == 0.0
 
 
 def test_score_datasets_lower_better_direction():
-    schema = with_directions(builtin_schema(), {"FAO-QN-6": Direction.LOWER_BETTER})
+    schema = load_schema(dump_schema(builtin_schema()).replace(
+        "FAO-QN-6|FAO|quantitative|numeric|weeks|default|",
+        "FAO-QN-6|FAO|quantitative|numeric|weeks|lower-better|"))
+    assert schema.get("FAO-QN-6").direction is Direction.LOWER_BETTER
     datasets = [
         _dataset("A", {"FAO-QN-6": number(2)}, _full_rubric(3)),
         _dataset("B", {"FAO-QN-6": number(4)}, _full_rubric(3)),
@@ -392,6 +398,12 @@ def test_load_category_table_errors():
     for bad in ("nan", "inf", "-inf"):
         with pytest.raises(ParseError):
             load_category_table(f"program|FAO|PSO|GOV|EFI|TAC|COM\nX|1|2|{bad}|4|5|6\n")
+    # The table is read in one pass, so of several defects the first by
+    # line number is reported: the duplicate, not the short row after it.
+    with pytest.raises(ParseError, match="^line 3: duplicate program 'X'$"):
+        load_category_table(
+            "program|FAO|PSO|GOV|EFI|TAC|COM\nX|1|2|3|4|5|6\nX|1|2|3|4|5|6\nY|1\n"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -425,7 +437,7 @@ def _record_samples():
         (audit, "score", 0.5),
         (result, "gmi", 1.0),
         (ScoreMatrix(("A",), (result,)), "programs", ("B",)),
-        (CategoryTable(("A",), {"A": {Category.COM: 1.0}}), "notes", ("a note",)),
+        (CategoryTable(("A",), {"A": {Category.COM: 1.0}}, ()), "notes", ("a note",)),
     ]
 
 
@@ -436,8 +448,9 @@ _UNHASHABLE = (ProgramDataset, ValidationReport, GmiResult, ScoreMatrix, Categor
 @pytest.mark.parametrize("record,field,other", _record_samples(),
                          ids=[type(sample[0]).__name__ for sample in _record_samples()])
 def test_records_are_slotted_values(record, field, other):
-    # Only the two records with cached_property memos keep an instance dict.
-    assert hasattr(record, "__dict__") == isinstance(record, (IndicatorDef, ScoreMatrix))
+    # Only ScoreMatrix, whose maps are cached_property memos, keeps an
+    # instance dict.
+    assert hasattr(record, "__dict__") == isinstance(record, ScoreMatrix)
     with pytest.raises(AttributeError):
         setattr(record, field, other)
     with pytest.raises(AttributeError):
@@ -477,8 +490,7 @@ def test_copies_of_a_definition_start_with_empty_memos():
     for twin in (definition.replace(), copy.copy(definition), copy.deepcopy(definition),
                  pickle.loads(pickle.dumps(definition))):
         assert twin == definition
-        assert vars(twin) == {key: getattr(definition, key) for key in definition._fields}
-        assert twin.parsed_cells == {}
+        assert twin.parsed_cells == {} and twin.scorable == definition.scorable
     # The line memo lives on the schema, and copies of it start empty too.
     for twin in (schema.replace(), copy.copy(schema), copy.deepcopy(schema),
                  pickle.loads(pickle.dumps(schema))):
@@ -496,11 +508,12 @@ def test_schema_copies_rebuild_the_id_map():
 
 
 def test_record_constructors_bind_fields_like_a_signature():
-    table = CategoryTable(("A",), scores={})
+    table = CategoryTable(("A",), {}, notes=())
     assert table.notes == () and table == CategoryTable(programs=("A",), scores={}, notes=())
     assert repr(Excluded("missing")) == "Excluded(reason='missing')"
     fields = ("governance", Category.GOV, "Governance")
     for bad in (lambda: Criterion(*fields),                       # a field is missing
+                lambda: CategoryTable(("A",), scores={}),         # no field has a default
                 lambda: Criterion(*fields, "p", "extra"),         # one argument too many
                 lambda: Criterion(*fields, "p", id="again"),      # a field given twice
                 lambda: Criterion(*fields, prompt="p", colour=1),  # no such field
