@@ -3,7 +3,8 @@
 Subcommands: ``validate``, ``score`` (registered with the alias
 ``compare``, so both names run one parser), ``survey template`` and
 ``schema dump``.  Exit statuses: 0 success, 1 domain failure (unscorable
-data, partial cohorts), 2 input or usage failure.
+data, partial cohorts), 2 input or usage failure; ``main`` alone maps
+errors to them.
 
 ``main`` runs a command with the cyclic garbage collector suspended: a
 scoring run keeps every cell of the cohort alive until it returns and
@@ -21,7 +22,7 @@ import sys
 from pathlib import Path
 
 from . import rubric
-from .errors import GmiError, PartialDataError
+from .errors import EmptyCategory, GmiError, PartialDataError
 from .ingest import check_distinct_programs, load_program_dataset, load_rates, validate_dataset
 from .report import FORMATS, render_comparison, render_validation
 from .rubric import render_template
@@ -88,18 +89,13 @@ def _cmd_score(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
         if len(args.inputs) != 1:
             parser.error("precomputed-categories mode takes exactly one input file")
 
-    try:
-        if args.mode == MODE_PRECOMPUTED:
-            table = load_category_table(Path(args.inputs[0]).read_bytes())
-            results = score_category_table(table, allow_partial=args.allow_partial)
-            notes = table.notes
-        else:
-            results = _score_raw(args)
-            notes = ()
-    except PartialDataError as exc:
-        print(f"PartialDataError: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
-
+    if args.mode == MODE_PRECOMPUTED:
+        table = load_category_table(Path(args.inputs[0]).read_bytes())
+        results = score_category_table(table, allow_partial=args.allow_partial)
+        notes = table.notes
+    else:
+        results = _score_raw(args)
+        notes = ()
     _emit(render_comparison(results, fmt=args.format, notes=notes), args.out)
     return EXIT_OK
 
@@ -169,7 +165,7 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except GmiError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return EXIT_DOMAIN if isinstance(exc, (PartialDataError, EmptyCategory)) else EXIT_USAGE
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

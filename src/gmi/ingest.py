@@ -13,7 +13,7 @@ under the indicator's declared data type:
 * binary indicators accept ``0``/``1`` and ``no``/``yes``.
 * ``$X`` is USD money; thousands separators and magnitude suffixes
   k/m/b (1e3/1e6/1e9) are understood; a trailing token symbol after a ``$``
-  amount is ignored.
+  amount is ignored.  Money and token amounts need a USD indicator.
 * ``A:B`` is a ratio, stored with numerator and denominator.
 * a number followed by a time-unit word (``week(s)``/``month(s)``/
   ``year(s)``) is a Number annotated with that unit for later coercion.
@@ -419,15 +419,18 @@ def _format_number(x: float | None) -> str:
 def coerce_unit(value: TypedValue, from_unit: str | None, definition: IndicatorDef) -> TypedValue:
     """Express *value* in the indicator's declared unit.
 
+    Money and token amounts need an indicator whose unit is USD (any case).
     Identity when units already agree; otherwise only time units convert
     (fixed week factors above). Any other mismatch raises UnitError.
     """
-    if from_unit is None or from_unit.lower() == definition.unit.lower():
+    dst = definition.unit.lower()
+    if (value.kind is _MONEY or value.kind is _TOKEN_AMOUNT) and dst != "usd":
+        raise UnitError(value.symbol, definition.unit)
+    if from_unit is None or from_unit.lower() == dst:
         if value.kind is _NUMBER and value.unit is not None:
             return number(value.value, is_code=value.is_code, qualifier=value.qualifier)
         return value
     src = from_unit.lower()
-    dst = definition.unit.lower()
     if src in _TIME_UNITS and dst in _TIME_UNITS and value.kind is _NUMBER:
         converted = value.value * _TIME_UNITS[src] / _TIME_UNITS[dst]
         return number(converted, is_code=value.is_code, qualifier=value.qualifier)

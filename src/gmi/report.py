@@ -27,7 +27,7 @@ from itertools import chain
 
 from .errors import ParseError
 from .ingest import CategoryValidation, Qualifier, ValidationReport
-from .schema import CATEGORIES, Category, split_lines
+from .schema import CATEGORIES, Category, read_lines, record_fields
 from .scoring import AuditRecord, GmiResult, Stage
 
 FORMATS = ("table", "delimited", "structured")
@@ -199,18 +199,19 @@ _CATEGORY_BUCKETS = {"input": "inputs", "score": "scores"}
 def parse_structured(data: bytes | str) -> list[GmiResult]:
     """Parse the structured format back into GmiResult values.
 
-    Each program block needs exactly one ``gmi`` and one ``stage`` record;
-    any malformed document raises ParseError.
+    The document is read as every loader reads its own (``read_lines``, then
+    ``record_fields``), one record at a time, so a cohort's tens of
+    thousands of audit records are never all split at once.  Each program
+    block needs exactly one ``gmi`` and one ``stage`` record; any malformed
+    document raises ParseError.
     """
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
-    lines = [ln for ln in split_lines(data) if ln.strip()]
-    if not lines or not lines[0].startswith("format|gmi-comparison"):
+    records = filter(None, map(record_fields, read_lines(data)))
+    if next(records, [])[:2] != ["format", "gmi-comparison"]:
         raise ParseError("not a structured comparison document")
 
     blocks: list[dict] = []
-    for line in lines[1:]:
-        fields = line.split("|")
+    for fields in records:
+        line = "|".join(fields)
         key = fields[0]
         if key in ("programs", "note"):
             continue

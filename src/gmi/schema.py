@@ -1,7 +1,7 @@
-"""Indicator registry: the builtin catalogue plus schema file loading/validation.
+"""Indicator registry: schema documents, their loading and validation.
 
-Schema files are pipe-delimited UTF-8 text, one indicator per line, with a
-mandatory header row and ``#`` comment lines::
+Schema documents are pipe-delimited UTF-8 text, one indicator per line,
+with a mandatory header row and ``#`` comment lines::
 
     id|category|kind|data_type|unit|direction|description
 
@@ -9,6 +9,9 @@ mandatory header row and ``#`` comment lines::
 or ``default``.  ``default`` means higher-better by convention without an
 explicit polarity claim; code-valued cells under such indicators are excluded
 from scoring as non-ordinal.
+
+The builtin registry is such a document, the text ``gmi schema dump``
+prints, held in this module and read by ``load_schema`` like any other.
 
 Layer order: this module sits directly above ``errors`` and imports no
 other engine module; it owns the record reader every document loader uses
@@ -27,29 +30,24 @@ DELIMITER = "|"
 INDICATOR_ID_PATTERN = re.compile(r"^(FAO|PSO|GOV|EFI|TAC|COM)-(QN|QL|AUX)(-\d+)?$")
 
 
-def split_lines(text: str) -> list[str]:
-    """Split *text* into lines at ``\\n``, ``\\r\\n`` and ``\\r`` only.
-
-    ``str.splitlines`` also breaks at ``\\v``, ``\\f``, ``\\x1c``-``\\x1e``,
-    U+0085, U+2028 and U+2029, which a text cell may hold.  A final line
-    break ends the last line and starts no empty one.
-    """
-    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
-    if not lines[-1]:
-        lines.pop()
-    return lines
-
-
 def read_lines(source: bytes | str) -> list[str]:
-    """Decode *source* as UTF-8 and split it into lines with ``split_lines``.
+    """Decode *source* as UTF-8 and split it into lines at ``\\n``,
+    ``\\r\\n`` and ``\\r`` only.
+
     One leading byte-order mark (U+FEFF), which some editors write, is
-    dropped."""
+    dropped.  ``str.splitlines`` also breaks at ``\\v``, ``\\f``,
+    ``\\x1c``-``\\x1e``, U+0085, U+2028 and U+2029, which a text cell may
+    hold.  A final line break ends the last line and starts no empty one.
+    """
     if isinstance(source, bytes):
         try:
             source = source.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise ParseError(f"document is not UTF-8: {exc}") from exc
-    return split_lines(source.removeprefix("\ufeff"))
+    lines = source.removeprefix("\ufeff").replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    if not lines[-1]:
+        lines.pop()
+    return lines
 
 
 def record_fields(line: str) -> list[str] | None:
@@ -304,114 +302,6 @@ class Schema(Record):
                 raise SchemaError(f"category {category.code} has no scorable indicator")
 
 
-# Builtin registry rows: (id, kind, data_type, unit, description).
-# Direction is "default" throughout; no polarity is asserted for any indicator.
-_D = DataType
-_BUILTIN_ROWS: tuple[tuple[str, Kind, DataType | None, str, str], ...] = (
-    ("FAO-QN", Kind.SYNTHETIC, None, "none", "Focus Areas and Objectives"),
-    ("FAO-QL", Kind.RUBRIC, _D.NUMERIC, "scoring", "Rubric Scoring Focus Areas and Objectives"),
-    ("FAO-QN-2", Kind.QUANTITATIVE, _D.NUMERIC, "USD", "Minimum Grant Size"),
-    ("FAO-QN-3", Kind.QUANTITATIVE, _D.NUMERIC, "USD", "Maximum Grant Size"),
-    ("FAO-QN-6", Kind.QUANTITATIVE, _D.NUMERIC, "weeks", "Evaluation Timeframe"),
-    ("FAO-QN-7", Kind.QUANTITATIVE, _D.TEXT, "none", "Grant Platform"),
-    ("FAO-QN-8", Kind.QUANTITATIVE, _D.TEXT, "none", "Link to Grant Round(s)"),
-    ("FAO-QN-9", Kind.QUANTITATIVE, _D.NUMERIC, "scoring", "Grant types"),
-    ("FAO-QN-10", Kind.QUANTITATIVE, _D.NUMERIC, "scoring", "Funding Type"),
-    ("FAO-AUX-1", Kind.QUANTITATIVE, _D.NUMERIC, "USD", "Average Grant Size"),
-    ("FAO-AUX-2", Kind.QUANTITATIVE, _D.TEXT, "none", "Funding Type (simplified)"),
-    ("FAO-AUX-3", Kind.QUANTITATIVE, _D.RATIONAL, "USD",
-     "Market capitalisation of funding asset at round start"),
-    ("FAO-AUX-4", Kind.QUANTITATIVE, _D.RATIONAL, "USD",
-     "Market capitalisation of funding asset at round start (repeat listing)"),
-    ("PSO-QN", Kind.SYNTHETIC, None, "none", "Program Structure and Organisation"),
-    ("PSO-QL", Kind.RUBRIC, _D.NUMERIC, "scoring",
-     "Rubric Scoring Program Structure and Organisation"),
-    ("PSO-QN-1", Kind.QUANTITATIVE, _D.NUMERIC, "scoring", "Origin of Funds"),
-    ("PSO-QN-2", Kind.QUANTITATIVE, _D.BINARY, "scoring", "Vesting Period for Fund Allocation"),
-    ("PSO-QN-3", Kind.QUANTITATIVE, _D.NUMERIC, "scoring", "Organizational Structure of Grantor"),
-    ("PSO-QN-4", Kind.QUANTITATIVE, _D.NUMERIC, "scoring", "Grant Program Principal"),
-    ("PSO-QN-5", Kind.QUANTITATIVE, _D.NUMERIC, "signatories", "Grant Program Agents"),
-    ("PSO-QN-6", Kind.QUANTITATIVE, _D.TEXT, "none", "Governance Structure"),
-    ("PSO-AUX-1", Kind.QUANTITATIVE, _D.TEXT, "none",
-     "Organizational Structure of Grantor (governing body)"),
-    ("PSO-AUX-2", Kind.QUANTITATIVE, _D.TEXT, "none",
-     "Organizational Structure of Grantor (oversight)"),
-    ("PSO-AUX-3", Kind.QUANTITATIVE, _D.TEXT, "none", "Grant Program Principal (entity)"),
-    ("PSO-AUX-4", Kind.QUANTITATIVE, _D.TEXT, "none", "Governance Structure (allocation process)"),
-    ("GOV-QN", Kind.SYNTHETIC, None, "none", "Governance"),
-    ("GOV-QL", Kind.RUBRIC, _D.NUMERIC, "scoring", "Rubric Scoring Governance"),
-    ("GOV-QN-1", Kind.QUANTITATIVE, _D.NUMERIC, "scoring", "Grant Program Objective"),
-    ("GOV-QN-3", Kind.QUANTITATIVE, _D.NUMERIC, "scoring",
-     "Existence of Program Objective Description"),
-    ("GOV-QN-4", Kind.QUANTITATIVE, _D.TEXT, "none", "Link to Program Objective"),
-    ("EFI-QN", Kind.SYNTHETIC, None, "none", "Effectiveness and Impact"),
-    ("EFI-QL", Kind.RUBRIC, _D.NUMERIC, "scoring", "Rubric Scoring Effectiveness and Impact"),
-    ("EFI-QN-1", Kind.QUANTITATIVE, _D.BINARY, "scoring", "Evaluation Criteria Public"),
-    ("EFI-QN-2", Kind.QUANTITATIVE, _D.BINARY, "scoring", "Evaluation Shared with Applicants"),
-    ("EFI-QN-3", Kind.QUANTITATIVE, _D.TEXT, "none", "Reference to Evaluation Criteria"),
-    ("EFI-QN-4", Kind.QUANTITATIVE, _D.BINARY, "scoring", "Grant process explained"),
-    ("EFI-QN-6", Kind.QUANTITATIVE, _D.ISO_ALPHA_3, "none", "Domicile Foundation"),
-    ("EFI-QN-8", Kind.QUANTITATIVE, _D.NUMERIC, "scoring", "Program Audit"),
-    ("TAC-QN", Kind.SYNTHETIC, None, "none", "Transparency and Accountability"),
-    ("TAC-QL", Kind.RUBRIC, _D.NUMERIC, "scoring",
-     "Rubric Scoring Transparency and Accountability"),
-    ("TAC-QN-4", Kind.QUANTITATIVE, _D.RATIONAL, "conversion rate",
-     "Average Application to Allocation share"),
-    ("TAC-QN-5", Kind.QUANTITATIVE, _D.BINARY, "scoring", "Operated by a Service Provider"),
-    ("TAC-QN-6", Kind.QUANTITATIVE, _D.RATIONAL, "conversion rate",
-     "Program Manager to Applicant Ratio"),
-    ("COM-QN", Kind.SYNTHETIC, None, "none", "Community Engagement"),
-    ("COM-QL", Kind.RUBRIC, _D.NUMERIC, "scoring", "Rubric Scoring Community Engagement"),
-    ("COM-QN-1", Kind.QUANTITATIVE, _D.NUMERIC, "headcount", "Minimum Applicant Count per Round"),
-    ("COM-QN-2", Kind.QUANTITATIVE, _D.NUMERIC, "headcount", "Maximum Applicant Count per Round"),
-    ("COM-QN-4", Kind.QUANTITATIVE, _D.NUMERIC, "grant count",
-     "Minimum Number of Grants Allocated per Round"),
-    ("COM-QN-5", Kind.QUANTITATIVE, _D.NUMERIC, "grant count",
-     "Maximum Number of Grants Allocated per Round"),
-    ("COM-QN-7", Kind.QUANTITATIVE, _D.NUMERIC, "weeks", "Minimum Grant Duration"),
-    ("COM-QN-8", Kind.QUANTITATIVE, _D.NUMERIC, "weeks", "Maximum Grant Duration"),
-    ("COM-QN-11", Kind.QUANTITATIVE, _D.RATIONAL, "years", "Time of Existence"),
-    ("COM-QN-12", Kind.QUANTITATIVE, _D.NUMERIC, "rounds", "Round Count since Inception"),
-    ("COM-QN-13", Kind.QUANTITATIVE, _D.NUMERIC, "tracks", "Number of Tracks per Round"),
-    ("COM-QN-14", Kind.QUANTITATIVE, _D.RATIONAL, "USD", "Overall Budget since Inception"),
-    ("COM-QN-19", Kind.QUANTITATIVE, _D.RATIONAL, "USD", "Operations Budget per Round"),
-    ("COM-QN-20", Kind.QUANTITATIVE, _D.RATIONAL, "ratio",
-     "Operations Budget to Round Budget Ratio"),
-    ("COM-QN-21", Kind.QUANTITATIVE, _D.NUMERIC, "headcount", "Program Management Team Size"),
-    ("COM-QN-22", Kind.QUANTITATIVE, _D.NUMERIC, "scoring", "Impact Measurement"),
-    ("COM-QN-23", Kind.QUANTITATIVE, _D.BINARY, "scoring", "Grant Size Standardisation"),
-    ("COM-AUX-1", Kind.QUANTITATIVE, _D.NUMERIC, "headcount", "Average Applicant Count per Round"),
-    ("COM-AUX-2", Kind.QUANTITATIVE, _D.NUMERIC, "grant count",
-     "Average Number of Grants Allocated per Round"),
-    ("COM-AUX-3", Kind.QUANTITATIVE, _D.NUMERIC, "weeks", "Average Grant Duration"),
-)
-
-
-def _default_direction(kind: Kind, data_type: DataType | None) -> Direction:
-    if kind is Kind.SYNTHETIC or data_type in (DataType.TEXT, DataType.ISO_ALPHA_3):
-        return Direction.NON_SCORABLE
-    return Direction.HIGHER_BETTER
-
-
-def builtin_schema() -> Schema:
-    """Return the builtin indicator registry (validated)."""
-    indicators = tuple(
-        IndicatorDef(
-            id=row[0],
-            category=Category.from_code(row[0].split("-", 1)[0]),
-            kind=row[1],
-            data_type=row[2],
-            unit=row[3],
-            direction=_default_direction(row[1], row[2]),
-            description=row[4],
-        )
-        for row in _BUILTIN_ROWS
-    )
-    schema = Schema(indicators=indicators)
-    schema.validate()
-    return schema
-
-
 # ---------------------------------------------------------------------------
 # File format
 # ---------------------------------------------------------------------------
@@ -426,13 +316,13 @@ def _direction_token(ind: IndicatorDef) -> str:
 
 
 def _parse_direction(token: str, line_no: int) -> tuple[Direction, bool]:
-    token = token.strip().lower()
+    token = token.lower()
     if token == "default":
         return Direction.HIGHER_BETTER, False
-    for direction in Direction:
-        if token == direction.value:
-            return direction, True
-    raise ParseError(f"line {line_no}: unknown direction {token!r}")
+    try:
+        return Direction(token), True
+    except ValueError:
+        raise ParseError(f"line {line_no}: unknown direction {token!r}") from None
 
 
 def dump_schema(schema: Schema) -> str:
@@ -500,3 +390,78 @@ def load_schema(source: bytes | str) -> Schema:
     schema = Schema(indicators=tuple(indicators))
     schema.validate()
     return schema
+
+
+# The builtin indicator registry, exactly as ``gmi schema dump`` prints it.
+# No row asserts a polarity: every scorable indicator is ``default``.
+_BUILTIN_DOCUMENT = """\
+id|category|kind|data_type|unit|direction|description
+FAO-QN|FAO|synthetic|n.a.|none|non-scorable|Focus Areas and Objectives
+FAO-QL|FAO|rubric|numeric|scoring|default|Rubric Scoring Focus Areas and Objectives
+FAO-QN-2|FAO|quantitative|numeric|USD|default|Minimum Grant Size
+FAO-QN-3|FAO|quantitative|numeric|USD|default|Maximum Grant Size
+FAO-QN-6|FAO|quantitative|numeric|weeks|default|Evaluation Timeframe
+FAO-QN-7|FAO|quantitative|text|none|non-scorable|Grant Platform
+FAO-QN-8|FAO|quantitative|text|none|non-scorable|Link to Grant Round(s)
+FAO-QN-9|FAO|quantitative|numeric|scoring|default|Grant types
+FAO-QN-10|FAO|quantitative|numeric|scoring|default|Funding Type
+FAO-AUX-1|FAO|quantitative|numeric|USD|default|Average Grant Size
+FAO-AUX-2|FAO|quantitative|text|none|non-scorable|Funding Type (simplified)
+FAO-AUX-3|FAO|quantitative|rational|USD|default|Market capitalisation of funding asset at round start
+FAO-AUX-4|FAO|quantitative|rational|USD|default|Market capitalisation of funding asset at round start (repeat listing)
+PSO-QN|PSO|synthetic|n.a.|none|non-scorable|Program Structure and Organisation
+PSO-QL|PSO|rubric|numeric|scoring|default|Rubric Scoring Program Structure and Organisation
+PSO-QN-1|PSO|quantitative|numeric|scoring|default|Origin of Funds
+PSO-QN-2|PSO|quantitative|binary|scoring|default|Vesting Period for Fund Allocation
+PSO-QN-3|PSO|quantitative|numeric|scoring|default|Organizational Structure of Grantor
+PSO-QN-4|PSO|quantitative|numeric|scoring|default|Grant Program Principal
+PSO-QN-5|PSO|quantitative|numeric|signatories|default|Grant Program Agents
+PSO-QN-6|PSO|quantitative|text|none|non-scorable|Governance Structure
+PSO-AUX-1|PSO|quantitative|text|none|non-scorable|Organizational Structure of Grantor (governing body)
+PSO-AUX-2|PSO|quantitative|text|none|non-scorable|Organizational Structure of Grantor (oversight)
+PSO-AUX-3|PSO|quantitative|text|none|non-scorable|Grant Program Principal (entity)
+PSO-AUX-4|PSO|quantitative|text|none|non-scorable|Governance Structure (allocation process)
+GOV-QN|GOV|synthetic|n.a.|none|non-scorable|Governance
+GOV-QL|GOV|rubric|numeric|scoring|default|Rubric Scoring Governance
+GOV-QN-1|GOV|quantitative|numeric|scoring|default|Grant Program Objective
+GOV-QN-3|GOV|quantitative|numeric|scoring|default|Existence of Program Objective Description
+GOV-QN-4|GOV|quantitative|text|none|non-scorable|Link to Program Objective
+EFI-QN|EFI|synthetic|n.a.|none|non-scorable|Effectiveness and Impact
+EFI-QL|EFI|rubric|numeric|scoring|default|Rubric Scoring Effectiveness and Impact
+EFI-QN-1|EFI|quantitative|binary|scoring|default|Evaluation Criteria Public
+EFI-QN-2|EFI|quantitative|binary|scoring|default|Evaluation Shared with Applicants
+EFI-QN-3|EFI|quantitative|text|none|non-scorable|Reference to Evaluation Criteria
+EFI-QN-4|EFI|quantitative|binary|scoring|default|Grant process explained
+EFI-QN-6|EFI|quantitative|iso-alpha-3|none|non-scorable|Domicile Foundation
+EFI-QN-8|EFI|quantitative|numeric|scoring|default|Program Audit
+TAC-QN|TAC|synthetic|n.a.|none|non-scorable|Transparency and Accountability
+TAC-QL|TAC|rubric|numeric|scoring|default|Rubric Scoring Transparency and Accountability
+TAC-QN-4|TAC|quantitative|rational|conversion rate|default|Average Application to Allocation share
+TAC-QN-5|TAC|quantitative|binary|scoring|default|Operated by a Service Provider
+TAC-QN-6|TAC|quantitative|rational|conversion rate|default|Program Manager to Applicant Ratio
+COM-QN|COM|synthetic|n.a.|none|non-scorable|Community Engagement
+COM-QL|COM|rubric|numeric|scoring|default|Rubric Scoring Community Engagement
+COM-QN-1|COM|quantitative|numeric|headcount|default|Minimum Applicant Count per Round
+COM-QN-2|COM|quantitative|numeric|headcount|default|Maximum Applicant Count per Round
+COM-QN-4|COM|quantitative|numeric|grant count|default|Minimum Number of Grants Allocated per Round
+COM-QN-5|COM|quantitative|numeric|grant count|default|Maximum Number of Grants Allocated per Round
+COM-QN-7|COM|quantitative|numeric|weeks|default|Minimum Grant Duration
+COM-QN-8|COM|quantitative|numeric|weeks|default|Maximum Grant Duration
+COM-QN-11|COM|quantitative|rational|years|default|Time of Existence
+COM-QN-12|COM|quantitative|numeric|rounds|default|Round Count since Inception
+COM-QN-13|COM|quantitative|numeric|tracks|default|Number of Tracks per Round
+COM-QN-14|COM|quantitative|rational|USD|default|Overall Budget since Inception
+COM-QN-19|COM|quantitative|rational|USD|default|Operations Budget per Round
+COM-QN-20|COM|quantitative|rational|ratio|default|Operations Budget to Round Budget Ratio
+COM-QN-21|COM|quantitative|numeric|headcount|default|Program Management Team Size
+COM-QN-22|COM|quantitative|numeric|scoring|default|Impact Measurement
+COM-QN-23|COM|quantitative|binary|scoring|default|Grant Size Standardisation
+COM-AUX-1|COM|quantitative|numeric|headcount|default|Average Applicant Count per Round
+COM-AUX-2|COM|quantitative|numeric|grant count|default|Average Number of Grants Allocated per Round
+COM-AUX-3|COM|quantitative|numeric|weeks|default|Average Grant Duration
+"""
+
+
+def builtin_schema() -> Schema:
+    """Return the builtin indicator registry (validated)."""
+    return load_schema(_BUILTIN_DOCUMENT)

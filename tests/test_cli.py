@@ -11,6 +11,7 @@ import pytest
 
 import gmi.cli
 import gmi.rubric
+import gmi.schema
 from gmi.bundled import bundled_category_table_path, bundled_program_paths
 from gmi.cli import main
 from gmi.ingest import load_program_dataset
@@ -107,12 +108,26 @@ def test_score_single_program_precomputed(tmp_path, capsys):
     assert "STAGE|Developmental" in out
 
 
-def test_score_raw_without_allow_partial_names_missing_pairs(capsys):
+def test_score_raw_without_allow_partial_names_missing_pairs(tmp_path, capsys):
     code = main(["score", *PROGRAM_FILES])
     err = capsys.readouterr().err
     assert code == 1
     assert "PartialDataError" in err
     assert "(Taiko, GOV)" in err
+
+    # A program with no category at all is a domain failure as well, even
+    # under --allow-partial, in both modes; validate agrees on the raw files.
+    empty = tmp_path / "b.txt"
+    empty.write_text("program|B\nFAO-QN-7|Questbook\n", encoding="utf-8")
+    table = tmp_path / "table.txt"
+    table.write_text("program|FAO|PSO|GOV|EFI|TAC|COM\nA|1|2|3|4|5|6\n"
+                     "B|n.a.|n.a.|n.a.|n.a.|n.a.|n.a.\n", encoding="utf-8")
+    for argv in (["score", PROGRAM_FILES[0], str(empty), "--allow-partial"],
+                 ["score", str(table), "--mode", "precomputed-categories", "--allow-partial"]):
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "EmptyCategory: program 'B' has no category scores\n"
+    assert main(["validate", PROGRAM_FILES[0], str(empty)]) == 1
+    capsys.readouterr()
 
 
 def test_score_raw_allow_partial_succeeds(capsys):
@@ -228,6 +243,12 @@ def test_schema_flag_and_env_override(tmp_path, capsys, monkeypatch):
     assert code == 2
 
 
+def test_schema_dump_prints_the_builtin_document(capsysbinary, monkeypatch):
+    monkeypatch.delenv("GMI_SCHEMA", raising=False)
+    assert main(["schema", "dump"]) == 0
+    assert capsysbinary.readouterr().out == gmi.schema._BUILTIN_DOCUMENT.encode("utf-8")
+
+
 def test_precomputed_mode_never_reads_the_schema(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("GMI_SCHEMA", str(tmp_path / "nope.txt"))
     code = main(["score", CATEGORY_TABLE, "--mode", "precomputed-categories"])
@@ -328,6 +349,24 @@ def test_non_finite_numbers_are_input_errors(tmp_path, capsys, files, argv):
     err = capsys.readouterr().err
     assert code == 2
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "cell, rates, message",
+    [("COM-QN-7|$5", "", "no conversion from 'USD' to 'weeks'"),
+     ("COM-QN-1|5 OP", "OP|2\n", "no conversion from 'OP' to 'headcount'")],
+    ids=["money-under-weeks", "token-amount-under-headcount"],
+)
+def test_currency_under_a_non_usd_indicator_is_an_input_error(tmp_path, capsys, cell,
+                                                             rates, message):
+    program = tmp_path / "b.txt"
+    program.write_text(f"program|B\n{cell}\n", encoding="utf-8")
+    (tmp_path / "rates.txt").write_text(rates, encoding="utf-8")
+    for argv in (["validate", str(program)],
+                 ["score", PROGRAM_FILES[0], str(program), "--allow-partial",
+                  "--rates", str(tmp_path / "rates.txt")]):
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"UnitError: {message}\n"
 
 
 @pytest.mark.parametrize(

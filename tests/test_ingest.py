@@ -311,6 +311,18 @@ def test_coerce_years_to_weeks():
 def test_coerce_rejects_non_time_mismatch():
     with pytest.raises(UnitError):
         coerce_unit(number(5), "headcount", _def("FAO-QN-2"))
+    # Money and token amounts are currency: only a USD indicator takes them,
+    # whatever unit the row claims.
+    for value, indicator, unit in [(money(5), "COM-QN-7", None),
+                                   (money(5), "COM-QN-7", "weeks"),
+                                   (money(5), "PSO-QN-1", None),
+                                   (token_amount(5, "OP"), "COM-QN-1", None),
+                                   (token_amount(5, "OP"), "COM-QN-1", "headcount")]:
+        with pytest.raises(UnitError):
+            coerce_unit(value, unit, _def(indicator))
+    usd = _def("FAO-QN-2").replace(unit="usd")
+    assert coerce_unit(money(5), None, usd) == money(5)
+    assert coerce_unit(token_amount(5, "OP"), None, usd) == token_amount(5, "OP")
 
 
 def test_coerce_twice_is_identity():

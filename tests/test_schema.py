@@ -7,6 +7,7 @@ import pytest
 from gmi.bundled import bundled_category_table_path, bundled_program_paths
 from gmi.errors import ParseError, SchemaError
 from gmi.ingest import load_program_dataset, load_rates
+from gmi.report import parse_structured, render_comparison
 from gmi.schema import (
     Category,
     DataType,
@@ -17,7 +18,7 @@ from gmi.schema import (
     load_schema,
     read_records,
 )
-from gmi.scoring import load_category_table
+from gmi.scoring import load_category_table, score_category_table
 
 
 def test_builtin_has_six_categories():
@@ -138,6 +139,9 @@ LOADERS = {
                        bundled_category_table_path().read_text(encoding="utf-8")),
     "survey-responses": (lambda source: load_program_dataset(source, builtin_schema()),
                          "program|X\ngovernance|4\nclarity-of-objectives|\n"),
+    "structured-comparison": (parse_structured, render_comparison(
+        score_category_table(load_category_table(
+            bundled_category_table_path().read_bytes())), fmt="structured").decode("utf-8")),
 }
 
 
@@ -147,6 +151,12 @@ def test_a_leading_byte_order_mark_is_dropped(loader, text):
     expected = loader(text)
     assert loader(BOM + text) == expected
     assert loader((BOM + text).encode("utf-8")) == expected
+
+
+@pytest.mark.parametrize("loader, text", LOADERS.values(), ids=LOADERS)
+def test_a_document_that_is_not_utf8_is_a_parse_error(loader, text):
+    with pytest.raises(ParseError, match="^document is not UTF-8: "):
+        loader(text.encode("utf-8") + b"\xff\n")
 
 
 def test_only_one_byte_order_mark_is_dropped_and_line_numbers_stay():
