@@ -39,11 +39,21 @@ EXIT_DOMAIN = 1
 EXIT_USAGE = 2
 
 
+def _load(path: str, loader, *args):
+    """*loader* run on the file at *path*; its errors name *path* as given."""
+    data = Path(path).read_bytes()
+    try:
+        return loader(data, *args)
+    except GmiError as exc:
+        exc.args = (f"{path}: {exc}",)
+        raise
+
+
 def _active_schema(path: str | None) -> Schema:
     path = path or os.environ.get(SCHEMA_ENV_VAR)
     if not path:
         return builtin_schema()
-    return load_schema(Path(path).read_bytes())
+    return _load(path, load_schema)
 
 
 def _emit(payload: bytes, out: str | None) -> None:
@@ -61,7 +71,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     chunks: list[bytes] = []
     all_ok = True
     for path in args.inputs:
-        dataset = load_program_dataset(Path(path).read_bytes(), schema)
+        dataset = _load(path, load_program_dataset, schema)
         report = validate_dataset(dataset, schema, template)
         programs.append(dataset.program)
         chunks.append(render_validation(report))
@@ -76,8 +86,8 @@ def _score_raw(args: argparse.Namespace) -> list[GmiResult]:
     frame, so the schema with its parse memos and the datasets are freed
     before the output is rendered."""
     schema = _active_schema(args.schema)
-    rates = load_rates(Path(args.rates).read_bytes()) if args.rates else None
-    datasets = [load_program_dataset(Path(path).read_bytes(), schema) for path in args.inputs]
+    rates = _load(args.rates, load_rates) if args.rates else None
+    datasets = [_load(path, load_program_dataset, schema) for path in args.inputs]
     _, results = score_datasets(datasets, schema, rates=rates, allow_partial=args.allow_partial)
     return results
 
@@ -88,9 +98,7 @@ def _cmd_score(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
             parser.error("--rates cannot be combined with precomputed-categories mode")
         if len(args.inputs) != 1:
             parser.error("precomputed-categories mode takes exactly one input file")
-
-    if args.mode == MODE_PRECOMPUTED:
-        table = load_category_table(Path(args.inputs[0]).read_bytes())
+        table = _load(args.inputs[0], load_category_table)
         results = score_category_table(table, allow_partial=args.allow_partial)
         notes = table.notes
     else:

@@ -39,18 +39,19 @@ prints them.
 
 Observation lines repeat across a cohort (flags, codes, platforms,
 placeholders), so ingest memoises at two levels.  ``schema.observed_lines``
-maps each observation line read without error to ``(indicator id,
-definition, raw cell, finished Observation)``.  ``load_program_dataset``
-looks up every line after the program record there.  A hit runs only the
-per-file duplicate check, the cell's ``parse_value`` call (perfbench's
-trace counts one per observation row) and the store, and shares the
-immutable Observation; a miss takes the full path of filter, split, row
-checks, parse, unit annotation and ``coerce_unit``.  Below it,
-``definition.parsed_cells`` maps each raw cell to its TypedValue.  Only
-successes are stored: an error is raised afresh, with its own line number,
-every time it is met.  Both memos start empty when their owner is built,
-copied or unpickled (``builtin_schema()`` builds a fresh schema per call);
-a long-lived schema keeps one entry per distinct line and cell.
+maps each observation line read without error to ``(definition, finished
+Observation)``; the Observation holds the indicator id and the raw cell.
+``load_program_dataset`` looks up every line after the program record
+there.  A hit runs only the per-file duplicate check, the cell's
+``parse_value`` call (perfbench's trace counts one per observation row) and
+the store, and shares the immutable Observation; a miss takes the full path
+of filter, split, row checks, parse, unit annotation and ``coerce_unit``.
+Below it, ``definition.parsed_cells`` maps each raw cell to its TypedValue.
+Only successes are stored: an error is raised afresh every time it is met,
+and any error raised while reading a row names the row's line.  Both memos
+start empty when their owner is built, copied or unpickled
+(``builtin_schema()`` builds a fresh schema per call); a long-lived schema
+keeps one entry per distinct line and cell.
 
 Per-row and per-cell code compares kinds, qualifiers and data types with
 module-level bindings of the Enum members made at import (``_NUMBER``,
@@ -72,6 +73,7 @@ from enum import Enum
 from . import rubric
 from .errors import (
     DuplicateIndicator,
+    GmiError,
     ParseError,
     UnitError,
     UnknownIndicator,
@@ -477,55 +479,57 @@ def load_program_dataset(source: bytes | str, schema: Schema) -> ProgramDataset:
     observations: dict[str, Observation] = {}
     answers: dict[str, int] = {}
     memo = schema.observed_lines
-    for line_no, line in enumerate(lines[start:], start=start + 1):
-        hit = memo.get(line)
-        if hit is not None:
-            key, definition, raw, observation = hit
-            if key in observations:
-                raise DuplicateIndicator(key)
-            parse_value(raw, definition)  # counted once per row: see the module docstring
-            observations[key] = observation
-            continue
-        fields = record_fields(line)
-        if fields is None:
-            continue
-        key = fields[0]
-        # Every schema id matches the indicator id pattern, so the pattern
-        # is consulted only for a key the schema lacks.
-        definition = schema.get(key)
-        if definition is not None or INDICATOR_ID_PATTERN.match(key):
-            if len(fields) not in (2, 3):
-                raise ParseError(f"line {line_no}: observation rows have 2 or 3 fields")
-            if definition is None:
-                raise UnknownIndicator(key)
-            if definition.kind is not _QUANTITATIVE:
-                raise ParseError(
-                    f"line {line_no}: {key} is a {definition.kind.value} indicator "
-                    "and cannot be observed directly"
-                )
-            if key in observations:
-                raise DuplicateIndicator(key)
-            raw = fields[1]
-            value = parse_value(raw, definition)
-            annotation = fields[2].lower() if len(fields) == 3 else None
-            if annotation:
-                annotation = _CANONICAL_TIME.get(annotation.rstrip("s"), annotation)
-            inline = value.unit if value.kind is _NUMBER else None
-            if inline and annotation and inline != annotation:
-                raise ParseError(
-                    f"line {line_no}: unit annotation {annotation!r} contradicts "
-                    f"inline unit {inline!r}"
-                )
-            try:
-                value = coerce_unit(value, inline or annotation or definition.unit, definition)
-            except ValueError as exc:  # the converted number is not finite
-                raise ValueParseError(raw, key, str(exc)) from exc
-            observation = observations[key] = Observation(key, raw, value)
-            memo[line] = (key, definition, raw, observation)
-        elif key.lower() == "program":
-            raise ParseError(f"line {line_no}: a second program record; a file holds one program")
-        else:
-            rubric.read_answer(answers, line_no, fields)
+    try:
+        for line_no, line in enumerate(lines[start:], start=start + 1):
+            hit = memo.get(line)
+            if hit is not None:
+                definition, observation = hit
+                key = observation.indicator_id
+                if key in observations:
+                    raise DuplicateIndicator(key)
+                parse_value(observation.raw, definition)  # one per row: see the module docstring
+                observations[key] = observation
+                continue
+            fields = record_fields(line)
+            if fields is None:
+                continue
+            key = fields[0]
+            # Every schema id matches the indicator id pattern, so the pattern
+            # is consulted only for a key the schema lacks.
+            definition = schema.get(key)
+            if definition is not None or INDICATOR_ID_PATTERN.match(key):
+                if len(fields) not in (2, 3):
+                    raise ParseError("observation rows have 2 or 3 fields")
+                if definition is None:
+                    raise UnknownIndicator(key)
+                if definition.kind is not _QUANTITATIVE:
+                    raise ParseError(f"{key} is a {definition.kind.value} indicator "
+                                     "and cannot be observed directly")
+                if key in observations:
+                    raise DuplicateIndicator(key)
+                raw = fields[1]
+                value = parse_value(raw, definition)
+                annotation = fields[2].lower() if len(fields) == 3 else None
+                if annotation:
+                    annotation = _CANONICAL_TIME.get(annotation.rstrip("s"), annotation)
+                inline = value.unit if value.kind is _NUMBER else None
+                if inline and annotation and inline != annotation:
+                    raise ParseError(f"unit annotation {annotation!r} contradicts "
+                                     f"inline unit {inline!r}")
+                try:
+                    value = coerce_unit(value, inline or annotation or definition.unit,
+                                        definition)
+                except ValueError as exc:  # the converted number is not finite
+                    raise ValueParseError(raw, key, str(exc)) from exc
+                observation = observations[key] = Observation(key, raw, value)
+                memo[line] = (definition, observation)
+            elif key.lower() == "program":
+                raise ParseError("a second program record; a file holds one program")
+            else:
+                rubric.read_answer(answers, fields)
+    except GmiError as exc:  # every row error names its line
+        exc.args = (f"line {line_no}: {exc}",)
+        raise
 
     return ProgramDataset(program=program, observations=observations, rubric=answers)
 
@@ -583,15 +587,18 @@ def scoring_status(value: TypedValue, definition: IndicatorDef,
 
 
 class CategoryValidation(Record):
-    __slots__ = _fields = ("category", "scorable_present", "missing", "non_scorable",
-                           "token_unconverted", "rubric_responses", "scorable")
-    category: Category
+    __slots__ = _fields = ("scorable_present", "missing", "non_scorable", "token_unconverted",
+                           "rubric_responses")
     scorable_present: tuple[str, ...]
     missing: tuple[str, ...]
     non_scorable: tuple[str, ...]
     token_unconverted: tuple[str, ...]
     rubric_responses: int
-    scorable: bool
+
+    @property
+    def scorable(self) -> bool:
+        """True when something in the category would score now."""
+        return bool(self.scorable_present) or self.rubric_responses > 0
 
 
 class ValidationReport(Record):
@@ -634,13 +641,11 @@ def validate_dataset(dataset: ProgramDataset, schema: Schema,
 
     categories = {
         cat: CategoryValidation(
-            category=cat,
             scorable_present=tuple(buckets[None]),
             missing=tuple(buckets["missing"]),
             non_scorable=tuple(buckets["non-scorable"]),
             token_unconverted=tuple(buckets["token-unconverted"]),
             rubric_responses=rubric_counts[cat],
-            scorable=bool(buckets[None]) or rubric_counts[cat] > 0,
         )
         for cat, buckets in by_category.items()
     }

@@ -278,10 +278,10 @@ def _ids(ids: tuple[str, ...]) -> str:
     return ", ".join(ids) if ids else "-"
 
 
-def _coverage_line(cv: CategoryValidation) -> str:
+def _coverage_line(code: str, cv: CategoryValidation) -> str:
     flag = "yes" if cv.scorable else "NO"
     return (
-        f"  {cv.category.code}: scorable={flag} | included: {_ids(cv.scorable_present)} | "
+        f"  {code}: scorable={flag} | included: {_ids(cv.scorable_present)} | "
         f"missing: {_ids(cv.missing)} | non-scorable: {_ids(cv.non_scorable)} | "
         f"token-unconverted: {_ids(cv.token_unconverted)} | "
         f"rubric responses: {cv.rubric_responses}"
@@ -290,8 +290,8 @@ def _coverage_line(cv: CategoryValidation) -> str:
 
 def render_validation(report: ValidationReport) -> bytes:
     lines = [f"Program: {report.program}"]
-    for cat in CATEGORIES:
-        lines.append(_coverage_line(report.categories[cat]))
+    for cat, code in _CATEGORY_CODES:
+        lines.append(_coverage_line(code, report.categories[cat]))
     if not report.all_scorable:
         names = ", ".join(cat.code for cat in report.unscorable_categories())
         lines.append(f"  => unscorable categories: {names}")

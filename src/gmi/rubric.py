@@ -119,21 +119,19 @@ def render_template(template: RubricTemplate | None = None) -> str:
     return "\n".join(lines) + "\n"
 
 
-def read_answer(answers: dict[str, int], line_no: int, fields: list[str]) -> None:
+def read_answer(answers: dict[str, int], fields: list[str]) -> None:
     """Add one ``criterion-id|score`` row to *answers*; a blank score is
     unanswered and adds nothing."""
     if len(fields) != 2:
-        raise ParseError(f"line {line_no}: rubric rows have 2 fields")
+        raise ParseError("rubric rows have 2 fields")
     criterion_id, score_text = fields
     if not score_text:
         return
     try:
         score = int(score_text)
     except ValueError:
-        raise ParseError(
-            f"line {line_no}: rubric score {score_text!r} is not an integer"
-        ) from None
+        raise ParseError(f"rubric score {score_text!r} is not an integer") from None
     check_score(score, criterion_id)
     if criterion_id in answers:
-        raise ParseError(f"line {line_no}: duplicate rubric row for {criterion_id!r}")
+        raise ParseError(f"duplicate rubric row for {criterion_id!r}")
     answers[criterion_id] = score

@@ -27,8 +27,6 @@ from .errors import ParseError, SchemaError
 
 DELIMITER = "|"
 
-INDICATOR_ID_PATTERN = re.compile(r"^(FAO|PSO|GOV|EFI|TAC|COM)-(QN|QL|AUX)(-\d+)?$")
-
 
 def read_lines(source: bytes | str) -> list[str]:
     """Decode *source* as UTF-8 and split it into lines at ``\\n``,
@@ -172,6 +170,9 @@ class Category(Enum):
 #: Python-level generator; iterating this tuple does not.
 CATEGORIES = tuple(Category)
 
+INDICATOR_ID_PATTERN = re.compile(
+    rf"^({'|'.join(cat.code for cat in CATEGORIES)})-(QN|QL|AUX)(-\d+)?$")
+
 
 class Kind(Enum):
     QUANTITATIVE = "quantitative"
@@ -272,9 +273,9 @@ class Schema(Record):
         #: is no field: copies and pickles rebuild it from the indicators.
         set_field(self, "get", {ind.id: ind for ind in indicators}.get)
         #: ``ingest.load_program_dataset``'s memo of observation lines read
-        #: under this schema: line text -> (indicator id, definition, raw
-        #: cell, finished Observation).  It is no field either, so copies
-        #: and pickles start with it empty.
+        #: under this schema: line text -> (definition, finished
+        #: Observation).  It is no field either, so copies and pickles start
+        #: with it empty.
         set_field(self, "observed_lines", {})
 
     def validate(self) -> None:
@@ -315,14 +316,12 @@ def _direction_token(ind: IndicatorDef) -> str:
     return ind.direction.value
 
 
-def _parse_direction(token: str, line_no: int) -> tuple[Direction, bool]:
-    token = token.lower()
-    if token == "default":
-        return Direction.HIGHER_BETTER, False
+def _member(enum: type[Enum], token: str, what: str):
+    """The member of *enum* whose value is *token* in any case."""
     try:
-        return Direction(token), True
+        return enum(token.lower())
     except ValueError:
-        raise ParseError(f"line {line_no}: unknown direction {token!r}") from None
+        raise ParseError(f"unknown {what} {token!r}") from None
 
 
 def dump_schema(schema: Schema) -> str:
@@ -358,34 +357,22 @@ def load_schema(source: bytes | str) -> Schema:
         raise ParseError(f"line {header_no}: expected header {DELIMITER.join(_HEADER)!r}")
 
     indicators: list[IndicatorDef] = []
-    for line_no, fields in records[1:]:
-        if len(fields) != len(_HEADER):
-            raise ParseError(f"line {line_no}: expected {len(_HEADER)} fields, got {len(fields)}")
-        ind_id, cat_code, kind_tok, dt_tok, unit, dir_tok, description = fields
-        try:
-            kind = Kind(kind_tok.lower())
-        except ValueError:
-            raise ParseError(f"line {line_no}: unknown kind {kind_tok!r}") from None
-        if dt_tok.lower() in ("n.a.", "none", "-", ""):
-            data_type = None
-        else:
-            try:
-                data_type = DataType(dt_tok.lower())
-            except ValueError:
-                raise ParseError(f"line {line_no}: unknown data type {dt_tok!r}") from None
-        direction, explicit = _parse_direction(dir_tok, line_no)
-        indicators.append(
-            IndicatorDef(
-                id=ind_id,
-                category=Category.from_code(cat_code),
-                kind=kind,
-                data_type=data_type,
-                unit=unit,
-                direction=direction,
-                description=description,
-                explicit_direction=explicit,
-            )
-        )
+    try:
+        for line_no, fields in records[1:]:
+            if len(fields) != len(_HEADER):
+                raise ParseError(f"expected {len(_HEADER)} fields, got {len(fields)}")
+            ind_id, cat_code, kind_tok, dt_tok, unit, dir_tok, description = fields
+            kind = _member(Kind, kind_tok, "kind")
+            data_type = (None if dt_tok.lower() in ("n.a.", "none", "-", "")
+                         else _member(DataType, dt_tok, "data type"))
+            explicit = dir_tok.lower() != "default"
+            direction = (_member(Direction, dir_tok, "direction") if explicit
+                         else Direction.HIGHER_BETTER)
+            indicators.append(IndicatorDef(ind_id, Category.from_code(cat_code), kind, data_type,
+                                           unit, direction, description, explicit))
+    except ParseError as exc:  # every row error names its line
+        exc.args = (f"line {line_no}: {exc}",)
+        raise
 
     schema = Schema(indicators=tuple(indicators))
     schema.validate()

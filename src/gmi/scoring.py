@@ -118,8 +118,7 @@ class ScoreMatrix(Record):
     ``CATEGORY_COUNT`` category records, so ``entries`` reads the former.
     Not slotted: the two maps are ``cached_property`` memos.
     """
-    _fields = ("programs", "results")
-    programs: tuple[str, ...]
+    _fields = ("results",)
     results: tuple[GmiResult, ...]
 
     @cached_property
@@ -206,14 +205,15 @@ def _score_column(
 ) -> list[AuditRecord]:
     """Min-max one column across the cohort; both passes use this.
 
-    *cells* holds each program's cell, in the order of *programs*: value
-    (None when absent), raw text, qualifier and exclusion reason.  Returns
-    each program's audit record in the same order, which holds its directed
-    score or its exclusion; the audit bounds are the column's.  Programs
-    with identical cells share one record.  The whole cell tuple is the
-    key: its raw text keeps ``0`` and ``-0`` apart, which compare equal as
-    floats yet score as ``0.0000`` and ``-0.0000``.  Raises ParseError when
-    the column's range overflows a float.
+    *cells* holds each program's cell, in the order of *programs*: value,
+    raw text, qualifier and exclusion reason; the value is None exactly
+    when the reason is not.  Returns each program's audit record in the
+    same order, which holds its directed score or its exclusion; the audit
+    bounds are the column's.  Programs with identical cells share one
+    record.  The whole cell tuple is the key: its raw text keeps ``0`` and
+    ``-0`` apart, which compare equal as floats yet score as ``0.0000`` and
+    ``-0.0000``.  Raises ParseError when the column's range overflows a
+    float.
     """
     values = [cell[0] for cell in cells]
     present = [v for v in values if v is not None]
@@ -221,8 +221,6 @@ def _score_column(
     hi = max(present) if present else None
     if present and not math.isfinite(hi - lo):
         raise ParseError(f"column {indicator} spans {lo!r} to {hi!r}, a range that overflows")
-    directional_score(0.0, direction)  # raises on a direction that cannot score
-    reflect = direction is _LOWER_BETTER
     out: list[AuditRecord] = []
     records: dict[tuple, AuditRecord] = {}
     # The programs are distinct, so the normalized map holds one entry per
@@ -232,13 +230,8 @@ def _score_column(
         record = records.get(cell)
         if record is None:
             _, raw, qualifier, reason = cell
-            if isinstance(entry, Excluded):
-                record = AuditRecord(indicator, raw, lo, hi, None,
-                                     reason or entry.reason, qualifier)
-            else:
-                record = AuditRecord(indicator, raw, lo, hi,
-                                     1.0 - entry if reflect else entry, None, qualifier)
-            records[cell] = record
+            score = None if reason else directional_score(entry, direction)
+            record = records[cell] = AuditRecord(indicator, raw, lo, hi, score, reason, qualifier)
         out.append(record)
     return out
 
@@ -270,7 +263,8 @@ def compute_gmi(category_scores: Mapping[str, Mapping[Category, float]],
         cells = []
         for scores in rows:
             value = scores.get(cat)
-            cells.append((value, "n.a." if value is None else _format_score(value), _EXACT, None))
+            cells.append((None, "n.a.", _EXACT, "missing") if value is None
+                         else (value, _format_score(value), _EXACT, None))
         columns.append(_score_column(cat.roll_up, programs, cells))
 
     results: dict[str, GmiResult] = {}
@@ -369,7 +363,7 @@ def score_datasets(
     by_program = compute_gmi(category_scores, allow_partial=allow_partial)
     results = [result.replace(audit=tuple(audit) + result.audit)
                for audit, result in zip(audits, by_program.values())]
-    return ScoreMatrix(programs=tuple(programs), results=tuple(results)), results
+    return ScoreMatrix(results=tuple(results)), results
 
 
 # ---------------------------------------------------------------------------
@@ -380,8 +374,7 @@ _TABLE_HEADER = ("program",) + tuple(cat.code for cat in CATEGORIES)
 
 
 class CategoryTable(Record):
-    __slots__ = _fields = ("programs", "scores", "notes")
-    programs: tuple[str, ...]
+    __slots__ = _fields = ("scores", "notes")
     scores: dict[str, dict[Category, float]]
     notes: tuple[str, ...]
 
@@ -432,10 +425,10 @@ def load_category_table(source: bytes | str) -> CategoryTable:
         raise ParseError("category table has no header row")
     if not scores:
         raise ParseError("category table has no program rows")
-    return CategoryTable(programs=tuple(scores), scores=scores, notes=tuple(notes))
+    return CategoryTable(scores=scores, notes=tuple(notes))
 
 
 def score_category_table(table: CategoryTable,
                          allow_partial: bool = False) -> list[GmiResult]:
-    results = compute_gmi(table.scores, allow_partial=allow_partial)
-    return [results[p] for p in table.programs]
+    """The table's results, in the order of its rows."""
+    return list(compute_gmi(table.scores, allow_partial=allow_partial).values())

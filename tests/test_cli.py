@@ -185,7 +185,7 @@ def test_malformed_program_names_are_input_errors(tmp_path, capsys, text, argv, 
     for command in commands:
         assert main([*command, str(path), *argv]) == 2, command
         err = capsys.readouterr().err
-        assert err.startswith(f"ParseError: line {line}: ") and "program" in err, err
+        assert err.startswith(f"ParseError: {path}: line {line}: ") and "program" in err, err
 
 
 def test_precomputed_mode_forbids_rates(tmp_path, capsys):
@@ -366,7 +366,56 @@ def test_currency_under_a_non_usd_indicator_is_an_input_error(tmp_path, capsys, 
                  ["score", PROGRAM_FILES[0], str(program), "--allow-partial",
                   "--rates", str(tmp_path / "rates.txt")]):
         assert main(argv) == 2
-        assert capsys.readouterr().err == f"UnitError: {message}\n"
+        assert capsys.readouterr().err == f"UnitError: {program}: line 2: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "rows, error",
+    [("COM-QN-7|$5", "UnitError: b.txt: line 3: no conversion from 'USD' to 'weeks'"),
+     ("COM-QN-1|lots of grants",
+      "ValueParseError: b.txt: line 3: cannot parse 'lots of grants' for indicator COM-QN-1"),
+     ("COM-QN-99|3",
+      "UnknownIndicator: b.txt: line 3: indicator 'COM-QN-99' not present in the active schema"),
+     ("COM-QN-1|10\nCOM-QN-1|11",
+      "DuplicateIndicator: b.txt: line 4: duplicate observation for indicator 'COM-QN-1'"),
+     ("COM-QN-1|10\nCOM-QN-1|10",
+      "DuplicateIndicator: b.txt: line 4: duplicate observation for indicator 'COM-QN-1'"),
+     ("governance|9", "RubricRangeError: b.txt: line 3: rubric score 9 for criterion "
+                      "'governance' outside the 1..5 scale"),
+     ("governance|x", "ParseError: b.txt: line 3: rubric score 'x' is not an integer"),
+     ("COM-QN-1|1|2|3", "ParseError: b.txt: line 3: observation rows have 2 or 3 fields")],
+    ids=["unit", "value-parse", "unknown-indicator", "duplicate", "duplicate-memoised",
+         "rubric-range", "rubric-not-an-integer", "row-shape"],
+)
+def test_a_bad_row_names_the_file_and_the_line(tmp_path, monkeypatch, capsys, rows, error):
+    # The second copy of a line is read through the schema's line memo, so
+    # "duplicate-memoised" checks that path names its line too.
+    monkeypatch.chdir(tmp_path)
+    Path("b.txt").write_text(f"program|B\n# a comment\n{rows}\n", encoding="utf-8")
+    for argv in (["validate", "b.txt"], ["score", PROGRAM_FILES[0], "b.txt", "--allow-partial"]):
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"{error}\n"
+
+
+@pytest.mark.parametrize(
+    "name, text, argv, message",
+    [("rates.txt", "ARB|1.0\nOP|x\n", ["score", *PROGRAM_FILES, "--rates", "rates.txt"],
+      "rate 'x' is not a number"),
+     ("schema.txt", "id|category|kind|data_type|unit|direction|description\n"
+                    "XYZ-QN|XYZ|synthetic|n.a.|none|non-scorable|Bogus\n",
+      ["validate", PROGRAM_FILES[0], "--schema", "schema.txt"],
+      "unknown category code 'XYZ'"),
+     ("table.txt", "program|FAO|PSO|GOV|EFI|TAC|COM\nA|1|1|x|1|1|1\n",
+      ["score", "table.txt", "--mode", "precomputed-categories"],
+      "score 'x' is not a number")],
+    ids=["rates", "schema", "category-table"],
+)
+def test_every_file_error_names_its_file(tmp_path, monkeypatch, capsys, name, text, argv,
+                                         message):
+    monkeypatch.chdir(tmp_path)
+    Path(name).write_text(text, encoding="utf-8")
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"ParseError: {name}: line 2: {message}\n"
 
 
 @pytest.mark.parametrize(

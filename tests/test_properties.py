@@ -344,11 +344,8 @@ def test_missing_value_locality(rnd):
     assert masked[victim] == Excluded("missing")
 
 
-@given(st.randoms(use_true_random=False), st.floats(min_value=0.01, max_value=100))
-@settings(max_examples=100)
-def test_additivity_and_ranking_invariance(rnd, weight):
-    programs = [f"P{i}" for i in range(rnd.randint(2, 5))]
-    scores = {p: {cat: rnd.uniform(0, 10) for cat in Category} for p in programs}
+def _check_additivity_and_ranking(scores, weight):
+    programs = list(scores)
     results = compute_gmi(scores)
     for result in results.values():
         assert result.gmi == pytest.approx(
@@ -362,6 +359,30 @@ def test_additivity_and_ranking_invariance(rnd, weight):
                            results[p].normalized_category_scores.values()), p),
     )
     assert plain == weighted
+
+
+# Scaling by a power of two is exact, so every partial sum of the weighted
+# scores is the weight times the plain one and ties stay ties.  Another
+# weight, such as 0.05, can round two tied sums apart.
+_WEIGHTS = st.integers(min_value=-6, max_value=6).map(lambda k: 2.0 ** k)
+
+
+@given(st.randoms(use_true_random=False), _WEIGHTS)
+@settings(max_examples=100)
+def test_additivity_and_ranking_invariance(rnd, weight):
+    programs = [f"P{i}" for i in range(rnd.randint(2, 5))]
+    _check_additivity_and_ranking(
+        {p: {cat: rnd.uniform(0, 10) for cat in Category} for p in programs}, weight)
+
+
+@pytest.mark.parametrize("exponent", range(-6, 7))
+def test_ranking_invariance_keeps_a_tie(exponent):
+    # Both composites are exactly 3.0: the normalized categories read
+    # 0.5, 0.5, 0.5, 0, 0.5, 1 and 0.5, 0.5, 0.5, 1, 0.5, 0.
+    rows = {"P0": (1, 1, 1, 0, 1, 1), "P1": (1, 1, 1, 1, 1, 0)}
+    scores = {p: dict(zip(Category, row)) for p, row in rows.items()}
+    assert {r.gmi for r in compute_gmi(scores).values()} == {3.0}
+    _check_additivity_and_ranking(scores, 2.0 ** exponent)
 
 
 @given(st.floats(min_value=0.0, max_value=1.0, allow_nan=False))

@@ -119,6 +119,20 @@ def test_malformed_rows_raise_parse_error():
         load_schema("\n".join(lines))
 
 
+@pytest.mark.parametrize("old, new, message", [
+    ("|FAO|synthetic|", "|XYZ|synthetic|", "unknown category code 'XYZ'"),
+    ("|synthetic|", "|Mysterious|", "unknown kind 'Mysterious'"),
+    ("|n.a.|", "|Decimal|", "unknown data type 'Decimal'"),
+    ("|non-scorable|", "|Sideways|", "unknown direction 'Sideways'"),
+    ("|Focus Areas and Objectives", "|Focus|Areas", "expected 7 fields, got 8"),
+], ids=["category", "kind", "data-type", "direction", "field-count"])
+def test_a_bad_row_names_its_line_and_its_token_as_written(old, new, message):
+    lines = _schema_lines()
+    lines[1] = lines[1].replace(old, new)
+    with pytest.raises(ParseError, match=f"^line 2: {message}$"):
+        load_schema("\n".join(lines))
+
+
 def test_comments_and_blank_lines_ignored():
     text = dump_schema(builtin_schema())
     commented = "# registry\n\n" + text.replace("\n", "\n# noise\n", 1)

@@ -357,7 +357,7 @@ def test_score_datasets_program_order_is_input_order():
         _dataset("A", {"FAO-QN-2": money(20)}, _full_rubric(3)),
     ]
     matrix, results = score_datasets(datasets, schema, allow_partial=True)
-    assert matrix.programs == ("Z", "A")
+    assert [r.program for r in matrix.results] == ["Z", "A"]
     assert [r.program for r in results] == ["Z", "A"]
 
 
@@ -374,7 +374,7 @@ def test_load_category_table_roundtrip():
         "note|hello\n"
     )
     table = load_category_table(text)
-    assert table.programs == ("X", "Y")
+    assert list(table.scores) == ["X", "Y"]
     assert table.scores["X"][Category.FAO] == 1.0
     assert Category.COM not in table.scores["Y"]
     assert table.notes == ("hello",)
@@ -422,7 +422,7 @@ def _record_samples():
                         Qualifier.APPROX_LOWER_BOUND)
     result = GmiResult("A", {}, {}, 0.0, Stage.EXPERIMENTAL, (audit,))
     criterion = Criterion("governance", Category.GOV, "Governance", "How decisions are made.")
-    coverage = CategoryValidation(Category.COM, ("COM-QN-2",), (), (), (), 0, True)
+    coverage = CategoryValidation(("COM-QN-2",), (), (), (), 0)
     return [
         (definition, "description", "copy"),
         (Schema((definition,)), "indicators", (schema.get("COM-QN-1"),)),
@@ -431,13 +431,13 @@ def _record_samples():
         (value, "value", 4.0),
         (observation, "raw", "4"),
         (ProgramDataset("A", {"COM-QN-2": observation}, {"governance": 4}), "program", "B"),
-        (coverage, "scorable", False),
+        (coverage, "rubric_responses", 1),
         (ValidationReport("A", {Category.COM: coverage}), "program", "B"),
         (Excluded("missing"), "reason", "non-scorable"),
         (audit, "score", 0.5),
         (result, "gmi", 1.0),
-        (ScoreMatrix(("A",), (result,)), "programs", ("B",)),
-        (CategoryTable(("A",), {"A": {Category.COM: 1.0}}, ()), "notes", ("a note",)),
+        (ScoreMatrix((result,)), "results", ()),
+        (CategoryTable({"A": {Category.COM: 1.0}}, ()), "notes", ("a note",)),
     ]
 
 
@@ -484,8 +484,7 @@ def test_copies_of_a_definition_start_with_empty_memos():
     definition = schema.get("COM-QN-2")
     assert definition.parsed_cells == {} and schema.observed_lines == {}
     definition.parsed_cells["3"] = number(3)
-    schema.observed_lines["COM-QN-2|3"] = (
-        "COM-QN-2", definition, "3", Observation("COM-QN-2", "3", number(3)))
+    schema.observed_lines["COM-QN-2|3"] = (definition, Observation("COM-QN-2", "3", number(3)))
     assert definition.scorable
     for twin in (definition.replace(), copy.copy(definition), copy.deepcopy(definition),
                  pickle.loads(pickle.dumps(definition))):
@@ -508,12 +507,12 @@ def test_schema_copies_rebuild_the_id_map():
 
 
 def test_record_constructors_bind_fields_like_a_signature():
-    table = CategoryTable(("A",), {}, notes=())
-    assert table.notes == () and table == CategoryTable(programs=("A",), scores={}, notes=())
+    table = CategoryTable({}, notes=())
+    assert table.notes == () and table == CategoryTable(scores={}, notes=())
     assert repr(Excluded("missing")) == "Excluded(reason='missing')"
     fields = ("governance", Category.GOV, "Governance")
     for bad in (lambda: Criterion(*fields),                       # a field is missing
-                lambda: CategoryTable(("A",), scores={}),         # no field has a default
+                lambda: CategoryTable(scores={}),                 # no field has a default
                 lambda: Criterion(*fields, "p", "extra"),         # one argument too many
                 lambda: Criterion(*fields, "p", id="again"),      # a field given twice
                 lambda: Criterion(*fields, prompt="p", colour=1),  # no such field
@@ -521,3 +520,14 @@ def test_record_constructors_bind_fields_like_a_signature():
                 lambda: Excluded("missing").replace(colour=1)):
         with pytest.raises(TypeError):
             bad()
+
+
+def test_category_validation_derives_scorable():
+    # Scorability is read from what would score, never stored beside it.
+    assert CategoryValidation(("COM-QN-2",), (), (), (), 0).scorable
+    assert CategoryValidation((), (), (), (), 2).scorable
+    assert not CategoryValidation((), ("COM-QN-1",), ("COM-QN-9",), ("FAO-QN-2",), 0).scorable
+    with pytest.raises(TypeError, match="unknown or repeated field 'scorable'"):
+        CategoryValidation((), (), (), (), 0, scorable=True)
+    with pytest.raises(TypeError, match="takes 5 fields, got 6"):
+        CategoryValidation(Category.COM, (), (), (), (), 0)

@@ -174,7 +174,7 @@ def _assert_matrix_matches(matrix, datasets, schema, rates=None):
     assert excluded and len({id(v) for v in excluded}) <= 3  # one per reason
     assert all(type(v) is float for v in matrix.entries.values() if not isinstance(v, Excluded))
     assert all(type(v) is float for v in matrix.category_scores.values())
-    assert matrix.programs == tuple(ds.program for ds in datasets)
+    assert [r.program for r in matrix.results] == [ds.program for ds in datasets]
 
 
 def test_score_matrix_equals_an_eager_reference_on_bundled_data():
