@@ -40,8 +40,10 @@ EXIT_USAGE = 2
 
 
 def _load(path: str, loader, *args):
-    """*loader* run on the file at *path*; its errors name *path* as given."""
-    data = Path(path).read_bytes()
+    """*loader* run on the file at *path*; its errors name *path* as given.
+    The file is read whole and unbuffered, in one system call per chunk."""
+    with open(path, "rb", buffering=0) as file:
+        data = file.read()
     try:
         return loader(data, *args)
     except GmiError as exc:
@@ -76,7 +78,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
         programs.append(dataset.program)
         chunks.append(render_validation(report))
         all_ok = all_ok and report.all_scorable
-    check_distinct_programs(programs)
+    check_distinct_programs(programs, args.inputs)
     _emit(b"".join(chunks), args.out)
     return EXIT_OK if all_ok else EXIT_DOMAIN
 
@@ -88,6 +90,7 @@ def _score_raw(args: argparse.Namespace) -> list[GmiResult]:
     schema = _active_schema(args.schema)
     rates = _load(args.rates, load_rates) if args.rates else None
     datasets = [_load(path, load_program_dataset, schema) for path in args.inputs]
+    check_distinct_programs([ds.program for ds in datasets], args.inputs)
     _, results = score_datasets(datasets, schema, rates=rates, allow_partial=args.allow_partial)
     return results
 

@@ -25,6 +25,9 @@ under the indicator's declared data type:
 * a bare number (separators and magnitude suffixes allowed) is a Number.
 * anything else raises ValueParseError.
 
+A numeric cell is matched once, against one alternation of these forms; a
+cell no form matches is classified by its shape to name its fault.
+
 Observation files are pipe-delimited UTF-8 text::
 
     # comments and blank lines are ignored
@@ -91,7 +94,6 @@ from .schema import (
     read_lines,
     read_records,
     record_fields,
-    set_field,
 )
 
 # Fixed time conversions, chosen for reproducibility over calendar precision.
@@ -128,10 +130,19 @@ _JURISDICTIONS = {
     "seychelles": "SYC",
 }
 
-_MAGNITUDE_RE = re.compile(r"^(-?\d[\d,]*(?:\.\d+)?)([kKmMbB])?$")
-_RATIO_RE = re.compile(r"^(\d[\d,]*(?:\.\d+)?)\s*:\s*(\d[\d,]*(?:\.\d+)?)$")
-_CODE_RE = re.compile(r"^(-?\d[\d,]*(?:\.\d+)?)\s*\((.+)\)$")
-_WORD_SUFFIX_RE = re.compile(r"^(\S+)\s+([A-Za-z]+)$")
+# Every numeric cell form in one alternation, matched once per distinct
+# cell.  Each form is a named group that closes last, so ``lastgroup`` names
+# the form; an amount is a numeral with an optional magnitude suffix.
+_AMOUNT = r"(-?\d[\d,]*(?:\.\d+)?)([kKmMbB])?"
+_UNSIGNED = r"(\d[\d,]*(?:\.\d+)?)"
+_CELL_RE = re.compile(
+    rf"(?P<number>{_AMOUNT})"                     # groups 1-3:   12, -3, 1,200.5k
+    rf"|(?P<money>\$\s*{_AMOUNT}(?:\s+[A-Z]+)?)"   # groups 4-6:   $5m, $50k OP
+    rf"|(?P<ratio>{_UNSIGNED}\s*:\s*{_UNSIGNED})"   # groups 7-9:   3:4
+    r"|(?P<code>(-?\d[\d,]*(?:\.\d+)?)\s*\(.+\))"  # groups 10-11: 2 (milestones)
+    rf"|(?P<suffixed>{_AMOUNT}\s+([A-Za-z]+))")    # groups 12-15: 6 months, 50K OP
+# A cell no form matches is classified by its shape to name its fault.
+_WORD_SUFFIX_RE = re.compile(r"(\S+)\s+([A-Za-z]+)")
 
 
 class ValueKind(Enum):
@@ -168,11 +179,12 @@ _QUANTITATIVE = Kind.QUANTITATIVE
 
 
 class TypedValue(Record):
-    __slots__ = _fields = ("kind", "value", "symbol", "text", "numerator", "denominator",
-                           "unit", "is_code", "qualifier")
+    __slots__ = ()
+    _fields = ("kind", "value", "symbol", "text", "numerator", "denominator", "unit", "is_code",
+               "qualifier")
 
-    def __init__(
-        self,
+    def __new__(
+        cls,
         kind: ValueKind,
         value: float | None = None,
         symbol: str | None = None,  # token symbol, or "USD" for money
@@ -182,10 +194,11 @@ class TypedValue(Record):
         unit: str | None = None,  # unit the value is currently expressed in
         is_code: bool = False,  # leading-numeral categorical cell under unit=scoring
         qualifier: Qualifier = Qualifier.EXACT,
-    ) -> None:
+    ) -> TypedValue:
+        """A value checked as the factories below check theirs."""
         for x in (value, numerator, denominator):
-            if x is not None and not math.isfinite(x):
-                raise ValueError(f"{x!r} is not a finite number")
+            if x is not None:
+                _finite(x)
         if kind is _MONEY or kind is _TOKEN_AMOUNT:
             if value is None or value < 0:
                 raise ValueError(f"{kind.value} amount must be >= 0")
@@ -193,19 +206,31 @@ class TypedValue(Record):
             raise ValueError("binary value must be 0 or 1")
         if kind is _MISSING and qualifier is not _UNSPECIFIED:
             raise ValueError("missing values carry no qualifier")
-        set_field(self, "kind", kind)
-        set_field(self, "value", value)
-        set_field(self, "symbol", symbol)
-        set_field(self, "text", text)
-        set_field(self, "numerator", numerator)
-        set_field(self, "denominator", denominator)
-        set_field(self, "unit", unit)
-        set_field(self, "is_code", is_code)
-        set_field(self, "qualifier", qualifier)
+        return _new(cls, (kind, value, symbol, text, numerator, denominator, unit, is_code,
+                          qualifier))
 
     @property
     def missing(self) -> bool:
         return self.kind is _MISSING
+
+
+#: Builds a record from complete, already checked fields, skipping the
+#: keyword binding and the checks of the class's own constructor.
+_new = tuple.__new__
+
+
+def _finite(x: float) -> float:
+    """*x*, or ValueError when it is infinite or NaN."""
+    if not math.isfinite(x):
+        raise ValueError(f"{x!r} is not a finite number")
+    return x
+
+
+def _nonnegative(kind: ValueKind, amount: float) -> float:
+    amount = _finite(float(amount))
+    if amount < 0:
+        raise ValueError(f"{kind.value} amount must be >= 0")
+    return amount
 
 
 MISSING = TypedValue(kind=_MISSING, qualifier=_UNSPECIFIED)
@@ -213,16 +238,18 @@ MISSING = TypedValue(kind=_MISSING, qualifier=_UNSPECIFIED)
 
 def number(value: float, unit: str | None = None, is_code: bool = False,
            qualifier: Qualifier = _EXACT) -> TypedValue:
-    return TypedValue(_NUMBER, float(value), None, None, None, None, unit, is_code, qualifier)
+    return _new(TypedValue, (_NUMBER, _finite(float(value)), None, None, None, None, unit, is_code,
+                             qualifier))
 
 
 def money(amount: float, qualifier: Qualifier = _EXACT) -> TypedValue:
-    return TypedValue(_MONEY, float(amount), "USD", None, None, None, None, False, qualifier)
+    return _new(TypedValue, (_MONEY, _nonnegative(_MONEY, amount), "USD", None, None,
+                             None, None, False, qualifier))
 
 
 def token_amount(amount: float, symbol: str, qualifier: Qualifier = _EXACT) -> TypedValue:
-    return TypedValue(_TOKEN_AMOUNT, float(amount), symbol.upper(), None, None, None, None,
-                      False, qualifier)
+    return _new(TypedValue, (_TOKEN_AMOUNT, _nonnegative(_TOKEN_AMOUNT, amount),
+                             symbol.upper(), None, None, None, None, False, qualifier))
 
 
 def ratio(numerator: float, denominator: float,
@@ -250,13 +277,13 @@ def _to_float(token: str) -> float:
     return float(token.replace(",", ""))
 
 
-def _parse_amount(token: str) -> float | None:
-    m = _MAGNITUDE_RE.match(token)
-    if not m:
-        return None
-    base = _to_float(m.group(1))
-    if m.group(2):
-        base *= _MAGNITUDE[m.group(2).lower()]
+def _amount(match: re.Match, group: int) -> float:
+    """The amount whose numeral is *match*'s *group*, scaled by the
+    magnitude suffix in the group after it."""
+    base = _to_float(match[group])
+    suffix = match[group + 1]
+    if suffix:
+        base *= _MAGNITUDE[suffix.lower()]
     return base
 
 
@@ -329,50 +356,36 @@ def _parse_cell(raw: str, definition: IndicatorDef) -> TypedValue:
     if data_type not in _NUMERIC_DATA:
         raise ValueParseError(raw, definition.id, "indicator is not observable")
 
-    # A bare amount, the commonest numeric cell, holds no whitespace, colon,
-    # parenthesis or dollar sign, so no pattern below matches it.
-    amount = _parse_amount(body)
-    if amount is not None:
-        return number(amount, qualifier=qualifier)
-
-    if body.startswith("$"):
-        rest = body[1:].strip()
-        # A trailing token symbol after a dollar amount is ignored in favour
-        # of the dollar sign.
-        sym = _WORD_SUFFIX_RE.match(rest)
-        if sym and sym.group(2).isupper():
-            rest = sym.group(1)
-        amount = _parse_amount(rest)
-        if amount is None:
-            raise ValueParseError(raw, definition.id, "malformed money amount")
-        return money(amount, qualifier)
-
-    m = _RATIO_RE.match(body)
-    if m:
-        return ratio(_to_float(m.group(1)), _to_float(m.group(2)), qualifier)
-
-    m = _CODE_RE.match(body)
-    if m:
-        return number(_to_float(m.group(1)), is_code=definition.unit == "scoring",
+    match = _CELL_RE.fullmatch(body)
+    form = match.lastgroup if match else None
+    if form == "number":
+        return number(_amount(match, 2), qualifier=qualifier)
+    if form == "money":
+        # A token symbol after a dollar amount yields to the dollar sign.
+        return money(_amount(match, 5), qualifier)
+    if form == "ratio":
+        return ratio(_to_float(match[8]), _to_float(match[9]), qualifier)
+    if form == "code":
+        return number(_to_float(match[11]), is_code=definition.unit == "scoring",
                       qualifier=qualifier)
+    if form == "suffixed":
+        amount, word = _amount(match, 13), match[15]
+    elif body.startswith("$"):
+        raise ValueParseError(raw, definition.id, "malformed money amount")
+    elif match := _WORD_SUFFIX_RE.fullmatch(body):
+        amount, word = None, match[2]  # a word after something that is no amount
+    else:
+        raise ValueParseError(raw, definition.id)
 
-    m = _WORD_SUFFIX_RE.match(body)
-    if m:
-        head, word = m.group(1), m.group(2)
-        if word.lower() in _TIME_UNITS:
-            amount = _parse_amount(head)
-            if amount is None:
-                raise ValueParseError(raw, definition.id, "malformed duration")
-            unit = _CANONICAL_TIME[word.lower().rstrip("s")]
-            return number(amount, unit=unit, qualifier=qualifier)
-        if word.isupper() and 2 <= len(word) <= 6:
-            amount = _parse_amount(head)
-            if amount is None:
-                raise ValueParseError(raw, definition.id, "malformed token amount")
-            return token_amount(amount, word, qualifier)
-        raise ValueParseError(raw, definition.id, f"unrecognised suffix {word!r}")
-
-    raise ValueParseError(raw, definition.id)
+    if word.lower() in _TIME_UNITS:
+        if amount is None:
+            raise ValueParseError(raw, definition.id, "malformed duration")
+        return number(amount, unit=_CANONICAL_TIME[word.lower().rstrip("s")], qualifier=qualifier)
+    if word.isupper() and 2 <= len(word) <= 6:
+        if amount is None:
+            raise ValueParseError(raw, definition.id, "malformed token amount")
+        return token_amount(amount, word, qualifier)
+    raise ValueParseError(raw, definition.id, f"unrecognised suffix {word!r}")
 
 
 def format_value(value: TypedValue) -> str:
@@ -444,16 +457,13 @@ def coerce_unit(value: TypedValue, from_unit: str | None, definition: IndicatorD
 # ---------------------------------------------------------------------------
 
 class Observation(Record):
-    __slots__ = _fields = ("indicator_id", "raw", "value")
-
-    def __init__(self, indicator_id: str, raw: str, value: TypedValue) -> None:
-        set_field(self, "indicator_id", indicator_id)
-        set_field(self, "raw", raw)
-        set_field(self, "value", value)
+    __slots__ = ()
+    _fields = ("indicator_id", "raw", "value")
 
 
 class ProgramDataset(Record):
-    __slots__ = _fields = ("program", "observations", "rubric")
+    __slots__ = ()
+    _fields = ("program", "observations", "rubric")
     program: str
     observations: dict[str, Observation]
     rubric: dict[str, int]
@@ -521,42 +531,53 @@ def load_program_dataset(source: bytes | str, schema: Schema) -> ProgramDataset:
                                         definition)
                 except ValueError as exc:  # the converted number is not finite
                     raise ValueParseError(raw, key, str(exc)) from exc
-                observation = observations[key] = Observation(key, raw, value)
+                observation = observations[key] = _new(Observation, (key, raw, value))
                 memo[line] = (definition, observation)
             elif key.lower() == "program":
                 raise ParseError("a second program record; a file holds one program")
+            elif INDICATOR_ID_PATTERN.match(key.upper()):
+                raise ParseError(f"indicator id {key!r} must be upper-case")
             else:
                 rubric.read_answer(answers, fields)
     except GmiError as exc:  # every row error names its line
         exc.args = (f"line {line_no}: {exc}",)
         raise
 
-    return ProgramDataset(program=program, observations=observations, rubric=answers)
+    return _new(ProgramDataset, (program, observations, answers))
 
 
-def check_distinct_programs(programs: Sequence[str]) -> None:
-    """Raise ParseError when a program name repeats across datasets;
+def check_distinct_programs(programs: Sequence[str], inputs: Sequence[str] = ()) -> None:
+    """Raise ParseError naming the first program name that repeats across
+    datasets, and the two *inputs* it came from when they are given;
     ``gmi validate`` and ``gmi score`` both run this check."""
-    if len(set(programs)) != len(programs):
-        raise ParseError("duplicate program names across datasets")
+    first: dict[str, int] = {}
+    for index, program in enumerate(programs):
+        if first.setdefault(program, index) != index:
+            where = f" in {inputs[first[program]]} and {inputs[index]}" if inputs else ""
+            raise ParseError(f"duplicate program {program!r}{where}")
 
 
 def load_rates(source: bytes | str) -> dict[str, float]:
     """Load a token conversion table (``SYMBOL|usd-per-token`` lines)."""
     rates: dict[str, float] = {}
-    for line_no, fields in read_records(source):
-        if len(fields) != 2:
-            raise ParseError(f"line {line_no}: rate rows have 2 fields")
-        symbol = fields[0].upper()
-        try:
-            rate = float(fields[1])
-        except ValueError:
-            raise ParseError(f"line {line_no}: rate {fields[1]!r} is not a number") from None
-        if not 0 < rate < math.inf:
-            raise ParseError(f"line {line_no}: rate for {symbol} must be positive and finite")
-        if symbol in rates:
-            raise ParseError(f"line {line_no}: duplicate rate for {symbol}")
-        rates[symbol] = rate
+    records = read_records(source)
+    try:
+        for line_no, fields in records:
+            if len(fields) != 2:
+                raise ParseError("rate rows have 2 fields")
+            symbol = fields[0].upper()
+            try:
+                rate = float(fields[1])
+            except ValueError:
+                raise ParseError(f"rate {fields[1]!r} is not a number") from None
+            if not 0 < rate < math.inf:
+                raise ParseError(f"rate for {symbol} must be positive and finite")
+            if symbol in rates:
+                raise ParseError(f"duplicate rate for {symbol}")
+            rates[symbol] = rate
+    except ParseError as exc:  # every row error names its line
+        exc.args = (f"line {line_no}: {exc}",)
+        raise
     return rates
 
 
@@ -587,8 +608,9 @@ def scoring_status(value: TypedValue, definition: IndicatorDef,
 
 
 class CategoryValidation(Record):
-    __slots__ = _fields = ("scorable_present", "missing", "non_scorable", "token_unconverted",
-                           "rubric_responses")
+    __slots__ = ()
+    _fields = ("scorable_present", "missing", "non_scorable", "token_unconverted",
+               "rubric_responses")
     scorable_present: tuple[str, ...]
     missing: tuple[str, ...]
     non_scorable: tuple[str, ...]
@@ -602,7 +624,8 @@ class CategoryValidation(Record):
 
 
 class ValidationReport(Record):
-    __slots__ = _fields = ("program", "categories")
+    __slots__ = ()
+    _fields = ("program", "categories")
     program: str
     categories: dict[Category, CategoryValidation]
 

@@ -131,20 +131,16 @@ def _bound(x: float | None) -> str:
 
 def _audit_line(rec: AuditRecord,
                 bounds: dict[str, tuple[float | None, float | None, str, str]]) -> str:
+    indicator, raw, minimum, maximum, score, exclusion, qualifier = rec
     # A column's records share its bound objects, so each column's bounds
     # are formatted once.  The check is by identity, never by value:
     # -0.0 == 0.0, yet they print differently.
-    cached = bounds.get(rec.indicator)
-    if cached is None or cached[0] is not rec.minimum or cached[1] is not rec.maximum:
-        cached = bounds[rec.indicator] = (
-            rec.minimum, rec.maximum, _bound(rec.minimum), _bound(rec.maximum)
-        )
+    cached = bounds.get(indicator)
+    if cached is None or cached[0] is not minimum or cached[1] is not maximum:
+        cached = bounds[indicator] = (minimum, maximum, _bound(minimum), _bound(maximum))
     _, _, lo, hi = cached
-    if rec.exclusion is None:
-        tail = f"score|{_fmt(rec.score)}"
-    else:
-        tail = f"excluded|{rec.exclusion}"
-    return f"audit|{rec.indicator}|{rec.raw}|{lo}|{hi}|{tail}|{_QUALIFIER_TEXT[rec.qualifier]}"
+    tail = f"score|{_fmt(score)}" if exclusion is None else f"excluded|{exclusion}"
+    return f"audit|{indicator}|{raw}|{lo}|{hi}|{tail}|{_QUALIFIER_TEXT[qualifier]}"
 
 
 def _render_structured(results: Sequence[GmiResult], notes: Sequence[str]) -> Iterator[bytes]:

@@ -15,7 +15,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 
 from .errors import ParseError, RubricRangeError, UnknownCriterion
-from .schema import Category, Record, set_field
+from .schema import Category, Record
 
 SCALE_MIN = 1
 SCALE_MAX = 5
@@ -35,7 +35,8 @@ def rubric_to_unit(score: int) -> float:
 
 
 class Criterion(Record):
-    __slots__ = _fields = ("id", "category", "name", "prompt")
+    __slots__ = ()
+    _fields = ("id", "category", "name", "prompt")
     id: str
     category: Category
     name: str
@@ -43,15 +44,16 @@ class Criterion(Record):
 
 
 class RubricTemplate(Record):
-    __slots__ = _fields = ("criteria",)
+    __slots__ = ()
+    _fields = ("criteria",)
 
-    def __init__(self, criteria: tuple[Criterion, ...]) -> None:
+    def __new__(cls, criteria: tuple[Criterion, ...]) -> RubricTemplate:
         seen: set[str] = set()
         for criterion in criteria:
             if criterion.id in seen:
                 raise ParseError(f"duplicate criterion id {criterion.id!r}")
             seen.add(criterion.id)
-        set_field(self, "criteria", criteria)
+        return tuple.__new__(cls, (criteria,))
 
     def get(self, criterion_id: str) -> Criterion | None:
         for criterion in self.criteria:

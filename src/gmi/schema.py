@@ -15,13 +15,15 @@ prints, held in this module and read by ``load_schema`` like any other.
 
 Layer order: this module sits directly above ``errors`` and imports no
 other engine module; it owns the record reader every document loader uses
-and ``Record``, the immutable value base of every engine record class.
+and ``Record``, the immutable tuple base of every engine record class.
 """
 
 from __future__ import annotations
 
 import re
+from collections import _tuplegetter
 from enum import Enum
+from functools import cached_property
 
 from .errors import ParseError, SchemaError
 
@@ -63,65 +65,64 @@ def read_records(source: bytes | str) -> list[tuple[int, list[str]]]:
             if (fields := record_fields(line)) is not None]
 
 
-#: Stores one field of a record under construction, past its frozen
-#: ``__setattr__``.  Reading a module global is cheaper than reading
-#: ``object.__setattr__`` for every field.
-set_field = object.__setattr__
+class Record(tuple):
+    """Base of the engine's immutable value records: tuples with named fields.
 
-
-class Record:
-    """Base of the engine's immutable value records.
-
-    A subclass names its fields, in constructor order, in ``_fields``, and
-    is slotted (``ScoreMatrix`` alone keeps ``cached_property`` memos in an
-    instance dict).  Assigning or deleting an attribute raises
-    AttributeError.  Records compare (only with their own class), hash and
-    print by their fields; ``copy``, ``deepcopy`` and ``pickle`` rebuild
-    them from their fields through the constructor, so a copy starts with
-    empty memos, as does ``replace``.
+    A subclass names its fields, in constructor order, in ``_fields``; each
+    becomes a read-only positional descriptor, as ``collections.namedtuple``
+    makes them, so a record indexes and unpacks in field order.  Subclasses
+    set ``__slots__ = ()``, except those that keep ``cached_property`` memos
+    in an instance dict (``IndicatorDef``, ``Schema``, ``ScoreMatrix``).
+    Records hash by their fields and compare only with their own class (a
+    plain tuple of the same fields still compares equal); ``copy``,
+    ``deepcopy``, ``pickle`` and ``replace`` rebuild them from their fields
+    through the constructor, so a copy starts with empty memos.
 
     The generic constructor binds positional and keyword arguments to
-    ``_fields``; every field must be given.  Records built per cell, per
-    program or per indicator write their own, which store each field with
-    ``set_field`` and cost less per call.
+    ``_fields``; every field must be given.  Records built per cell or per
+    program are made with ``tuple.__new__(cls, fields)`` from fields known
+    to be complete and valid.
     """
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
 
-    def __init__(self, *args: object, **kwargs: object) -> None:
-        name = type(self).__name__
-        if len(args) > len(self._fields):
-            raise TypeError(f"{name} takes {len(self._fields)} fields, got {len(args)}")
-        values = dict(zip(self._fields, args))
+    def __init_subclass__(cls) -> None:
+        super().__init_subclass__()
+        for index, key in enumerate(cls.__dict__.get("_fields", ())):
+            setattr(cls, key, _tuplegetter(index, f"Field {index}: {key}"))
+
+    def __new__(cls, *args: object, **kwargs: object):
+        name, fields = cls.__name__, cls._fields
+        if len(args) > len(fields):
+            raise TypeError(f"{name} takes {len(fields)} fields, got {len(args)}")
+        values = dict(zip(fields, args))
         for key in kwargs:
-            if key not in self._fields or key in values:
+            if key not in fields or key in values:
                 raise TypeError(f"{name} got an unknown or repeated field {key!r}")
         values.update(kwargs)
-        for key in self._fields:
+        for key in fields:
             if key not in values:
                 raise TypeError(f"{name} is missing field {key!r}")
-            set_field(self, key, values[key])
+        return tuple.__new__(cls, [values[key] for key in fields])
 
     def _values(self) -> tuple:
-        return tuple([getattr(self, key) for key in self._fields])
-
-    def __setattr__(self, key: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {key!r} of a {type(self).__name__}")
-
-    def __delattr__(self, key: str) -> None:
-        raise AttributeError(f"cannot delete field {key!r} of a {type(self).__name__}")
+        return tuple(self)
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._values() == other._values()
+        return tuple.__eq__(self, other)
 
-    def __hash__(self) -> int:
-        return hash(self._values())
+    def __ne__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return tuple.__ne__(self, other)
+
+    __hash__ = tuple.__hash__
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{key}={getattr(self, key)!r}" for key in self._fields)
+        fields = ", ".join(f"{key}={value!r}" for key, value in zip(self._fields, self))
         return f"{type(self).__qualname__}({fields})"
 
     def __reduce__(self):
@@ -129,7 +130,7 @@ class Record:
 
     def replace(self, **changes: object):
         """A new record with *changes* applied to this one's fields."""
-        return type(self)(**{key: getattr(self, key) for key in self._fields} | changes)
+        return type(self)(**dict(zip(self._fields, self), **changes))
 
 
 class Category(Enum):
@@ -197,35 +198,32 @@ class Direction(Enum):
 class IndicatorDef(Record):
     _fields = ("id", "category", "kind", "data_type", "unit", "direction", "description",
                "explicit_direction")
-    __slots__ = _fields + ("scorable", "parsed_cells")
 
-    def __init__(self, id: str, category: Category, kind: Kind, data_type: DataType | None,
-                 unit: str, direction: Direction, description: str,
-                 explicit_direction: bool = False) -> None:
+    def __new__(cls, id: str, category: Category, kind: Kind, data_type: DataType | None,
+                unit: str, direction: Direction, description: str,
+                explicit_direction: bool = False) -> IndicatorDef:
         """*explicit_direction* is True when the schema author asserted the
         polarity rather than relying on the higher-better default; it gates
-        scoring of code-valued cells."""
-        # Explicitness is meaningless without a polarity.
-        if direction is Direction.NON_SCORABLE and explicit_direction:
-            explicit_direction = False
-        set_field(self, "id", id)
-        set_field(self, "category", category)
-        set_field(self, "kind", kind)
-        set_field(self, "data_type", data_type)
-        set_field(self, "unit", unit)
-        set_field(self, "direction", direction)
-        set_field(self, "description", description)
-        set_field(self, "explicit_direction", explicit_direction)
-        set_field(self, "scorable", (
-            kind is Kind.QUANTITATIVE
-            and direction is not Direction.NON_SCORABLE
-            and data_type in (DataType.NUMERIC, DataType.RATIONAL, DataType.BINARY)
-        ))
-        #: ``ingest.parse_value``'s successful results, keyed by raw cell.
-        #: A parse depends only on the cell text and this definition, so an
-        #: entry is valid for as long as the definition lives.  It is no
-        #: field: copies, ``replace`` and pickles start with it empty.
-        set_field(self, "parsed_cells", {})
+        scoring of code-valued cells, and a non-scorable indicator drops it."""
+        explicit = explicit_direction and direction is not Direction.NON_SCORABLE
+        return tuple.__new__(cls, (id, category, kind, data_type, unit, direction, description,
+                                   explicit))
+
+    @cached_property
+    def scorable(self) -> bool:
+        return (
+            self.kind is Kind.QUANTITATIVE
+            and self.direction is not Direction.NON_SCORABLE
+            and self.data_type in (DataType.NUMERIC, DataType.RATIONAL, DataType.BINARY)
+        )
+
+    @cached_property
+    def parsed_cells(self) -> dict:
+        """``ingest.parse_value``'s successful results, keyed by raw cell.
+        A parse depends only on the cell text and this definition, so an
+        entry is valid for as long as the definition lives.  It is no
+        field: copies, ``replace`` and pickles start with it empty."""
+        return {}
 
     def validate(self) -> None:
         if not INDICATOR_ID_PATTERN.match(self.id):
@@ -262,21 +260,22 @@ class IndicatorDef(Record):
 
 
 class Schema(Record):
-    __slots__ = ("indicators", "get", "observed_lines")
     _fields = ("indicators",)
 
-    def __init__(self, indicators: tuple[IndicatorDef, ...]) -> None:
-        set_field(self, "indicators", indicators)
-        #: ``get(indicator_id)`` returns the indicator with that id, or None.
-        #: It is the id map's own bound ``dict.get``, so each lookup (one per
-        #: ingested row and per scored column) is a single call into C.  It
-        #: is no field: copies and pickles rebuild it from the indicators.
-        set_field(self, "get", {ind.id: ind for ind in indicators}.get)
-        #: ``ingest.load_program_dataset``'s memo of observation lines read
-        #: under this schema: line text -> (definition, finished
-        #: Observation).  It is no field either, so copies and pickles start
-        #: with it empty.
-        set_field(self, "observed_lines", {})
+    @cached_property
+    def get(self):
+        """``get(indicator_id)`` returns the indicator with that id, or None.
+        It is the id map's own bound ``dict.get``, so each lookup (one per
+        ingested row and per scored column) is a single call into C.  It
+        is no field: copies and pickles rebuild it from the indicators."""
+        return {ind.id: ind for ind in self.indicators}.get
+
+    @cached_property
+    def observed_lines(self) -> dict:
+        """``ingest.load_program_dataset``'s memo of observation lines read
+        under this schema: line text -> (definition, finished Observation).
+        It is no field either, so copies and pickles start with it empty."""
+        return {}
 
     def validate(self) -> None:
         seen: set[str] = set()

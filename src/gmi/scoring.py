@@ -10,17 +10,17 @@ scores (range 0..6).  Both min-max passes run through one column routine.
 Columns are position-indexed: a column is a list of cells in program
 order (the order of the datasets, or of the category-score map), and the
 column routine returns its audit records in the same order, so every
-per-program list here is read with ``zip``, never by program name.
-``minmax_normalize`` alone takes a program-keyed map, once per scorable
-column.
+per-program row is read by transposing columns with ``zip``, never by
+program name.
 
-Cells repeat down a column, so the column routine builds one frozen
-``AuditRecord`` per distinct cell ``(value, raw, qualifier, reason)`` and
-hands the same object to every program whose cell is identical; the map is
-local to the call.  ``score_datasets`` returns the results with a
-``ScoreMatrix`` whose ``entries`` and ``category_scores`` are derived from
-those results on first access, so a caller that never reads them never
-builds them.
+Cells repeat down a column, so the column routine maps each distinct cell
+``(value, reason, raw, qualifier)`` to its value, hands that map to
+``minmax_normalize`` once per column, and builds one frozen
+``AuditRecord`` per distinct cell, shared by every program whose cell is
+identical; the maps are local to the call.  ``score_datasets`` returns the
+results with a ``ScoreMatrix`` whose ``entries`` and ``category_scores``
+are derived from those results on first access, so a caller that never
+reads them never builds them.
 
 Layer order: this module sits above ``ingest`` and below ``report``.
 """
@@ -28,15 +28,17 @@ Layer order: this module sits above ``ingest`` and below ``report``.
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping, Sequence
+from collections.abc import Hashable, Mapping, Sequence
 from enum import Enum
 from functools import cached_property
+from itertools import chain, repeat
+from operator import itemgetter
 
 from . import rubric
 from .errors import EmptyCategory, ParseError, PartialDataError, UnknownIndicator
 from .ingest import ProgramDataset, Qualifier, check_distinct_programs, scoring_status
 from .rubric import rubric_to_unit  # noqa: F401  re-exported for gmi.scoring callers
-from .schema import CATEGORIES, Category, Direction, Record, Schema, read_records, set_field
+from .schema import CATEGORIES, Category, Direction, Record, Schema, read_records
 
 #: Width of the composite range: six categories, each normalized to [0, 1].
 CATEGORY_COUNT = 6
@@ -65,26 +67,13 @@ _STAGE_THRESHOLDS: tuple[tuple[float, Stage], ...] = (
 
 
 class Excluded(Record):
-    __slots__ = _fields = ("reason",)
-
-    def __init__(self, reason: str) -> None:  # missing | non-scorable | token-unconverted
-        set_field(self, "reason", reason)
+    __slots__ = ()
+    _fields = ("reason",)  # missing | non-scorable | token-unconverted
 
 
 class AuditRecord(Record):
-    __slots__ = _fields = ("indicator", "raw", "minimum", "maximum", "score", "exclusion",
-                           "qualifier")
-
-    def __init__(self, indicator: str, raw: str, minimum: float | None,
-                 maximum: float | None, score: float | None, exclusion: str | None = None,
-                 qualifier: Qualifier = Qualifier.EXACT) -> None:
-        set_field(self, "indicator", indicator)
-        set_field(self, "raw", raw)
-        set_field(self, "minimum", minimum)
-        set_field(self, "maximum", maximum)
-        set_field(self, "score", score)
-        set_field(self, "exclusion", exclusion)
-        set_field(self, "qualifier", qualifier)
+    __slots__ = ()
+    _fields = ("indicator", "raw", "minimum", "maximum", "score", "exclusion", "qualifier")
 
 
 # Excluded is immutable, so each reason has one shared instance.
@@ -92,22 +81,18 @@ _EXCLUDED = {reason: Excluded(reason)
              for reason in ("missing", "non-scorable", "token-unconverted")}
 
 # The cell of a program that has no observation of an indicator.
-_ABSENT_CELL = (None, "n.a.", Qualifier.UNSPECIFIED, "missing")
+_ABSENT_CELL = (None, "missing", "n.a.", Qualifier.UNSPECIFIED)
 
 
 class GmiResult(Record):
-    __slots__ = _fields = ("program", "category_scores", "normalized_category_scores", "gmi",
-                           "stage", "audit")
+    __slots__ = ()
+    _fields = ("program", "category_scores", "normalized_category_scores", "gmi", "stage",
+               "audit")
 
-    def __init__(self, program: str, category_scores: dict[Category, float],
-                 normalized_category_scores: dict[Category, float], gmi: float, stage: Stage,
-                 audit: tuple[AuditRecord, ...] = ()) -> None:
-        set_field(self, "program", program)
-        set_field(self, "category_scores", category_scores)
-        set_field(self, "normalized_category_scores", normalized_category_scores)
-        set_field(self, "gmi", gmi)
-        set_field(self, "stage", stage)
-        set_field(self, "audit", audit)
+
+#: Builds a record from complete fields, skipping the keyword binding.
+_new = tuple.__new__
+_SCORE = itemgetter(AuditRecord._fields.index("score"))
 
 
 class ScoreMatrix(Record):
@@ -139,8 +124,8 @@ class ScoreMatrix(Record):
         }
 
 
-def minmax_normalize(values: Mapping[str, float | None]) -> dict[str, float | Excluded]:
-    """Min-max scale present values across programs.
+def minmax_normalize(values: Mapping[Hashable, float | None]) -> dict[Hashable, float | Excluded]:
+    """Min-max scale the present values, keyed by program or by distinct cell.
 
     Missing entries become Excluded("missing") and do not influence the
     bounds. When all present values coincide (or only one is present) every
@@ -152,14 +137,14 @@ def minmax_normalize(values: Mapping[str, float | None]) -> dict[str, float | Ex
     lo = min(present, default=0.0)
     hi = max(present, default=0.0)
     degenerate = hi <= lo
-    out: dict[str, float | Excluded] = {}
-    for program, value in values.items():
+    out: dict[Hashable, float | Excluded] = {}
+    for key, value in values.items():
         if value is None:
-            out[program] = _EXCLUDED["missing"]
+            out[key] = _EXCLUDED["missing"]
         elif degenerate:
-            out[program] = 0.5
+            out[key] = 0.5
         else:
-            out[program] = (value - lo) / (hi - lo)
+            out[key] = (value - lo) / (hi - lo)
     return out
 
 
@@ -199,41 +184,41 @@ def _format_score(x: float) -> str:
 
 def _score_column(
     indicator: str,
-    programs: Sequence[str],
-    cells: Sequence[tuple[float | None, str, Qualifier, str | None]],
+    cells: Sequence[tuple[float | None, str | None, str, Qualifier]],
     direction: Direction = Direction.HIGHER_BETTER,
 ) -> list[AuditRecord]:
     """Min-max one column across the cohort; both passes use this.
 
-    *cells* holds each program's cell, in the order of *programs*: value,
-    raw text, qualifier and exclusion reason; the value is None exactly
-    when the reason is not.  Returns each program's audit record in the
-    same order, which holds its directed score or its exclusion; the audit
-    bounds are the column's.  Programs with identical cells share one
-    record.  The whole cell tuple is the key: its raw text keeps ``0`` and
-    ``-0`` apart, which compare equal as floats yet score as ``0.0000`` and
-    ``-0.0000``.  Raises ParseError when the column's range overflows a
-    float.
+    *cells* holds each program's cell, in program order: value, exclusion
+    reason, raw text and qualifier; the value is None exactly when the
+    reason is not.  Returns each program's audit record in the same order,
+    holding its directed score or its exclusion and the column's bounds.
+    Each distinct cell is normalised once and gets one record, shared by
+    every program with that cell.  The whole cell tuple is the key: its raw
+    text keeps ``0`` and ``-0`` apart, which compare equal as floats yet
+    score as ``0.0000`` and ``-0.0000``.  Raises ParseError when the
+    column's range overflows a float.
     """
-    values = [cell[0] for cell in cells]
-    present = [v for v in values if v is not None]
+    values = {cell: cell[0] for cell in dict.fromkeys(cells)}
+    present = [v for v in values.values() if v is not None]
     lo = min(present) if present else None
     hi = max(present) if present else None
     if present and not math.isfinite(hi - lo):
         raise ParseError(f"column {indicator} spans {lo!r} to {hi!r}, a range that overflows")
-    out: list[AuditRecord] = []
-    records: dict[tuple, AuditRecord] = {}
-    # The programs are distinct, so the normalized map holds one entry per
-    # cell, in the order of *cells*.
-    normalized = minmax_normalize(dict(zip(programs, values)))
-    for cell, entry in zip(cells, normalized.values()):
-        record = records.get(cell)
-        if record is None:
-            _, raw, qualifier, reason = cell
-            score = None if reason else directional_score(entry, direction)
-            record = records[cell] = AuditRecord(indicator, raw, lo, hi, score, reason, qualifier)
-        out.append(record)
-    return out
+    # Distinct cells keep their first program's order, so the bounds, and
+    # which of 0.0 and -0.0 is one, are those of the whole column.
+    records = {
+        cell: _new(AuditRecord, (indicator, cell[2], lo, hi,
+                                 None if cell[1] else directional_score(entry, direction),
+                                 cell[1], cell[3]))
+        for cell, entry in minmax_normalize(values).items()
+    }
+    return list(map(records.__getitem__, cells))
+
+
+def _rows(columns: list[list], count: int):
+    """Each of *count* programs' entries across position-aligned *columns*."""
+    return zip(*columns) if columns else repeat((), count)
 
 
 def compute_gmi(category_scores: Mapping[str, Mapping[Category, float]],
@@ -263,9 +248,9 @@ def compute_gmi(category_scores: Mapping[str, Mapping[Category, float]],
         cells = []
         for scores in rows:
             value = scores.get(cat)
-            cells.append((None, "n.a.", _EXACT, "missing") if value is None
-                         else (value, _format_score(value), _EXACT, None))
-        columns.append(_score_column(cat.roll_up, programs, cells))
+            cells.append((None, "missing", "n.a.", _EXACT) if value is None
+                         else (value, None, _format_score(value), _EXACT))
+        columns.append(_score_column(cat.roll_up, cells))
 
     results: dict[str, GmiResult] = {}
     # zip(*columns) gives each program's six category records in order.
@@ -277,14 +262,8 @@ def compute_gmi(category_scores: Mapping[str, Mapping[Category, float]],
         gmi = sum(per_cat.values())
         if len(per_cat) < CATEGORY_COUNT:
             gmi *= CATEGORY_COUNT / len(per_cat)
-        results[program] = GmiResult(
-            program=program,
-            category_scores={cat: scores[cat] for cat in per_cat},
-            normalized_category_scores=per_cat,
-            gmi=gmi,
-            stage=classify_maturity(gmi),
-            audit=audit,
-        )
+        results[program] = _new(GmiResult, (program, {cat: scores[cat] for cat in per_cat},
+                                             per_cat, gmi, classify_maturity(gmi), audit))
     return results
 
 
@@ -307,53 +286,47 @@ def score_datasets(
     matrix reads its two maps from the results on first access.
     """
     template = template or rubric.builtin_template()
-    programs = [ds.program for ds in datasets]
-    check_distinct_programs(programs)
-    observed_ids = dict.fromkeys(i for ds in datasets for i in ds.observations)
+    check_distinct_programs([ds.program for ds in datasets])
+    observations = [ds.observations for ds in datasets]
+    observed_ids = dict.fromkeys(chain.from_iterable(observations))
 
-    audits: list[list[AuditRecord]] = [[] for _ in datasets]
-    # included[category][i]: the indicator scores program i has in category.
-    included = {cat: [[] for _ in datasets] for cat in CATEGORIES}
-
+    # One list per observed indicator, aligned with *datasets*; an
+    # unscorable column holds None where a program has no record.
+    columns: list[list[AuditRecord | None]] = []
+    # The scores of each category's scorable columns, in the same order.
+    scored: dict[Category, list[list[float | None]]] = {cat: [] for cat in CATEGORIES}
     for indicator_id in observed_ids:
         definition = schema.get(indicator_id)
         if definition is None:
             raise UnknownIndicator(indicator_id)
-        cells: list[tuple[float | None, str, Qualifier, str | None]] = []
-        for ds in datasets:
-            obs = ds.observations.get(indicator_id)
-            if obs is None:
-                cells.append(_ABSENT_CELL)
-            else:
-                value, reason = scoring_status(obs.value, definition, rates)
-                cells.append((value, obs.raw, obs.value.qualifier, reason))
+        cells = [
+            _ABSENT_CELL if obs is None
+            else scoring_status(value := obs.value, definition, rates) + (obs.raw, value.qualifier)
+            for obs in map(dict.get, observations, repeat(indicator_id))
+        ]
 
         if definition.scorable:
-            scored = _score_column(indicator_id, programs, cells, definition.direction)
-            for audit, scores, record in zip(audits, included[definition.category], scored):
-                audit.append(record)
-                if record.exclusion is None:
-                    scores.append(record.score)
+            column = _score_column(indicator_id, cells, definition.direction)
+            # A record's score is None exactly when it carries an exclusion.
+            scored[definition.category].append(list(map(_SCORE, column)))
         else:
             # Every observed cell of an unscorable indicator reads
             # "non-scorable"; those cells enter the audit trail unbounded,
             # one record per distinct cell as in _score_column.
-            records: dict[tuple, AuditRecord] = {}
-            for audit, cell in zip(audits, cells):
-                if cell[3] == "non-scorable":
-                    record = records.get(cell)
-                    if record is None:
-                        _, raw, qualifier, reason = cell
-                        record = records[cell] = AuditRecord(
-                            indicator_id, raw, None, None, None, reason, qualifier)
-                    audit.append(record)
+            records = {cell: _new(AuditRecord, (indicator_id, cell[2], None, None, None, cell[1],
+                                                cell[3]))
+                       for cell in dict.fromkeys(cells) if cell[1] == "non-scorable"}
+            column = list(map(records.get, cells))
+        columns.append(column)
 
+    count = len(datasets)
     category_scores: dict[str, dict[Category, float]] = {}
-    # zip(*included.values()) gives each program's six score lists in order.
-    for ds, by_category in zip(datasets, zip(*included.values())):
+    # Each program's scores in each category's scorable columns.
+    for ds, by_category in zip(datasets, zip(*(_rows(scored[cat], count) for cat in CATEGORIES))):
         grouped = rubric.collect_responses(template, ds.rubric)
         per_cat: dict[Category, float] = {}
-        for cat, indicator_scores in zip(CATEGORIES, by_category):
+        for cat, scores in zip(CATEGORIES, by_category):
+            indicator_scores = [score for score in scores if score is not None]
             answers = grouped.get(cat)
             rubric_score = sum(answers) / len(answers) if answers else None
             if indicator_scores or rubric_score is not None:
@@ -361,8 +334,9 @@ def score_datasets(
         category_scores[ds.program] = per_cat
 
     by_program = compute_gmi(category_scores, allow_partial=allow_partial)
-    results = [result.replace(audit=tuple(audit) + result.audit)
-               for audit, result in zip(audits, by_program.values())]
+    # Each result's audit: its indicator records, then its category records.
+    results = [_new(GmiResult, (*result[:-1], (*filter(None, audit), *result.audit)))
+               for audit, result in zip(_rows(columns, count), by_program.values())]
     return ScoreMatrix(results=tuple(results)), results
 
 
@@ -374,7 +348,8 @@ _TABLE_HEADER = ("program",) + tuple(cat.code for cat in CATEGORIES)
 
 
 class CategoryTable(Record):
-    __slots__ = _fields = ("scores", "notes")
+    __slots__ = ()
+    _fields = ("scores", "notes")
     scores: dict[str, dict[Category, float]]
     notes: tuple[str, ...]
 
@@ -389,38 +364,40 @@ def load_category_table(source: bytes | str) -> CategoryTable:
     scores: dict[str, dict[Category, float]] = {}
     notes: list[str] = []
     header_seen = False
-    for line_no, fields in read_records(source):
-        if fields[0].lower() == "note":
-            notes.append("|".join(fields[1:]))
-            continue
-        if not header_seen:
-            if tuple(f.upper() if i else f.lower() for i, f in enumerate(fields)) != _TABLE_HEADER:
-                raise ParseError(
-                    f"line {line_no}: expected header {'|'.join(_TABLE_HEADER)!r}"
-                )
-            header_seen = True
-            continue
-        if len(fields) != len(_TABLE_HEADER):
-            raise ParseError(f"line {line_no}: expected {len(_TABLE_HEADER)} fields")
-        program = fields[0]
-        if not program:
-            raise ParseError(f"line {line_no}: program name is empty")
-        if program in scores:
-            raise ParseError(f"line {line_no}: duplicate program {program!r}")
-        per_cat: dict[Category, float] = {}
-        for cat, cell in zip(CATEGORIES, fields[1:]):
-            if cell.lower() in ("n.a.", ""):
+    records = read_records(source)
+    try:
+        for line_no, fields in records:
+            if fields[0].lower() == "note":
+                notes.append("|".join(fields[1:]))
                 continue
-            try:
-                score = float(cell)
-            except ValueError:
-                raise ParseError(
-                    f"line {line_no}: score {cell!r} is not a number"
-                ) from None
-            if not math.isfinite(score):
-                raise ParseError(f"line {line_no}: score {cell!r} is not finite")
-            per_cat[cat] = score
-        scores[program] = per_cat
+            if not header_seen:
+                if (tuple(f.upper() if i else f.lower() for i, f in enumerate(fields))
+                        != _TABLE_HEADER):
+                    raise ParseError(f"expected header {'|'.join(_TABLE_HEADER)!r}")
+                header_seen = True
+                continue
+            if len(fields) != len(_TABLE_HEADER):
+                raise ParseError(f"expected {len(_TABLE_HEADER)} fields")
+            program = fields[0]
+            if not program:
+                raise ParseError("program name is empty")
+            if program in scores:
+                raise ParseError(f"duplicate program {program!r}")
+            per_cat: dict[Category, float] = {}
+            for cat, cell in zip(CATEGORIES, fields[1:]):
+                if cell.lower() in ("n.a.", ""):
+                    continue
+                try:
+                    score = float(cell)
+                except ValueError:
+                    raise ParseError(f"score {cell!r} is not a number") from None
+                if not math.isfinite(score):
+                    raise ParseError(f"score {cell!r} is not finite")
+                per_cat[cat] = score
+            scores[program] = per_cat
+    except ParseError as exc:  # every row error names its line
+        exc.args = (f"line {line_no}: {exc}",)
+        raise
     if not header_seen:
         raise ParseError("category table has no header row")
     if not scores:

@@ -159,8 +159,32 @@ def test_validate_and_score_agree_on_repeated_program_names(capsys):
     for command in ("validate", "score"):
         statuses[command] = main([command, PROGRAM_FILES[0], PROGRAM_FILES[0]])
         err = capsys.readouterr().err
-        assert err == "ParseError: duplicate program names across datasets\n", command
+        path = PROGRAM_FILES[0]
+        assert err == f"ParseError: duplicate program 'Taiko' in {path} and {path}\n", command
     assert statuses["validate"] == statuses["score"] == 2
+
+
+def test_repeated_program_names_both_inputs(tmp_path, capsys):
+    paths = []
+    for name, program in (("b1.txt", "A"), ("b2.txt", "B"), ("b3.txt", "B")):
+        (tmp_path / name).write_text(f"program|{program}\nCOM-QN-1|10\n", encoding="utf-8")
+        paths.append(str(tmp_path / name))
+    for command in (["validate"], ["score", "--allow-partial"]):
+        assert main([*command, *paths]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"ParseError: duplicate program 'B' in {paths[1]} and {paths[2]}\n"
+
+
+def test_lower_case_indicator_id_is_rejected_on_its_row(tmp_path, capsys):
+    path = tmp_path / "c.txt"
+    path.write_text("program|C\nCOM-QN-1|3\ncom-qn-2|5\n", encoding="utf-8")
+    for command in (["validate"], ["score", "--allow-partial"]):
+        assert main([*command, str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"ParseError: {path}: line 3: indicator id 'com-qn-2' must be upper-case\n")
 
 
 @pytest.mark.parametrize(

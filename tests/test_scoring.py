@@ -7,7 +7,13 @@ import pickle
 
 import pytest
 
-from gmi.errors import EmptyCategory, PartialDataError, RubricRangeError, UnknownIndicator
+from gmi.errors import (
+    EmptyCategory,
+    ParseError,
+    PartialDataError,
+    RubricRangeError,
+    UnknownIndicator,
+)
 from gmi.ingest import (
     CategoryValidation,
     Observation,
@@ -22,6 +28,7 @@ from gmi.rubric import Criterion, RubricTemplate
 from gmi.schema import (
     Category,
     Direction,
+    IndicatorDef,
     Schema,
     builtin_schema,
     dump_schema,
@@ -288,6 +295,13 @@ def test_score_datasets_rejects_an_indicator_the_schema_lacks():
         score_datasets(datasets, builtin_schema(), allow_partial=True)
 
 
+def test_score_datasets_names_a_repeated_program():
+    datasets = [_dataset(name, {"FAO-QN-2": money(1000)}, _full_rubric(3))
+                for name in ("A", "B", "C", "B")]
+    with pytest.raises(ParseError, match="^duplicate program 'B'$"):
+        score_datasets(datasets, builtin_schema(), allow_partial=True)
+
+
 def test_score_datasets_tokens_convert_with_rates():
     schema = builtin_schema()
     datasets = [
@@ -448,9 +462,8 @@ _UNHASHABLE = (ProgramDataset, ValidationReport, GmiResult, ScoreMatrix, Categor
 @pytest.mark.parametrize("record,field,other", _record_samples(),
                          ids=[type(sample[0]).__name__ for sample in _record_samples()])
 def test_records_are_slotted_values(record, field, other):
-    # Only ScoreMatrix, whose maps are cached_property memos, keeps an
-    # instance dict.
-    assert hasattr(record, "__dict__") == isinstance(record, ScoreMatrix)
+    # Only the records with cached_property memos keep an instance dict.
+    assert hasattr(record, "__dict__") == isinstance(record, (IndicatorDef, Schema, ScoreMatrix))
     with pytest.raises(AttributeError):
         setattr(record, field, other)
     with pytest.raises(AttributeError):
@@ -520,6 +533,21 @@ def test_record_constructors_bind_fields_like_a_signature():
                 lambda: Excluded("missing").replace(colour=1)):
         with pytest.raises(TypeError):
             bad()
+
+
+def test_records_are_tuples_that_compare_only_within_their_class():
+    # Two classes with one field each, holding the same value.
+    criteria = RubricTemplate(())
+    notes = Excluded(())
+    assert tuple(criteria) == tuple(notes) == ((),)
+    assert criteria != notes and not criteria == notes and hash(criteria) == hash(notes)
+    assert criteria == ((),) and ((),) == criteria  # a plain tuple still compares
+    audit = AuditRecord("COM-QN-2", ">3.5", 1.0, 4.0, 0.8333, None,
+                        Qualifier.APPROX_LOWER_BOUND)
+    indicator, raw, minimum, maximum, score, exclusion, qualifier = audit
+    assert [indicator, raw, minimum, maximum, score, exclusion, qualifier] == [
+        getattr(audit, name) for name in AuditRecord._fields]
+    assert audit[AuditRecord._fields.index("score")] is audit.score
 
 
 def test_category_validation_derives_scorable():
