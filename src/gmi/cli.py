@@ -23,7 +23,8 @@ from pathlib import Path
 
 from . import rubric
 from .errors import EmptyCategory, GmiError, PartialDataError
-from .ingest import check_distinct_programs, load_program_dataset, load_rates, validate_dataset
+from .ingest import (check_distinct_programs, column_bounds, load_program_dataset, load_rates,
+                     validate_dataset)
 from .report import FORMATS, render_comparison, render_validation
 from .rubric import render_template
 from .schema import Schema, builtin_schema, dump_schema, load_schema
@@ -71,14 +72,17 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     template = rubric.builtin_template()
     programs: list[str] = []
     chunks: list[bytes] = []
+    columns: dict[str, list[float | None]] = {}
     all_ok = True
     for path in args.inputs:
         dataset = _load(path, load_program_dataset, schema)
-        report = validate_dataset(dataset, schema, template)
+        report = validate_dataset(dataset, schema, template, columns)
         programs.append(dataset.program)
         chunks.append(render_validation(report))
         all_ok = all_ok and report.all_scorable
     check_distinct_programs(programs, args.inputs)
+    for indicator, values in columns.items():  # the range rule score applies per column
+        column_bounds(indicator, values)
     _emit(b"".join(chunks), args.out)
     return EXIT_OK if all_ok else EXIT_DOMAIN
 

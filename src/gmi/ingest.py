@@ -70,7 +70,8 @@ from __future__ import annotations
 
 import math
 import re
-from collections.abc import Mapping, Sequence
+from collections import namedtuple
+from collections.abc import Iterable, Mapping, Sequence
 from enum import Enum
 
 from . import rubric
@@ -178,10 +179,10 @@ _NUMERIC_DATA = (DataType.NUMERIC, DataType.RATIONAL)
 _QUANTITATIVE = Kind.QUANTITATIVE
 
 
-class TypedValue(Record):
+class TypedValue(Record, namedtuple("TypedValue", (
+        "kind", "value", "symbol", "text", "numerator", "denominator", "unit", "is_code",
+        "qualifier"))):
     __slots__ = ()
-    _fields = ("kind", "value", "symbol", "text", "numerator", "denominator", "unit", "is_code",
-               "qualifier")
 
     def __new__(
         cls,
@@ -456,14 +457,12 @@ def coerce_unit(value: TypedValue, from_unit: str | None, definition: IndicatorD
 # Datasets
 # ---------------------------------------------------------------------------
 
-class Observation(Record):
+class Observation(Record, namedtuple("Observation", ("indicator_id", "raw", "value"))):
     __slots__ = ()
-    _fields = ("indicator_id", "raw", "value")
 
 
-class ProgramDataset(Record):
+class ProgramDataset(Record, namedtuple("ProgramDataset", ("program", "observations", "rubric"))):
     __slots__ = ()
-    _fields = ("program", "observations", "rubric")
     program: str
     observations: dict[str, Observation]
     rubric: dict[str, int]
@@ -607,10 +606,24 @@ def scoring_status(value: TypedValue, definition: IndicatorDef,
     return value.value, None
 
 
-class CategoryValidation(Record):
+def column_bounds(indicator: str,
+                  values: Iterable[float | None]) -> tuple[float | None, float | None]:
+    """The least and the greatest of column *indicator*'s present *values*,
+    or (None, None) when none is present.  Raises ParseError when the range
+    between them overflows a float: ``gmi score`` min-max scales each
+    column between its bounds, and ``gmi validate`` checks them first."""
+    present = [v for v in values if v is not None]
+    if not present:
+        return None, None
+    lo, hi = min(present), max(present)
+    if not math.isfinite(hi - lo):
+        raise ParseError(f"column {indicator} spans {lo!r} to {hi!r}, a range that overflows")
+    return lo, hi
+
+
+class CategoryValidation(Record, namedtuple("CategoryValidation", (
+        "scorable_present", "missing", "non_scorable", "token_unconverted", "rubric_responses"))):
     __slots__ = ()
-    _fields = ("scorable_present", "missing", "non_scorable", "token_unconverted",
-               "rubric_responses")
     scorable_present: tuple[str, ...]
     missing: tuple[str, ...]
     non_scorable: tuple[str, ...]
@@ -623,9 +636,8 @@ class CategoryValidation(Record):
         return bool(self.scorable_present) or self.rubric_responses > 0
 
 
-class ValidationReport(Record):
+class ValidationReport(Record, namedtuple("ValidationReport", ("program", "categories"))):
     __slots__ = ()
-    _fields = ("program", "categories")
     program: str
     categories: dict[Category, CategoryValidation]
 
@@ -637,14 +649,17 @@ class ValidationReport(Record):
         return [cat for cat, c in self.categories.items() if not c.scorable]
 
 
-def validate_dataset(dataset: ProgramDataset, schema: Schema,
-                     template=None) -> ValidationReport:
+def validate_dataset(dataset: ProgramDataset, schema: Schema, template=None,
+                     columns: dict[str, list[float | None]] | None = None) -> ValidationReport:
     """Pre-scoring gate: per category, what would score and what is excluded.
 
     A category is scorable iff it has at least one observation that would be
     included in normalization right now (no conversion table assumed) or at
     least one rubric response.  Rubric answers go through the same check as
     in scoring, so an unknown criterion raises UnknownCriterion here too.
+    With *columns*, each observation's value as it would score now (None
+    when excluded) is appended to ``columns[indicator id]``, so that a
+    cohort's columns can be checked with ``column_bounds``.
     """
     template = template or rubric.builtin_template()
     # Keyed by scoring_status's exclusion reason; None collects what scores.
@@ -656,8 +671,10 @@ def validate_dataset(dataset: ProgramDataset, schema: Schema,
         definition = schema.get(obs.indicator_id)
         if definition is None:
             raise UnknownIndicator(obs.indicator_id)
-        _, exclusion = scoring_status(obs.value, definition)
+        value, exclusion = scoring_status(obs.value, definition)
         by_category[definition.category][exclusion].append(obs.indicator_id)
+        if columns is not None:
+            columns.setdefault(obs.indicator_id, []).append(value)
 
     grouped = rubric.collect_responses(template, dataset.rubric)
     rubric_counts = {cat: len(grouped.get(cat, ())) for cat in CATEGORIES}

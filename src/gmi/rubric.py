@@ -12,6 +12,7 @@ scoring all apply.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Mapping
 
 from .errors import ParseError, RubricRangeError, UnknownCriterion
@@ -34,18 +35,16 @@ def rubric_to_unit(score: int) -> float:
     return (check_score(score) - 1) / 4
 
 
-class Criterion(Record):
+class Criterion(Record, namedtuple("Criterion", ("id", "category", "name", "prompt"))):
     __slots__ = ()
-    _fields = ("id", "category", "name", "prompt")
     id: str
     category: Category
     name: str
     prompt: str
 
 
-class RubricTemplate(Record):
+class RubricTemplate(Record, namedtuple("RubricTemplate", ("criteria",))):
     __slots__ = ()
-    _fields = ("criteria",)
 
     def __new__(cls, criteria: tuple[Criterion, ...]) -> RubricTemplate:
         seen: set[str] = set()

@@ -15,13 +15,16 @@ prints, held in this module and read by ``load_schema`` like any other.
 
 Layer order: this module sits directly above ``errors`` and imports no
 other engine module; it owns the record reader every document loader uses
-and ``Record``, the immutable tuple base of every engine record class.
+and ``Record``, the mixin of every engine record class.  Each record class
+is a ``collections.namedtuple`` class, so records compare and hash as
+plain tuples of their fields; the mixin makes every copy of a record go
+through its class's constructor.
 """
 
 from __future__ import annotations
 
 import re
-from collections import _tuplegetter
+from collections import namedtuple
 from enum import Enum
 from functools import cached_property
 
@@ -65,71 +68,29 @@ def read_records(source: bytes | str) -> list[tuple[int, list[str]]]:
             if (fields := record_fields(line)) is not None]
 
 
-class Record(tuple):
-    """Base of the engine's immutable value records: tuples with named fields.
+class Record:
+    """Mixin of every engine record class, a ``collections.namedtuple``
+    class declared as ``class Name(Record, namedtuple("Name", fields))``.
 
-    A subclass names its fields, in constructor order, in ``_fields``; each
-    becomes a read-only positional descriptor, as ``collections.namedtuple``
-    makes them, so a record indexes and unpacks in field order.  Subclasses
-    set ``__slots__ = ()``, except those that keep ``cached_property`` memos
-    in an instance dict (``IndicatorDef``, ``Schema``, ``ScoreMatrix``).
-    Records hash by their fields and compare only with their own class (a
-    plain tuple of the same fields still compares equal); ``copy``,
-    ``deepcopy``, ``pickle`` and ``replace`` rebuild them from their fields
-    through the constructor, so a copy starts with empty memos.
-
-    The generic constructor binds positional and keyword arguments to
-    ``_fields``; every field must be given.  Records built per cell or per
-    program are made with ``tuple.__new__(cls, fields)`` from fields known
-    to be complete and valid.
+    ``replace``, ``_replace``, ``_make``, ``copy``, ``deepcopy`` and
+    ``pickle`` rebuild a record through its class's constructor, so they run
+    its checks again and a copy starts with empty memos.  Records built per
+    cell or per program are made with ``tuple.__new__(cls, fields)`` from
+    fields known to be complete and valid.
     """
 
     __slots__ = ()
-    _fields: tuple[str, ...] = ()
-
-    def __init_subclass__(cls) -> None:
-        super().__init_subclass__()
-        for index, key in enumerate(cls.__dict__.get("_fields", ())):
-            setattr(cls, key, _tuplegetter(index, f"Field {index}: {key}"))
-
-    def __new__(cls, *args: object, **kwargs: object):
-        name, fields = cls.__name__, cls._fields
-        if len(args) > len(fields):
-            raise TypeError(f"{name} takes {len(fields)} fields, got {len(args)}")
-        values = dict(zip(fields, args))
-        for key in kwargs:
-            if key not in fields or key in values:
-                raise TypeError(f"{name} got an unknown or repeated field {key!r}")
-        values.update(kwargs)
-        for key in fields:
-            if key not in values:
-                raise TypeError(f"{name} is missing field {key!r}")
-        return tuple.__new__(cls, [values[key] for key in fields])
-
-    def _values(self) -> tuple:
-        return tuple(self)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return tuple.__eq__(self, other)
-
-    def __ne__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return tuple.__ne__(self, other)
-
-    __hash__ = tuple.__hash__
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{key}={value!r}" for key, value in zip(self._fields, self))
-        return f"{type(self).__qualname__}({fields})"
 
     def __reduce__(self):
-        return type(self), self._values()
+        return type(self), tuple(self)
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
     def replace(self, **changes: object):
-        """A new record with *changes* applied to this one's fields."""
+        """A new record with *changes* applied to this one's fields; an
+        unknown field is a TypeError."""
         return type(self)(**dict(zip(self._fields, self), **changes))
 
 
@@ -195,10 +156,9 @@ class Direction(Enum):
     NON_SCORABLE = "non-scorable"
 
 
-class IndicatorDef(Record):
-    _fields = ("id", "category", "kind", "data_type", "unit", "direction", "description",
-               "explicit_direction")
-
+class IndicatorDef(Record, namedtuple("IndicatorDef", (
+        "id", "category", "kind", "data_type", "unit", "direction", "description",
+        "explicit_direction"))):
     def __new__(cls, id: str, category: Category, kind: Kind, data_type: DataType | None,
                 unit: str, direction: Direction, description: str,
                 explicit_direction: bool = False) -> IndicatorDef:
@@ -259,9 +219,7 @@ class IndicatorDef(Record):
             )
 
 
-class Schema(Record):
-    _fields = ("indicators",)
-
+class Schema(Record, namedtuple("Schema", ("indicators",))):
     @cached_property
     def get(self):
         """``get(indicator_id)`` returns the indicator with that id, or None.

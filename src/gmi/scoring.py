@@ -28,6 +28,7 @@ Layer order: this module sits above ``ingest`` and below ``report``.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from collections.abc import Hashable, Mapping, Sequence
 from enum import Enum
 from functools import cached_property
@@ -36,7 +37,8 @@ from operator import itemgetter
 
 from . import rubric
 from .errors import EmptyCategory, ParseError, PartialDataError, UnknownIndicator
-from .ingest import ProgramDataset, Qualifier, check_distinct_programs, scoring_status
+from .ingest import (ProgramDataset, Qualifier, check_distinct_programs, column_bounds,
+                     scoring_status)
 from .rubric import rubric_to_unit  # noqa: F401  re-exported for gmi.scoring callers
 from .schema import CATEGORIES, Category, Direction, Record, Schema, read_records
 
@@ -66,14 +68,13 @@ _STAGE_THRESHOLDS: tuple[tuple[float, Stage], ...] = (
 )
 
 
-class Excluded(Record):
-    __slots__ = ()
-    _fields = ("reason",)  # missing | non-scorable | token-unconverted
+class Excluded(Record, namedtuple("Excluded", ("reason",))):
+    __slots__ = ()  # reason: missing | non-scorable | token-unconverted
 
 
-class AuditRecord(Record):
+class AuditRecord(Record, namedtuple("AuditRecord", (
+        "indicator", "raw", "minimum", "maximum", "score", "exclusion", "qualifier"))):
     __slots__ = ()
-    _fields = ("indicator", "raw", "minimum", "maximum", "score", "exclusion", "qualifier")
 
 
 # Excluded is immutable, so each reason has one shared instance.
@@ -84,10 +85,9 @@ _EXCLUDED = {reason: Excluded(reason)
 _ABSENT_CELL = (None, "missing", "n.a.", Qualifier.UNSPECIFIED)
 
 
-class GmiResult(Record):
+class GmiResult(Record, namedtuple("GmiResult", (
+        "program", "category_scores", "normalized_category_scores", "gmi", "stage", "audit"))):
     __slots__ = ()
-    _fields = ("program", "category_scores", "normalized_category_scores", "gmi", "stage",
-               "audit")
 
 
 #: Builds a record from complete fields, skipping the keyword binding.
@@ -95,7 +95,7 @@ _new = tuple.__new__
 _SCORE = itemgetter(AuditRecord._fields.index("score"))
 
 
-class ScoreMatrix(Record):
+class ScoreMatrix(Record, namedtuple("ScoreMatrix", ("results",))):
     """The cohort's scores keyed by ``(program, indicator id)`` and by
     ``(program, category)``, read from *results* on first access.
 
@@ -103,7 +103,6 @@ class ScoreMatrix(Record):
     ``CATEGORY_COUNT`` category records, so ``entries`` reads the former.
     Not slotted: the two maps are ``cached_property`` memos.
     """
-    _fields = ("results",)
     results: tuple[GmiResult, ...]
 
     @cached_property
@@ -197,14 +196,10 @@ def _score_column(
     every program with that cell.  The whole cell tuple is the key: its raw
     text keeps ``0`` and ``-0`` apart, which compare equal as floats yet
     score as ``0.0000`` and ``-0.0000``.  Raises ParseError when the
-    column's range overflows a float.
+    column's range overflows a float (``column_bounds``).
     """
     values = {cell: cell[0] for cell in dict.fromkeys(cells)}
-    present = [v for v in values.values() if v is not None]
-    lo = min(present) if present else None
-    hi = max(present) if present else None
-    if present and not math.isfinite(hi - lo):
-        raise ParseError(f"column {indicator} spans {lo!r} to {hi!r}, a range that overflows")
+    lo, hi = column_bounds(indicator, values.values())
     # Distinct cells keep their first program's order, so the bounds, and
     # which of 0.0 and -0.0 is one, are those of the whole column.
     records = {
@@ -347,9 +342,8 @@ def score_datasets(
 _TABLE_HEADER = ("program",) + tuple(cat.code for cat in CATEGORIES)
 
 
-class CategoryTable(Record):
+class CategoryTable(Record, namedtuple("CategoryTable", ("scores", "notes"))):
     __slots__ = ()
-    _fields = ("scores", "notes")
     scores: dict[str, dict[Category, float]]
     notes: tuple[str, ...]
 

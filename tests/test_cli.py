@@ -2,12 +2,17 @@
 
 from __future__ import annotations
 
+import contextlib
 import gc
+import io
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gmi.cli
 import gmi.rubric
@@ -373,6 +378,42 @@ def test_non_finite_numbers_are_input_errors(tmp_path, capsys, files, argv):
     err = capsys.readouterr().err
     assert code == 2
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+_MAX = str(int(sys.float_info.max))  # the largest float, written out in full
+_E308 = "1" + "0" * 308
+#: PSO-QN-5 cells whose pairs overflow a column's range, or do not.
+_RANGE_CELLS = (_MAX, f"-{_MAX}", _E308, f"-{_E308}", "0", "-0", "5")
+
+
+@pytest.fixture(scope="module")
+def range_cells_dir(tmp_path_factory):
+    """One-row program files: program P<position> with each of _RANGE_CELLS."""
+    root = tmp_path_factory.mktemp("range-cells")
+    for position in range(4):
+        for index, cell in enumerate(_RANGE_CELLS):
+            (root / f"p{position}-{index}.txt").write_text(
+                f"program|P{position}\nPSO-QN-5|{cell}\n", encoding="utf-8")
+    return root
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.sampled_from(range(len(_RANGE_CELLS))), min_size=2, max_size=4))
+def test_validate_predicts_the_overflow_exit_of_score(range_cells_dir, cells):
+    paths = [str(range_cells_dir / f"p{position}-{index}.txt")
+             for position, index in enumerate(cells)]
+    outcomes = {}
+    for command in (["validate"], ["score", "--allow-partial"]):
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main([*command, "--out", os.devnull, *paths])
+        outcomes[command[0]] = (code == 2, err.getvalue())
+    assert outcomes["validate"] == outcomes["score"]
+    failed, err = outcomes["score"]
+    if failed:
+        assert err.count("\n") == 1 and err.startswith("ParseError: column PSO-QN-5 spans")
+    else:
+        assert err == ""
 
 
 @pytest.mark.parametrize(
