@@ -20,8 +20,8 @@ under the indicator's declared data type:
 * a number followed by an upper-case symbol (``50K OP``) is a token amount.
 * ``N (free text)`` is a Number carrying the leading numeral; under
   indicators with unit ``scoring`` the numeral is a categorical code and is
-  marked as such (codes only score when the indicator's direction was set
-  explicitly).
+  marked as such (a code scores under any direction but ``default`` and
+  ``non-scorable``).
 * a bare number (separators and magnitude suffixes allowed) is a Number.
 * anything else raises ValueParseError.
 
@@ -38,7 +38,7 @@ Observation files are pipe-delimited UTF-8 text::
 A first field matching the indicator id pattern is an observation; any other
 first field is read as a rubric criterion id with an integer 1..5 score, or
 a blank score for an unanswered criterion, as ``gmi survey template``
-prints them.
+prints them.  An answered row must name a builtin criterion.
 
 Observation lines repeat across a cohort (flags, codes, platforms,
 placeholders), so ingest memoises at two levels.  ``schema.observed_lines``
@@ -88,6 +88,7 @@ from .schema import (
     INDICATOR_ID_PATTERN,
     Category,
     DataType,
+    Direction,
     IndicatorDef,
     Kind,
     Record,
@@ -177,6 +178,7 @@ _LOWER_BOUND, _UPPER_BOUND = Qualifier.APPROX_LOWER_BOUND, Qualifier.APPROX_UPPE
 _TEXT_DATA, _COUNTRY_DATA, _BINARY_DATA = DataType.TEXT, DataType.ISO_ALPHA_3, DataType.BINARY
 _NUMERIC_DATA = (DataType.NUMERIC, DataType.RATIONAL)
 _QUANTITATIVE = Kind.QUANTITATIVE
+_DEFAULT = Direction.DEFAULT
 
 
 class TypedValue(Record, namedtuple("TypedValue", (
@@ -599,7 +601,7 @@ def scoring_status(value: TypedValue, definition: IndicatorDef,
         if rate is None:
             return None, "token-unconverted"
         return value.value * rate, None
-    if kind is _NUMBER and value.is_code and not definition.explicit_direction:
+    if kind is _NUMBER and value.is_code and definition.direction is _DEFAULT:
         return None, "non-scorable"
     if kind is _TEXT or kind is _COUNTRY:
         return None, "non-scorable"

@@ -78,6 +78,10 @@ _BUILTIN_CRITERIA = (
 )
 
 
+#: The builtin criterion ids, which every rubric row read from a file names.
+_BUILTIN_IDS = frozenset(c[0] for c in _BUILTIN_CRITERIA)
+
+
 def builtin_template() -> RubricTemplate:
     return RubricTemplate(
         criteria=tuple(Criterion(id=c[0], category=c[1], name=c[2], prompt=c[3])
@@ -122,7 +126,8 @@ def render_template(template: RubricTemplate | None = None) -> str:
 
 def read_answer(answers: dict[str, int], fields: list[str]) -> None:
     """Add one ``criterion-id|score`` row to *answers*; a blank score is
-    unanswered and adds nothing."""
+    unanswered and adds nothing.  An answered row must name a builtin
+    criterion, so an unknown one is rejected on its own row."""
     if len(fields) != 2:
         raise ParseError("rubric rows have 2 fields")
     criterion_id, score_text = fields
@@ -133,6 +138,8 @@ def read_answer(answers: dict[str, int], fields: list[str]) -> None:
     except ValueError:
         raise ParseError(f"rubric score {score_text!r} is not an integer") from None
     check_score(score, criterion_id)
+    if criterion_id not in _BUILTIN_IDS:
+        raise UnknownCriterion(criterion_id)
     if criterion_id in answers:
         raise ParseError(f"duplicate rubric row for {criterion_id!r}")
     answers[criterion_id] = score

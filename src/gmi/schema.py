@@ -6,9 +6,12 @@ with a mandatory header row and ``#`` comment lines::
     id|category|kind|data_type|unit|direction|description
 
 ``direction`` is one of ``higher-better``, ``lower-better``, ``non-scorable``
-or ``default``.  ``default`` means higher-better by convention without an
-explicit polarity claim; code-valued cells under such indicators are excluded
-from scoring as non-ordinal.
+or ``default``, the values of ``Direction``'s four members.  ``default``
+means higher-better by convention without an explicit polarity claim;
+code-valued cells under such indicators are excluded from scoring as
+non-ordinal.  ``unit`` and ``description`` hold no ``|``, line break or
+surrounding whitespace, so ``load_schema(dump_schema(s)) == s`` for every
+schema ``s`` that validates.
 
 The builtin registry is such a document, the text ``gmi schema dump``
 prints, held in this module and read by ``load_schema`` like any other.
@@ -135,6 +138,9 @@ CATEGORIES = tuple(Category)
 INDICATOR_ID_PATTERN = re.compile(
     rf"^({'|'.join(cat.code for cat in CATEGORIES)})-(QN|QL|AUX)(-\d+)?$")
 
+# What a schema row cannot hold in a field: the delimiter or a line break.
+_UNWRITABLE = re.compile(r"[|\n\r]")
+
 
 class Kind(Enum):
     QUANTITATIVE = "quantitative"
@@ -154,21 +160,11 @@ class Direction(Enum):
     HIGHER_BETTER = "higher-better"
     LOWER_BETTER = "lower-better"
     NON_SCORABLE = "non-scorable"
+    DEFAULT = "default"  # higher-better by convention, no polarity asserted
 
 
 class IndicatorDef(Record, namedtuple("IndicatorDef", (
-        "id", "category", "kind", "data_type", "unit", "direction", "description",
-        "explicit_direction"))):
-    def __new__(cls, id: str, category: Category, kind: Kind, data_type: DataType | None,
-                unit: str, direction: Direction, description: str,
-                explicit_direction: bool = False) -> IndicatorDef:
-        """*explicit_direction* is True when the schema author asserted the
-        polarity rather than relying on the higher-better default; it gates
-        scoring of code-valued cells, and a non-scorable indicator drops it."""
-        explicit = explicit_direction and direction is not Direction.NON_SCORABLE
-        return tuple.__new__(cls, (id, category, kind, data_type, unit, direction, description,
-                                   explicit))
-
+        "id", "category", "kind", "data_type", "unit", "direction", "description"))):
     @cached_property
     def scorable(self) -> bool:
         return (
@@ -186,12 +182,16 @@ class IndicatorDef(Record, namedtuple("IndicatorDef", (
         return {}
 
     def validate(self) -> None:
-        if not INDICATOR_ID_PATTERN.match(self.id):
+        if not INDICATOR_ID_PATTERN.fullmatch(self.id):
             raise SchemaError(f"indicator id {self.id!r} is not well formed", self.id)
         if not self.id.startswith(self.category.code + "-"):
             raise SchemaError(
                 f"indicator {self.id!r} declares category {self.category.code}", self.id
             )
+        for name, text in (("unit", self.unit), ("description", self.description)):
+            if text != text.strip() or _UNWRITABLE.search(text):
+                raise SchemaError(f"indicator {self.id!r} has a {name} {text!r} that a "
+                                  "schema row cannot hold", self.id)
         if self.kind is Kind.SYNTHETIC:
             if self.id != self.category.roll_up:
                 raise SchemaError(
@@ -267,12 +267,6 @@ class Schema(Record, namedtuple("Schema", ("indicators",))):
 _HEADER = ("id", "category", "kind", "data_type", "unit", "direction", "description")
 
 
-def _direction_token(ind: IndicatorDef) -> str:
-    if ind.direction is Direction.HIGHER_BETTER and not ind.explicit_direction:
-        return "default"
-    return ind.direction.value
-
-
 def _member(enum: type[Enum], token: str, what: str):
     """The member of *enum* whose value is *token* in any case."""
     try:
@@ -292,7 +286,7 @@ def dump_schema(schema: Schema) -> str:
                     ind.kind.value,
                     ind.data_type.value if ind.data_type else "n.a.",
                     ind.unit,
-                    _direction_token(ind),
+                    ind.direction.value,
                     ind.description,
                 )
             )
@@ -322,11 +316,9 @@ def load_schema(source: bytes | str) -> Schema:
             kind = _member(Kind, kind_tok, "kind")
             data_type = (None if dt_tok.lower() in ("n.a.", "none", "-", "")
                          else _member(DataType, dt_tok, "data type"))
-            explicit = dir_tok.lower() != "default"
-            direction = (_member(Direction, dir_tok, "direction") if explicit
-                         else Direction.HIGHER_BETTER)
             indicators.append(IndicatorDef(ind_id, Category.from_code(cat_code), kind, data_type,
-                                           unit, direction, description, explicit))
+                                           unit, _member(Direction, dir_tok, "direction"),
+                                           description))
     except ParseError as exc:  # every row error names its line
         exc.args = (f"line {line_no}: {exc}",)
         raise

@@ -49,7 +49,8 @@ _EPS = 1e-9
 
 # Members compared per column or per program, bound once: on Python 3.10
 # and 3.11 a read such as ``Direction.LOWER_BETTER`` runs Python code.
-_HIGHER_BETTER, _LOWER_BETTER = Direction.HIGHER_BETTER, Direction.LOWER_BETTER
+_HIGHER_BETTER, _LOWER_BETTER, _DEFAULT = (
+    Direction.HIGHER_BETTER, Direction.LOWER_BETTER, Direction.DEFAULT)
 _EXACT = Qualifier.EXACT
 
 
@@ -128,13 +129,17 @@ def minmax_normalize(values: Mapping[Hashable, float | None]) -> dict[Hashable, 
 
     Missing entries become Excluded("missing") and do not influence the
     bounds. When all present values coincide (or only one is present) every
-    present value maps to the neutral midpoint 0.5.
+    present value maps to the neutral midpoint 0.5.  Raises ValueError when
+    the range between the bounds overflows a float, as ``column_bounds``
+    does.
     """
     if not values:
         raise ValueError("at least one program is required")
     present = [v for v in values.values() if v is not None]
     lo = min(present, default=0.0)
     hi = max(present, default=0.0)
+    if not math.isfinite(hi - lo):
+        raise ValueError(f"values span {lo!r} to {hi!r}, a range that overflows")
     degenerate = hi <= lo
     out: dict[Hashable, float | Excluded] = {}
     for key, value in values.items():
@@ -148,12 +153,12 @@ def minmax_normalize(values: Mapping[Hashable, float | None]) -> dict[Hashable, 
 
 
 def directional_score(normalized: float, direction: Direction) -> float:
-    """Identity for higher-better, reflection for lower-better."""
-    if direction is _HIGHER_BETTER:
+    """Identity for higher-better and default, reflection for lower-better."""
+    if direction is _DEFAULT or direction is _HIGHER_BETTER:
         return normalized
     if direction is _LOWER_BETTER:
         return 1.0 - normalized
-    raise ValueError("direction must be higher-better or lower-better")
+    raise ValueError("direction must be higher-better, lower-better or default")
 
 
 def score_category(indicator_scores: Sequence[float],

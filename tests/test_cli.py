@@ -84,6 +84,26 @@ def test_unknown_criterion_fails_validate_as_it_fails_score(tmp_path, capsys):
         assert "UnknownCriterion" in capsys.readouterr().err
 
 
+_BOGUS = ("UnknownCriterion: a.txt: line 3: criterion 'bogus-criterion' not present in the "
+          "rubric template\n")
+
+
+@pytest.mark.parametrize("files", [
+    {"a.txt": "program|A\nCOM-QN-1|3\nbogus-criterion|4\n", "b.txt": "program|A\nCOM-QN-1|4\n"},
+    {"a.txt": f"program|A\nPSO-QN-5|{int(sys.float_info.max)}\nbogus-criterion|4\n",
+     "b.txt": f"program|B\nPSO-QN-5|-{int(sys.float_info.max)}\n"},
+], ids=["beside-a-duplicate-program", "beside-an-overflowing-column"])
+def test_an_unknown_criterion_is_the_first_error_of_validate_and_score(tmp_path, monkeypatch,
+                                                                       capsys, files):
+    # The row is rejected while its file is read, before any cohort check.
+    monkeypatch.chdir(tmp_path)
+    for name, text in files.items():
+        Path(name).write_text(text, encoding="utf-8")
+    for command in (["validate"], ["score", "--allow-partial"]):
+        assert main([*command, "a.txt", "b.txt"]) == 2, command
+        assert capsys.readouterr() == ("", _BOGUS), command
+
+
 def test_validate_without_inputs_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["validate"])
@@ -448,9 +468,11 @@ def test_currency_under_a_non_usd_indicator_is_an_input_error(tmp_path, capsys, 
      ("governance|9", "RubricRangeError: b.txt: line 3: rubric score 9 for criterion "
                       "'governance' outside the 1..5 scale"),
      ("governance|x", "ParseError: b.txt: line 3: rubric score 'x' is not an integer"),
+     ("velocity|3", "UnknownCriterion: b.txt: line 3: criterion 'velocity' not present in "
+                    "the rubric template"),
      ("COM-QN-1|1|2|3", "ParseError: b.txt: line 3: observation rows have 2 or 3 fields")],
     ids=["unit", "value-parse", "unknown-indicator", "duplicate", "duplicate-memoised",
-         "rubric-range", "rubric-not-an-integer", "row-shape"],
+         "rubric-range", "rubric-not-an-integer", "unknown-criterion", "row-shape"],
 )
 def test_a_bad_row_names_the_file_and_the_line(tmp_path, monkeypatch, capsys, rows, error):
     # The second copy of a line is read through the schema's line memo, so

@@ -146,7 +146,7 @@ def make_instance(rng: random.Random):
                     ind_id, cat, Kind.QUANTITATIVE, DataType.NUMERIC, "none",
                     Direction.HIGHER_BETTER if direction == "higher"
                     else Direction.LOWER_BETTER,
-                    "generated", explicit_direction=True,
+                    "generated",
                 )
             )
             indicators.append((ind_id, cat.code, direction))

@@ -82,6 +82,12 @@ def test_collect_rejects_unknown_criterion():
         collect_responses(builtin_template(), {"velocity": 3})
 
 
+def test_an_answered_unknown_criterion_is_rejected_on_its_row():
+    with pytest.raises(UnknownCriterion, match="^line 3: criterion 'velocity' not present"):
+        _answers("governance|4\nvelocity|3\n")
+    assert _answers("governance|4\nvelocity|\n") == {"governance": 4}
+
+
 def test_collect_rejects_out_of_range():
     with pytest.raises(RubricRangeError):
         collect_responses(builtin_template(), {"governance": 0})

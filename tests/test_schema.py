@@ -3,16 +3,19 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gmi.bundled import bundled_category_table_path, bundled_program_paths
 from gmi.errors import ParseError, SchemaError
-from gmi.ingest import load_program_dataset, load_rates
+from gmi.ingest import load_program_dataset, load_rates, number, scoring_status
 from gmi.report import parse_structured, render_comparison
 from gmi.schema import (
     Category,
     DataType,
     Direction,
     Kind,
+    Schema,
     builtin_schema,
     dump_schema,
     load_schema,
@@ -53,8 +56,10 @@ def test_builtin_roll_ups_and_rubric_indicators():
 
 
 def test_builtin_directions_are_defaults():
-    for ind in builtin_schema().indicators:
-        assert not ind.explicit_direction
+    # No builtin row asserts a polarity: what scores is default, the rest non-scorable.
+    indicators = builtin_schema().indicators
+    assert {ind.direction for ind in indicators} == {Direction.DEFAULT, Direction.NON_SCORABLE}
+    assert all(ind.direction is Direction.DEFAULT for ind in indicators if ind.scorable)
 
 
 def test_dump_load_round_trip():
@@ -184,7 +189,7 @@ def test_an_explicit_direction_round_trips():
         "FAO-QN-6|FAO|quantitative|numeric|weeks|lower-better|"))
     ind = schema.get("FAO-QN-6")
     assert ind.direction is Direction.LOWER_BETTER
-    assert ind.explicit_direction
+    assert "|weeks|lower-better|Evaluation Timeframe\n" in dump_schema(schema)
     # round-trips through the file format
     assert load_schema(dump_schema(schema)) == schema
 
@@ -194,3 +199,46 @@ def test_unknown_indicator_id_shape_rejected():
     lines.append("XXX-QN-1|FAO|quantitative|numeric|USD|default|Bogus")
     with pytest.raises(SchemaError):
         load_schema("\n".join(lines))
+
+
+@pytest.mark.parametrize("field", ["unit", "description"])
+@pytest.mark.parametrize("text", ["a|b", "a\nb", "a\rb", " padded", "padded ", "\tpadded"])
+def test_a_field_a_schema_row_cannot_hold_is_rejected(field, text):
+    definition = builtin_schema().get("COM-QN-1")._replace(**{field: text})
+    with pytest.raises(SchemaError, match=f"^indicator 'COM-QN-1' has a {field} ") as exc:
+        definition.validate()
+    assert exc.value.indicator_id == "COM-QN-1"
+
+
+def test_an_id_with_a_trailing_line_break_is_rejected():
+    with pytest.raises(SchemaError, match="is not well formed"):
+        builtin_schema().get("COM-QN-1")._replace(id="COM-QN-1\n").validate()
+
+
+_BUILTIN = builtin_schema()
+#: Field text that is often valid and often holds what a row cannot: the
+#: delimiter, line breaks and padding.
+_FIELD_TEXT = st.one_of(st.sampled_from(("", "scoring", "USD", "a b", "#a")),
+                        st.text(st.sampled_from("ab #-|\n\r\t\x85"), max_size=4))
+_CHANGES = st.lists(st.tuples(st.sampled_from(range(len(_BUILTIN.indicators))),
+                              st.sampled_from(tuple(Direction)), _FIELD_TEXT, _FIELD_TEXT),
+                    max_size=4)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_CHANGES)
+def test_every_valid_schema_round_trips_through_its_document(changes):
+    indicators = list(_BUILTIN.indicators)
+    for index, direction, unit, description in changes:
+        indicators[index] = indicators[index]._replace(
+            direction=direction, unit=unit, description=description)
+    schema = Schema(tuple(indicators))
+    try:
+        schema.validate()
+    except SchemaError:
+        return
+    reloaded = load_schema(dump_schema(schema))
+    assert reloaded == schema
+    code = number(2, is_code=True)
+    for ind in schema.indicators:
+        assert scoring_status(code, ind) == scoring_status(code, reloaded.get(ind.id))

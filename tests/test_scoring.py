@@ -5,6 +5,7 @@ from __future__ import annotations
 import copy
 import math
 import pickle
+import sys
 
 import pytest
 
@@ -121,6 +122,14 @@ def test_minmax_requires_a_program():
         minmax_normalize({})
 
 
+def test_minmax_rejects_a_range_that_overflows():
+    big = sys.float_info.max
+    with pytest.raises(ValueError, match="a range that overflows$"):
+        minmax_normalize({"a": big, "b": -big, "c": 0.0})
+    assert minmax_normalize({"a": big, "b": 0.0, "c": None}) == {
+        "a": 1.0, "b": 0.0, "c": Excluded("missing")}
+
+
 # ---------------------------------------------------------------------------
 # directional_score / rubric mapping
 # ---------------------------------------------------------------------------
@@ -128,9 +137,11 @@ def test_minmax_requires_a_program():
 
 def test_directional_score():
     assert directional_score(0.3, Direction.HIGHER_BETTER) == 0.3
+    assert directional_score(0.3, Direction.DEFAULT) == 0.3
     assert directional_score(0.3, Direction.LOWER_BETTER) == pytest.approx(0.7)
     assert directional_score(1.0, Direction.LOWER_BETTER) == 0.0
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError,
+                       match="^direction must be higher-better, lower-better or default$"):
         directional_score(0.3, Direction.NON_SCORABLE)
 
 
@@ -328,10 +339,17 @@ def test_score_datasets_codes_need_explicit_direction():
     explicit = load_schema(dump_schema(schema).replace(
         "PSO-QN-1|PSO|quantitative|numeric|scoring|default|",
         "PSO-QN-1|PSO|quantitative|numeric|scoring|higher-better|"))
-    assert explicit.get("PSO-QN-1").explicit_direction
+    assert explicit.get("PSO-QN-1").direction is Direction.HIGHER_BETTER
     matrix, _ = score_datasets(datasets, explicit, allow_partial=True)
     assert matrix.entries[("A", "PSO-QN-1")] == 1.0
     assert matrix.entries[("B", "PSO-QN-1")] == 0.0
+
+    # A direction set in code counts as one read from a document.
+    lower = Schema(tuple(ind._replace(direction=Direction.LOWER_BETTER) if ind.id == "PSO-QN-1"
+                         else ind for ind in schema.indicators))
+    matrix, _ = score_datasets(datasets, lower, allow_partial=True)
+    assert matrix.entries[("A", "PSO-QN-1")] == 0.0
+    assert matrix.entries[("B", "PSO-QN-1")] == 1.0
 
 
 def test_score_datasets_lower_better_direction():
@@ -547,12 +565,12 @@ def test_every_rebuild_runs_the_constructor_checks(route):
     criterion = Criterion("governance", Category.GOV, "Governance", "How decisions are made.")
     with pytest.raises(ParseError, match="duplicate criterion id 'governance'"):
         _rebuild(route, RubricTemplate((criterion,)), "criteria", (criterion, criterion))
-    # A non-scorable indicator drops the explicit-direction flag.
+    # An indicator keeps the direction it is rebuilt with, whichever it is.
     definition = IndicatorDef("COM-QN-2", Category.COM, Kind.QUANTITATIVE, DataType.NUMERIC,
-                              "headcount", Direction.LOWER_BETTER, "Applicants", True)
-    assert definition.explicit_direction
-    twin = _rebuild(route, definition, "direction", Direction.NON_SCORABLE)
-    assert twin.direction is Direction.NON_SCORABLE and twin.explicit_direction is False
+                              "headcount", Direction.LOWER_BETTER, "Applicants")
+    for direction in Direction:
+        twin = _rebuild(route, definition, "direction", direction)
+        assert tuple(twin) == (*definition[:5], direction, "Applicants")
 
     # Records with memos: every rebuild starts with none of them filled.
     schema = builtin_schema()
