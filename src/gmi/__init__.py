@@ -21,7 +21,6 @@ from .ingest import (
     ValidationReport,
     ValueKind,
     coerce_unit,
-    format_value,
     load_program_dataset,
     load_rates,
     parse_value,

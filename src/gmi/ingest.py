@@ -5,7 +5,9 @@ under the indicator's declared data type:
 
 * ``n.a.`` / ``tbc`` / empty cell -> Missing.  ``Link`` is kept as text under
   text indicators and treated as Missing elsewhere (placeholder cell).
-* text indicators keep the cell verbatim as Text.
+* a cell under a text indicator is Text.  A Text or Country value holds
+  no copy of the cell: the Observation keeps the raw cell, and the report
+  prints that.
 * a leading ``<`` or ``>`` marks an approximate upper/lower bound; the rest
   of the cell parses normally and the qualifier is preserved.
 * iso-alpha-3 indicators accept a bare ISO 3166-1 alpha-3 code or a known
@@ -14,7 +16,10 @@ under the indicator's declared data type:
 * ``$X`` is USD money; thousands separators and magnitude suffixes
   k/m/b (1e3/1e6/1e9) are understood; a trailing token symbol after a ``$``
   amount is ignored.  Money and token amounts need a USD indicator.
-* ``A:B`` is a ratio, stored with numerator and denominator.
+* in every numeral, commas separate thousands only: 1 to 3 digits, then
+  groups of exactly 3 (``1,000``, ``12,500.5``).  ``1,5`` or ``1,,000`` is
+  an error, not 15 or 1000.
+* ``A:B`` is a ratio, valued A/B.
 * a number followed by a time-unit word (``week(s)``/``month(s)``/
   ``year(s)``) is a Number annotated with that unit for later coercion.
 * a number followed by an upper-case symbol (``50K OP``) is a token amount.
@@ -117,31 +122,33 @@ _MISSING_SENTINELS = {"n.a.", "tbc", ""}
 
 _MAGNITUDE = {"k": 1e3, "m": 1e6, "b": 1e9}
 
-# Jurisdiction names that appear in legal-domicile cells, mapped to ISO
-# 3166-1 alpha-3. Extend as new domiciles show up in source data.
-_JURISDICTIONS = {
-    "cayman islands": "CYM",
-    "british virgin islands": "VGB",
-    "switzerland": "CHE",
-    "singapore": "SGP",
-    "panama": "PAN",
-    "united states": "USA",
-    "liechtenstein": "LIE",
-    "gibraltar": "GIB",
-    "bermuda": "BMU",
-    "seychelles": "SYC",
-}
+# Jurisdiction names that a legal-domicile cell may hold in place of an ISO
+# 3166-1 alpha-3 code. Extend as new domiciles show up in source data.
+_JURISDICTIONS = frozenset((
+    "cayman islands",
+    "british virgin islands",
+    "switzerland",
+    "singapore",
+    "panama",
+    "united states",
+    "liechtenstein",
+    "gibraltar",
+    "bermuda",
+    "seychelles",
+))
 
 # Every numeric cell form in one alternation, matched once per distinct
 # cell.  Each form is a named group that closes last, so ``lastgroup`` names
-# the form; an amount is a numeral with an optional magnitude suffix.
-_AMOUNT = r"(-?\d[\d,]*(?:\.\d+)?)([kKmMbB])?"
-_UNSIGNED = r"(\d[\d,]*(?:\.\d+)?)"
+# the form; an amount is a numeral with an optional magnitude suffix.  A
+# numeral's commas separate thousands: 1 to 3 digits, then groups of 3.
+_NUMERAL = r"(?:\d{1,3}(?:,\d{3})+|\d+)(?:\.\d+)?"
+_AMOUNT = rf"(-?{_NUMERAL})([kKmMbB])?"
+_UNSIGNED = rf"({_NUMERAL})"
 _CELL_RE = re.compile(
     rf"(?P<number>{_AMOUNT})"                     # groups 1-3:   12, -3, 1,200.5k
     rf"|(?P<money>\$\s*{_AMOUNT}(?:\s+[A-Z]+)?)"   # groups 4-6:   $5m, $50k OP
     rf"|(?P<ratio>{_UNSIGNED}\s*:\s*{_UNSIGNED})"   # groups 7-9:   3:4
-    r"|(?P<code>(-?\d[\d,]*(?:\.\d+)?)\s*\(.+\))"  # groups 10-11: 2 (milestones)
+    rf"|(?P<code>(-?{_NUMERAL})\s*\(.+\))"        # groups 10-11: 2 (milestones)
     rf"|(?P<suffixed>{_AMOUNT}\s+([A-Za-z]+))")    # groups 12-15: 6 months, 50K OP
 # A cell no form matches is classified by its shape to name its fault.
 _WORD_SUFFIX_RE = re.compile(r"(\S+)\s+([A-Za-z]+)")
@@ -182,8 +189,9 @@ _DEFAULT = Direction.DEFAULT
 
 
 class TypedValue(Record, namedtuple("TypedValue", (
-        "kind", "value", "symbol", "text", "numerator", "denominator", "unit", "is_code",
-        "qualifier"))):
+        "kind", "value", "symbol", "unit", "is_code", "qualifier"))):
+    """A parsed cell: the fields ingest and scoring read of it."""
+
     __slots__ = ()
 
     def __new__(
@@ -191,17 +199,13 @@ class TypedValue(Record, namedtuple("TypedValue", (
         kind: ValueKind,
         value: float | None = None,
         symbol: str | None = None,  # token symbol, or "USD" for money
-        text: str | None = None,
-        numerator: float | None = None,  # ratio components, kept for round-trips
-        denominator: float | None = None,
         unit: str | None = None,  # unit the value is currently expressed in
         is_code: bool = False,  # leading-numeral categorical cell under unit=scoring
         qualifier: Qualifier = Qualifier.EXACT,
     ) -> TypedValue:
         """A value checked as the factories below check theirs."""
-        for x in (value, numerator, denominator):
-            if x is not None:
-                _finite(x)
+        if value is not None:
+            _finite(value)
         if kind is _MONEY or kind is _TOKEN_AMOUNT:
             if value is None or value < 0:
                 raise ValueError(f"{kind.value} amount must be >= 0")
@@ -209,12 +213,7 @@ class TypedValue(Record, namedtuple("TypedValue", (
             raise ValueError("binary value must be 0 or 1")
         if kind is _MISSING and qualifier is not _UNSPECIFIED:
             raise ValueError("missing values carry no qualifier")
-        return _new(cls, (kind, value, symbol, text, numerator, denominator, unit, is_code,
-                          qualifier))
-
-    @property
-    def missing(self) -> bool:
-        return self.kind is _MISSING
+        return _new(cls, (kind, value, symbol, unit, is_code, qualifier))
 
 
 #: Builds a record from complete, already checked fields, skipping the
@@ -241,39 +240,36 @@ MISSING = TypedValue(kind=_MISSING, qualifier=_UNSPECIFIED)
 
 def number(value: float, unit: str | None = None, is_code: bool = False,
            qualifier: Qualifier = _EXACT) -> TypedValue:
-    return _new(TypedValue, (_NUMBER, _finite(float(value)), None, None, None, None, unit, is_code,
-                             qualifier))
+    return _new(TypedValue, (_NUMBER, _finite(float(value)), None, unit, is_code, qualifier))
 
 
 def money(amount: float, qualifier: Qualifier = _EXACT) -> TypedValue:
-    return _new(TypedValue, (_MONEY, _nonnegative(_MONEY, amount), "USD", None, None,
-                             None, None, False, qualifier))
+    return _new(TypedValue, (_MONEY, _nonnegative(_MONEY, amount), "USD", None, False,
+                             qualifier))
 
 
 def token_amount(amount: float, symbol: str, qualifier: Qualifier = _EXACT) -> TypedValue:
     return _new(TypedValue, (_TOKEN_AMOUNT, _nonnegative(_TOKEN_AMOUNT, amount),
-                             symbol.upper(), None, None, None, None, False, qualifier))
+                             symbol.upper(), None, False, qualifier))
 
 
 def ratio(numerator: float, denominator: float,
           qualifier: Qualifier = Qualifier.EXACT) -> TypedValue:
     if denominator == 0:
         raise ValueError("ratio denominator must be non-zero")
-    return TypedValue(kind=_RATIO, value=numerator / denominator,
-                      numerator=float(numerator), denominator=float(denominator),
-                      qualifier=qualifier)
+    return TypedValue(kind=_RATIO, value=numerator / denominator, qualifier=qualifier)
 
 
 def binary(value: int, qualifier: Qualifier = Qualifier.EXACT) -> TypedValue:
     return TypedValue(kind=_BINARY, value=float(value), qualifier=qualifier)
 
 
-def country(code: str, qualifier: Qualifier = Qualifier.EXACT) -> TypedValue:
-    return TypedValue(kind=_COUNTRY, text=code.upper(), qualifier=qualifier)
+def country(qualifier: Qualifier = Qualifier.EXACT) -> TypedValue:
+    return TypedValue(kind=_COUNTRY, qualifier=qualifier)
 
 
-def text(value: str, qualifier: Qualifier = Qualifier.EXACT) -> TypedValue:
-    return TypedValue(kind=_TEXT, text=value, qualifier=qualifier)
+def text(qualifier: Qualifier = Qualifier.EXACT) -> TypedValue:
+    return TypedValue(kind=_TEXT, qualifier=qualifier)
 
 
 def _to_float(token: str) -> float:
@@ -297,11 +293,8 @@ def _parse_country(body: str, raw: str, definition: IndicatorDef,
     if words and words[-1].lower() == "foundation":
         words = words[:-1]
     cleaned = " ".join(words)
-    if re.fullmatch(r"[A-Za-z]{3}", cleaned):
-        return country(cleaned, qualifier)
-    code = _JURISDICTIONS.get(cleaned.lower())
-    if code:
-        return country(code, qualifier)
+    if re.fullmatch(r"[A-Za-z]{3}", cleaned) or cleaned.lower() in _JURISDICTIONS:
+        return country(qualifier)
     raise ValueParseError(raw, definition.id, "not an ISO alpha-3 code or known jurisdiction")
 
 
@@ -336,7 +329,7 @@ def _parse_cell(raw: str, definition: IndicatorDef) -> TypedValue:
         return MISSING
 
     if data_type is _TEXT_DATA:
-        return text(body)
+        return text()
 
     qualifier = _EXACT
     if body.startswith("<"):
@@ -389,49 +382,6 @@ def _parse_cell(raw: str, definition: IndicatorDef) -> TypedValue:
             raise ValueParseError(raw, definition.id, "malformed token amount")
         return token_amount(amount, word, qualifier)
     raise ValueParseError(raw, definition.id, f"unrecognised suffix {word!r}")
-
-
-def format_value(value: TypedValue) -> str:
-    """Canonical text form; parse_value(format_value(v), def) == v."""
-    prefix = {_UPPER_BOUND: "<", _LOWER_BOUND: ">"}.get(value.qualifier, "")
-    kind = value.kind
-    if kind is _MISSING:
-        return "n.a."
-    if kind is _TEXT:
-        return value.text or ""
-    if kind is _COUNTRY:
-        return prefix + (value.text or "")
-    if kind is _BINARY:
-        return prefix + str(int(value.value))
-    if kind is _MONEY:
-        return prefix + "$" + _format_number(value.value)
-    if kind is _TOKEN_AMOUNT:
-        return f"{prefix}{_format_number(value.value)} {value.symbol}"
-    if kind is _RATIO:
-        return f"{prefix}{_format_number(value.numerator)}:{_format_number(value.denominator)}"
-    out = prefix + _format_number(value.value)
-    if value.is_code:
-        out += " (code)"
-    if value.unit:
-        out += f" {value.unit}"
-    return out
-
-
-def _format_number(x: float | None) -> str:
-    """The shortest round-tripping digits of *x*, always in positional form:
-    the value grammar has no exponents."""
-    if x is None:
-        return ""
-    if x == int(x):
-        return str(int(x))
-    text = repr(x)
-    mantissa, _, exponent = text.partition("e")
-    if not exponent:
-        return text
-    # Every float of 1e16 or more is an integer, so only a magnitude below
-    # 1e-4 reaches here: "d.ddd" or "d" times a negative power of ten.
-    _, sign, digits = mantissa.rpartition("-")
-    return f"{sign}0.{'0' * (-int(exponent) - 1)}{digits.replace('.', '')}"
 
 
 def coerce_unit(value: TypedValue, from_unit: str | None, definition: IndicatorDef) -> TypedValue:

@@ -115,10 +115,6 @@ class Category(Enum):
         return self.name
 
     @property
-    def label(self) -> str:
-        return self.value
-
-    @property
     def roll_up(self) -> str:
         """Id of the category's synthetic roll-up indicator."""
         return f"{self.name}-QN"
@@ -236,6 +232,10 @@ class Schema(Record, namedtuple("Schema", ("indicators",))):
         return {}
 
     def validate(self) -> None:
+        # A document always reloads as a tuple, which a list never equals.
+        if not isinstance(self.indicators, tuple):
+            raise SchemaError(f"schema indicators must be a tuple, not a "
+                              f"{type(self.indicators).__name__}")
         seen: set[str] = set()
         for ind in self.indicators:
             if ind.id in seen:

@@ -18,9 +18,9 @@ Cells repeat down a column, so the column routine maps each distinct cell
 ``minmax_normalize`` once per column, and builds one frozen
 ``AuditRecord`` per distinct cell, shared by every program whose cell is
 identical; the maps are local to the call.  ``score_datasets`` returns the
-results with a ``ScoreMatrix`` whose ``entries`` and ``category_scores``
-are derived from those results on first access, so a caller that never
-reads them never builds them.
+results with a ``ScoreMatrix`` whose ``entries`` are derived from those
+results on first access, so a caller that never reads them never builds
+them.  Each result holds its own category inputs in ``category_scores``.
 
 Layer order: this module sits above ``ingest`` and below ``report``.
 """
@@ -39,7 +39,6 @@ from . import rubric
 from .errors import EmptyCategory, ParseError, PartialDataError, UnknownIndicator
 from .ingest import (ProgramDataset, Qualifier, check_distinct_programs, column_bounds,
                      scoring_status)
-from .rubric import rubric_to_unit  # noqa: F401  re-exported for gmi.scoring callers
 from .schema import CATEGORIES, Category, Direction, Record, Schema, read_records
 
 #: Width of the composite range: six categories, each normalized to [0, 1].
@@ -97,12 +96,12 @@ _SCORE = itemgetter(AuditRecord._fields.index("score"))
 
 
 class ScoreMatrix(Record, namedtuple("ScoreMatrix", ("results",))):
-    """The cohort's scores keyed by ``(program, indicator id)`` and by
-    ``(program, category)``, read from *results* on first access.
+    """The cohort's indicator scores keyed by ``(program, indicator id)``,
+    read from *results* on first access.
 
     Each result's audit trail is its indicator records followed by its
     ``CATEGORY_COUNT`` category records, so ``entries`` reads the former.
-    Not slotted: the two maps are ``cached_property`` memos.
+    Not slotted: the map is a ``cached_property`` memo.
     """
     results: tuple[GmiResult, ...]
 
@@ -113,14 +112,6 @@ class ScoreMatrix(Record, namedtuple("ScoreMatrix", ("results",))):
                 record.score if record.exclusion is None else _EXCLUDED[record.exclusion]
             for result in self.results
             for record in result.audit[:-CATEGORY_COUNT]
-        }
-
-    @cached_property
-    def category_scores(self) -> dict[tuple[str, Category], float]:
-        return {
-            (result.program, cat): score
-            for result in self.results
-            for cat, score in result.category_scores.items()
         }
 
 
@@ -283,7 +274,7 @@ def score_datasets(
 
     Program order follows the input order throughout: every column, every
     per-program list and the results are aligned with *datasets*.  The
-    matrix reads its two maps from the results on first access.
+    matrix reads its map from the results on first access.
     """
     template = template or rubric.builtin_template()
     check_distinct_programs([ds.program for ds in datasets])

@@ -22,14 +22,13 @@ from gmi.ingest import (
     parse_value,
 )
 from gmi.report import render_comparison
-from gmi.rubric import builtin_template, collect_responses
+from gmi.rubric import builtin_template, collect_responses, rubric_to_unit
 from gmi.schema import Category, builtin_schema
 from gmi.scoring import (
     Stage,
     classify_maturity,
     compute_gmi,
     load_category_table,
-    rubric_to_unit,
     score_category_table,
     score_datasets,
 )
@@ -99,7 +98,7 @@ def test_criterion_2_ingestion_totality():
     ratio = parse_value("1:28", SCHEMA.get("TAC-QN-6"))
     assert ratio.value == pytest.approx(0.035714, abs=1e-6)
 
-    assert parse_value("n.a.", SCHEMA.get("COM-AUX-1")).missing
+    assert parse_value("n.a.", SCHEMA.get("COM-AUX-1")).kind is ValueKind.MISSING
 
     bounded = parse_value("<50K OP", SCHEMA.get("FAO-QN-2"))
     assert bounded.kind is ValueKind.TOKEN_AMOUNT
@@ -128,20 +127,20 @@ def test_criterion_3_oracle_equivalence_and_invariants():
         exp_cat, exp_norm, exp_gmi = test_properties.oracle_pipeline(
             programs, indicators, values, rubric_answers
         )
-        matrix, results = score_datasets(
+        _, results = score_datasets(
             datasets, schema, template=template, allow_partial=True
         )
         by_program = {r.program: r for r in results}
         assert set(by_program) == set(exp_gmi)
         for p in programs:
+            result = by_program[p]
             for cat in Category:
                 expected = exp_cat[p].get(cat.code)
-                got = matrix.category_scores.get((p, cat))
+                got = result.category_scores.get(cat)
                 if expected is None:
                     assert got is None
                 else:
                     assert got == pytest.approx(expected, abs=1e-9)
-            result = by_program[p]
             assert result.gmi == pytest.approx(exp_gmi[p], abs=1e-9)
             for cat, expected in exp_norm[p].items():
                 got = result.normalized_category_scores[Category[cat]]

@@ -23,11 +23,13 @@ _MAGNITUDE = {"k": 1e3, "m": 1e6, "b": 1e9}
 _TIME_UNITS = {"week": 1.0, "weeks": 1.0, "month": 4.345, "months": 4.345,
                "year": 52.14, "years": 52.14}
 _CANONICAL_TIME = {"week": "weeks", "month": "months", "year": "years"}
-_JURISDICTIONS = {"cayman islands": "CYM", "switzerland": "CHE", "singapore": "SGP"}
+_JURISDICTIONS = {"cayman islands", "switzerland", "singapore"}
 
-_MAGNITUDE_RE = re.compile(r"^(-?\d[\d,]*(?:\.\d+)?)([kKmMbB])?$")
-_RATIO_RE = re.compile(r"^(\d[\d,]*(?:\.\d+)?)\s*:\s*(\d[\d,]*(?:\.\d+)?)$")
-_CODE_RE = re.compile(r"^(-?\d[\d,]*(?:\.\d+)?)\s*\((.+)\)$")
+# Commas only separate thousands: 1 to 3 digits, then groups of exactly 3.
+_NUMERAL = r"(?:\d{1,3}(?:,\d{3})+|\d+)(?:\.\d+)?"
+_MAGNITUDE_RE = re.compile(rf"^(-?{_NUMERAL})([kKmMbB])?$")
+_RATIO_RE = re.compile(rf"^({_NUMERAL})\s*:\s*({_NUMERAL})$")
+_CODE_RE = re.compile(rf"^(-?{_NUMERAL})\s*\((.+)\)$")
 _WORD_SUFFIX_RE = re.compile(r"^(\S+)\s+([A-Za-z]+)$")
 
 
@@ -50,7 +52,7 @@ def _reference_cell(raw: str, definition) -> TypedValue:
     if lowered == "link" and data_type is not DataType.TEXT:
         return TypedValue(ValueKind.MISSING, qualifier=Qualifier.UNSPECIFIED)
     if data_type is DataType.TEXT:
-        return TypedValue(ValueKind.TEXT, text=body)
+        return TypedValue(ValueKind.TEXT)
     qualifier = Qualifier.EXACT
     if body.startswith("<"):
         qualifier, body = Qualifier.APPROX_UPPER_BOUND, body[1:].strip()
@@ -62,10 +64,8 @@ def _reference_cell(raw: str, definition) -> TypedValue:
         if words and words[-1].lower() == "foundation":
             words = words[:-1]
         cleaned = " ".join(words)
-        code = cleaned if re.fullmatch(r"[A-Za-z]{3}", cleaned) else None
-        code = code or _JURISDICTIONS.get(cleaned.lower())
-        if code:
-            return TypedValue(ValueKind.COUNTRY, text=code.upper(), qualifier=qualifier)
+        if re.fullmatch(r"[A-Za-z]{3}", cleaned) or cleaned.lower() in _JURISDICTIONS:
+            return TypedValue(ValueKind.COUNTRY, qualifier=qualifier)
         raise ValueParseError(raw, definition.id,
                               "not an ISO alpha-3 code or known jurisdiction")
     if data_type is DataType.BINARY:
@@ -91,8 +91,7 @@ def _reference_cell(raw: str, definition) -> TypedValue:
         numerator, denominator = (float(g.replace(",", "")) for g in m.groups())
         if denominator == 0:
             raise ValueError("ratio denominator must be non-zero")
-        return TypedValue(ValueKind.RATIO, numerator / denominator, numerator=numerator,
-                          denominator=denominator, qualifier=qualifier)
+        return TypedValue(ValueKind.RATIO, numerator / denominator, qualifier=qualifier)
     m = _CODE_RE.match(body)
     if m:
         return TypedValue(ValueKind.NUMBER, float(m.group(1).replace(",", "")),
@@ -137,6 +136,7 @@ def _outcome(parse, raw: str, definition):
 
 
 _DEFINITIONS = [ind for ind in builtin_schema().indicators if ind.kind is Kind.QUANTITATIVE]
+_CODED = next(d for d in _DEFINITIONS if d.id == "PSO-QN-1")  # unit "scoring"
 
 _ATOMS = (
     "0", "1", "7", "12", "3.5", "1,000", ",", ".", "-", "00",  # digits and separators
@@ -172,8 +172,19 @@ _SHAPED = st.builds(
 @example("$5 op", _DEFINITIONS[0])
 @example("1" + "0" * 320 + " weeks", _DEFINITIONS[0])
 @example("3:0", _DEFINITIONS[0])
-@example("-2 (code)", next(d for d in _DEFINITIONS if d.id == "PSO-QN-1"))
+@example("-2 (code)", _CODED)
 @example("x OP", _DEFINITIONS[0])
+@example("1,5", _DEFINITIONS[0])          # misgrouped thousands, in every form
+@example("12,34,5", _DEFINITIONS[0])
+@example("1,,,5", _DEFINITIONS[0])
+@example("1234,567", _DEFINITIONS[0])
+@example("$1,5m", _DEFINITIONS[0])
+@example("1,5:2", _DEFINITIONS[0])
+@example("1,5 weeks", _DEFINITIONS[0])
+@example("1,5 OP", _DEFINITIONS[0])
+@example("-1,5 (code)", _CODED)
+@example("-12,345.5 (code)", _CODED)
+@example("<$1,234,567.5k OP", _DEFINITIONS[0])
 def test_parse_value_agrees_with_the_sequential_grammar(cell, definition):
     # A copy starts with an empty memo, so every example is parsed afresh.
     expected = _outcome(reference_parse, cell, definition)

@@ -459,6 +459,8 @@ def test_currency_under_a_non_usd_indicator_is_an_input_error(tmp_path, capsys, 
     [("COM-QN-7|$5", "UnitError: b.txt: line 3: no conversion from 'USD' to 'weeks'"),
      ("COM-QN-1|lots of grants",
       "ValueParseError: b.txt: line 3: cannot parse 'lots of grants' for indicator COM-QN-1"),
+     ("COM-QN-1|1,5",
+      "ValueParseError: b.txt: line 3: cannot parse '1,5' for indicator COM-QN-1"),
      ("COM-QN-99|3",
       "UnknownIndicator: b.txt: line 3: indicator 'COM-QN-99' not present in the active schema"),
      ("COM-QN-1|10\nCOM-QN-1|11",
@@ -471,8 +473,9 @@ def test_currency_under_a_non_usd_indicator_is_an_input_error(tmp_path, capsys, 
      ("velocity|3", "UnknownCriterion: b.txt: line 3: criterion 'velocity' not present in "
                     "the rubric template"),
      ("COM-QN-1|1|2|3", "ParseError: b.txt: line 3: observation rows have 2 or 3 fields")],
-    ids=["unit", "value-parse", "unknown-indicator", "duplicate", "duplicate-memoised",
-         "rubric-range", "rubric-not-an-integer", "unknown-criterion", "row-shape"],
+    ids=["unit", "value-parse", "misgrouped-thousands", "unknown-indicator", "duplicate",
+         "duplicate-memoised", "rubric-range", "rubric-not-an-integer", "unknown-criterion",
+         "row-shape"],
 )
 def test_a_bad_row_names_the_file_and_the_line(tmp_path, monkeypatch, capsys, rows, error):
     # The second copy of a line is read through the schema's line memo, so
@@ -481,7 +484,7 @@ def test_a_bad_row_names_the_file_and_the_line(tmp_path, monkeypatch, capsys, ro
     Path("b.txt").write_text(f"program|B\n# a comment\n{rows}\n", encoding="utf-8")
     for argv in (["validate", "b.txt"], ["score", PROGRAM_FILES[0], "b.txt", "--allow-partial"]):
         assert main(argv) == 2
-        assert capsys.readouterr().err == f"{error}\n"
+        assert capsys.readouterr() == ("", f"{error}\n")
 
 
 @pytest.mark.parametrize(

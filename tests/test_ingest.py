@@ -5,6 +5,7 @@ from __future__ import annotations
 import copy
 import math
 import pickle
+from decimal import Decimal
 
 import pytest
 from hypothesis import assume, given, settings
@@ -24,7 +25,6 @@ from gmi.ingest import (
     Qualifier,
     ValueKind,
     coerce_unit,
-    format_value,
     load_program_dataset,
     load_rates,
     money,
@@ -53,7 +53,7 @@ def _def(indicator_id: str):
 
 def test_parse_missing_sentinels():
     for raw in ("n.a.", "N.A.", "tbc", "TBC", "", "  "):
-        assert parse_value(raw, _def("COM-AUX-1")).missing
+        assert parse_value(raw, _def("COM-AUX-1")).kind is ValueKind.MISSING
 
 
 def test_parse_money_millions():
@@ -74,8 +74,7 @@ def test_parse_money_billions():
 def test_parse_ratio():
     value = parse_value("1:28", _def("TAC-QN-6"))
     assert value.kind is ValueKind.RATIO
-    assert value.value == pytest.approx(0.035714, abs=1e-6)
-    assert (value.numerator, value.denominator) == (1.0, 28.0)
+    assert value.value == 1 / 28
 
 
 def test_parse_binary():
@@ -154,19 +153,23 @@ def test_parse_leading_numeral_under_count_unit_is_plain_number():
 def test_parse_text_kept_verbatim():
     value = parse_value("DAO + Foundation", _def("PSO-AUX-1"))
     assert value.kind is ValueKind.TEXT
-    assert value.text == "DAO + Foundation"
+    # The value keeps no copy of the cell: every text cell reads the same.
+    assert value == parse_value("Questbook", _def("PSO-AUX-1"))
 
 
 def test_parse_link_placeholder():
-    assert parse_value("Link", _def("GOV-QN-4")).text == "Link"
-    assert parse_value("Link", _def("COM-QN-1")).missing
+    assert parse_value("Link", _def("GOV-QN-4")).kind is ValueKind.TEXT
+    assert parse_value("Link", _def("COM-QN-1")).kind is ValueKind.MISSING
 
 
 def test_parse_country_codes_and_names():
-    assert parse_value("CYM", _def("EFI-QN-6")).text == "CYM"
-    assert parse_value("Cayman Islands", _def("EFI-QN-6")).text == "CYM"
-    assert parse_value("Cayman Islands Foundation", _def("EFI-QN-6")).text == "CYM"
-    assert parse_value("British Virgin Islands", _def("EFI-QN-6")).text == "VGB"
+    for raw in ("CYM", "Cayman Islands", "Cayman Islands Foundation", "British Virgin Islands",
+                "<CHE"):
+        assert parse_value(raw, _def("EFI-QN-6")).kind is ValueKind.COUNTRY, raw
+    for raw in ("Atlantis", "Cayman", "CYMR", "Atlantis Foundation"):
+        with pytest.raises(ValueParseError, match="not an ISO alpha-3 code or known "
+                                                  "jurisdiction"):
+            parse_value(raw, _def("EFI-QN-6"))
 
 
 def test_parse_rejects_garbage():
@@ -227,6 +230,35 @@ def test_parse_order_keeps_each_numeric_form(raw, indicator, expected):
         assert math.copysign(1.0, value.value) == math.copysign(1.0, expected.value)
 
 
+def _numeral(x: float, grouped: bool = False) -> str:
+    """The shortest digits that read back as *x*, in positional form (the
+    value grammar has no exponents), with the integer part in thousands
+    groups when *grouped*."""
+    text = format(Decimal(repr(x)), "f")
+    if grouped:
+        whole, point, fraction = text.partition(".")
+        text = f"{int(whole):,}{point}{fraction}"
+    return text
+
+
+_PREFIX = {Qualifier.EXACT: "", Qualifier.APPROX_UPPER_BOUND: "<",
+           Qualifier.APPROX_LOWER_BOUND: ">"}
+
+
+def _cell(value, grouped: bool = False) -> str:
+    """A cell that reads as *value*: a number, money, a token amount or a
+    ratio, whose parts the value no longer holds, so it is written over 1."""
+    prefix, numeral = _PREFIX[value.qualifier], _numeral(value.value, grouped)
+    if value.kind is ValueKind.MONEY:
+        return f"{prefix}${numeral}"
+    if value.kind is ValueKind.TOKEN_AMOUNT:
+        return f"{prefix}{numeral} {value.symbol}"
+    if value.kind is ValueKind.RATIO:
+        return f"{prefix}{numeral}:1"
+    return prefix + numeral + (" (code)" if value.is_code else "") + (
+        f" {value.unit}" if value.unit else "")
+
+
 @pytest.mark.parametrize(
     "value,indicator",
     [
@@ -240,15 +272,14 @@ def test_parse_order_keeps_each_numeric_form(raw, indicator, expected):
     ],
 )
 def test_format_parse_round_trip(value, indicator):
-    assert parse_value(format_value(value), _def(indicator)) == value
+    assert parse_value(_cell(value), _def(indicator)) == value
 
 
-def test_format_writes_small_numbers_without_an_exponent():
-    assert format_value(number(1e-07)) == "0.0000001"
-    assert format_value(money(1.5e-05)) == "$0.000015"
-    assert format_value(number(-2.5e-10)) == "-0.00000000025"
-    assert format_value(ratio(1e-07, 3)) == "0.0000001:3"
+def test_parse_reads_small_numbers_without_an_exponent():
     assert parse_value("0.0000001", _def("COM-AUX-1")) == number(1e-07)
+    assert parse_value("$0.000015", _def("COM-QN-14")) == money(1.5e-05)
+    assert parse_value("-0.00000000025", _def("COM-AUX-1")) == number(-2.5e-10)
+    assert parse_value("0.0000001:3", _def("TAC-QN-6")) == ratio(1e-07, 3)
     with pytest.raises(ValueParseError):  # the grammar itself has no exponents
         parse_value("1e-07", _def("COM-AUX-1"))
 
@@ -259,27 +290,19 @@ _QUALIFIERS = st.sampled_from(
     [Qualifier.EXACT, Qualifier.APPROX_LOWER_BOUND, Qualifier.APPROX_UPPER_BOUND])
 
 
-@given(_AMOUNTS, _QUALIFIERS, st.sampled_from(["OP", "ARB", "TAIKO"]))
-def test_format_parse_round_trip_property(amount, qualifier, symbol):
+@given(_AMOUNTS, _QUALIFIERS, st.sampled_from(["OP", "ARB", "TAIKO"]), st.booleans())
+def test_format_parse_round_trip_property(amount, qualifier, symbol, grouped):
     for value, indicator in ((number(amount, qualifier=qualifier), "COM-AUX-1"),
                              (money(amount, qualifier), "COM-QN-14"),
                              (token_amount(amount, symbol, qualifier), "FAO-QN-2")):
-        assert parse_value(format_value(value), _def(indicator)) == value
+        assert parse_value(_cell(value, grouped), _def(indicator)) == value
 
 
-@given(_PARTS, _PARTS, _QUALIFIERS)
-def test_format_parse_round_trip_property_ratio(numerator, denominator, qualifier):
+@given(_PARTS, _PARTS, _QUALIFIERS, st.booleans())
+def test_format_parse_round_trip_property_ratio(numerator, denominator, qualifier, grouped):
     assume(math.isfinite(numerator / denominator))
-    value = ratio(numerator, denominator, qualifier)
-    assert parse_value(format_value(value), _def("TAC-QN-6")) == value
-
-
-def test_format_parse_round_trip_binary_country_text():
-    assert parse_value(format_value(parse_value("1", _def("EFI-QN-1"))), _def("EFI-QN-1")).value == 1
-    country = parse_value("Cayman Islands", _def("EFI-QN-6"))
-    assert parse_value(format_value(country), _def("EFI-QN-6")) == country
-    text = parse_value("DAO + Foundation", _def("PSO-AUX-1"))
-    assert parse_value(format_value(text), _def("PSO-AUX-1")) == text
+    cell = f"{_PREFIX[qualifier]}{_numeral(numerator, grouped)}:{_numeral(denominator, grouped)}"
+    assert parse_value(cell, _def("TAC-QN-6")) == ratio(numerator, denominator, qualifier)
 
 
 # ---------------------------------------------------------------------------

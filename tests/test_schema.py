@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gmi.bundled import bundled_category_table_path, bundled_program_paths
@@ -226,13 +226,14 @@ _CHANGES = st.lists(st.tuples(st.sampled_from(range(len(_BUILTIN.indicators))),
 
 
 @settings(max_examples=300, deadline=None)
-@given(_CHANGES)
-def test_every_valid_schema_round_trips_through_its_document(changes):
+@given(_CHANGES, st.sampled_from((tuple, list)))
+@example([], list)  # the builtin indicators, held in a list
+def test_every_valid_schema_round_trips_through_its_document(changes, container):
     indicators = list(_BUILTIN.indicators)
     for index, direction, unit, description in changes:
         indicators[index] = indicators[index]._replace(
             direction=direction, unit=unit, description=description)
-    schema = Schema(tuple(indicators))
+    schema = Schema(container(indicators))
     try:
         schema.validate()
     except SchemaError:

@@ -21,12 +21,13 @@ from gmi.ingest import (
     Observation,
     ProgramDataset,
     Qualifier,
+    TypedValue,
     ValidationReport,
     money,
     number,
     token_amount,
 )
-from gmi.rubric import Criterion, RubricTemplate
+from gmi.rubric import Criterion, RubricTemplate, rubric_to_unit
 from gmi.schema import (
     Category,
     DataType,
@@ -50,7 +51,6 @@ from gmi.scoring import (
     directional_score,
     load_category_table,
     minmax_normalize,
-    rubric_to_unit,
     score_category,
     score_category_table,
     score_datasets,
@@ -378,11 +378,11 @@ def test_score_datasets_rubric_counts_as_one_element():
         _dataset("B", {"FAO-QN-2": money(100), "FAO-QN-3": money(100)},
                  _full_rubric(3)),
     ]
-    matrix, _ = score_datasets(datasets, schema, allow_partial=True)
+    _, (a, b) = score_datasets(datasets, schema, allow_partial=True)
     # A: indicators 0.0, 0.0 plus rubric mean 1.0 -> (0 + 0 + 1) / 3
-    assert matrix.category_scores[("A", Category.FAO)] == pytest.approx(1 / 3)
+    assert a.category_scores[Category.FAO] == pytest.approx(1 / 3)
     # B: indicators 1.0, 1.0 plus rubric 0.5 -> 2.5 / 3
-    assert matrix.category_scores[("B", Category.FAO)] == pytest.approx(2.5 / 3)
+    assert b.category_scores[Category.FAO] == pytest.approx(2.5 / 3)
 
 
 def test_score_datasets_program_order_is_input_order():
@@ -579,7 +579,7 @@ def test_every_rebuild_runs_the_constructor_checks(route):
     schema.observed_lines["COM-QN-2|3"] = (definition, Observation("COM-QN-2", "3", number(3)))
     result = GmiResult("A", {}, {}, 0.0, Stage.EXPERIMENTAL, ())
     matrix = ScoreMatrix((result,))
-    assert matrix.entries == {} and matrix.category_scores == {}
+    assert matrix.entries == {}
     for record in (definition, schema, matrix):
         assert vars(record)
         twin = _rebuild(route, record)
@@ -615,6 +615,8 @@ def test_records_are_tuples_that_compare_as_tuples():
     assert [indicator, raw, minimum, maximum, score, exclusion, qualifier] == [
         getattr(audit, name) for name in AuditRecord._fields]
     assert audit[AuditRecord._fields.index("score")] is audit.score
+    # A parsed value holds what ingest and scoring read, nothing more.
+    assert TypedValue._fields == ("kind", "value", "symbol", "unit", "is_code", "qualifier")
 
 
 def test_category_validation_derives_scorable():

@@ -165,15 +165,17 @@ def _eager_matrix(datasets, schema, rates=None, template=None):
 
 
 def _assert_matrix_matches(matrix, datasets, schema, rates=None):
-    # Derived on first access, so a caller that never reads them pays nothing.
-    assert "entries" not in vars(matrix) and "category_scores" not in vars(matrix)
+    # Derived on first access, so a caller that never reads it pays nothing.
+    assert "entries" not in vars(matrix)
     entries, category_scores = _eager_matrix(datasets, schema, rates)
     assert matrix.entries == entries
-    assert matrix.category_scores == category_scores
+    results_category_scores = {(result.program, cat): score for result in matrix.results
+                               for cat, score in result.category_scores.items()}
+    assert results_category_scores == category_scores
     excluded = [v for v in matrix.entries.values() if isinstance(v, Excluded)]
     assert excluded and len({id(v) for v in excluded}) <= 3  # one per reason
     assert all(type(v) is float for v in matrix.entries.values() if not isinstance(v, Excluded))
-    assert all(type(v) is float for v in matrix.category_scores.values())
+    assert all(type(v) is float for v in results_category_scores.values())
     assert [r.program for r in matrix.results] == [ds.program for ds in datasets]
 
 
