@@ -18,7 +18,8 @@ under the indicator's declared data type:
   amount is ignored.  Money and token amounts need a USD indicator.
 * in every numeral, commas separate thousands only: 1 to 3 digits, then
   groups of exactly 3 (``1,000``, ``12,500.5``).  ``1,5`` or ``1,,000`` is
-  an error, not 15 or 1000.
+  an error, not 15 or 1000: a cell that some form matches once its commas
+  are removed fails with ``misgrouped thousands separator``.
 * ``A:B`` is a ratio, valued A/B.
 * a number followed by a time-unit word (``week(s)``/``month(s)``/
   ``year(s)``) is a Number annotated with that unit for later coercion.
@@ -366,6 +367,8 @@ def _parse_cell(raw: str, definition: IndicatorDef) -> TypedValue:
                       qualifier=qualifier)
     if form == "suffixed":
         amount, word = _amount(match, 13), match[15]
+    elif _CELL_RE.fullmatch(body.replace(",", "")):
+        raise ValueParseError(raw, definition.id, "misgrouped thousands separator")
     elif body.startswith("$"):
         raise ValueParseError(raw, definition.id, "malformed money amount")
     elif match := _WORD_SUFFIX_RE.fullmatch(body):

@@ -75,9 +75,9 @@ class Record:
     """Mixin of every engine record class, a ``collections.namedtuple``
     class declared as ``class Name(Record, namedtuple("Name", fields))``.
 
-    ``replace``, ``_replace``, ``_make``, ``copy``, ``deepcopy`` and
-    ``pickle`` rebuild a record through its class's constructor, so they run
-    its checks again and a copy starts with empty memos.  Records built per
+    ``_replace``, ``_make``, ``copy``, ``deepcopy`` and ``pickle`` rebuild
+    a record through its class's constructor, so they run its checks again
+    and a copy starts with empty memos.  Records built per
     cell or per program are made with ``tuple.__new__(cls, fields)`` from
     fields known to be complete and valid.
     """
@@ -90,11 +90,6 @@ class Record:
     @classmethod
     def _make(cls, iterable):
         return cls(*iterable)
-
-    def replace(self, **changes: object):
-        """A new record with *changes* applied to this one's fields; an
-        unknown field is a TypeError."""
-        return type(self)(**dict(zip(self._fields, self), **changes))
 
 
 class Category(Enum):
@@ -174,7 +169,7 @@ class IndicatorDef(Record, namedtuple("IndicatorDef", (
         """``ingest.parse_value``'s successful results, keyed by raw cell.
         A parse depends only on the cell text and this definition, so an
         entry is valid for as long as the definition lives.  It is no
-        field: copies, ``replace`` and pickles start with it empty."""
+        field: copies, ``_replace`` and pickles start with it empty."""
         return {}
 
     def validate(self) -> None:

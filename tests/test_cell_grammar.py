@@ -2,10 +2,11 @@
 
 ``reference_parse`` tries each numeric cell form in turn, one pattern at a
 time, as ``ingest`` once did, and builds every value through the validating
-``TypedValue`` constructor.  The property draws cells from the grammar's
-atoms and requires ``parse_value`` to agree with it on every quantitative
-builtin indicator: the same value fields, or the same error type and
-message.
+``TypedValue`` constructor; a cell that no form matches, but one does once
+its commas are removed, names a misgrouped thousands separator.  The
+property draws cells from the grammar's atoms and requires ``parse_value``
+to agree with it on every quantitative builtin indicator: the same value
+fields, or the same error type and message.
 """
 
 from __future__ import annotations
@@ -43,6 +44,25 @@ def _amount(token: str) -> float | None:
     return base
 
 
+def _money(body: str) -> float | None:
+    """The amount of a ``$`` cell, or None; a token symbol after it is dropped."""
+    rest = body[1:].strip()
+    sym = _WORD_SUFFIX_RE.match(rest)
+    if sym and sym.group(2).isupper():
+        rest = sym.group(1)
+    return _amount(rest)
+
+
+def _is_form(body: str) -> bool:
+    """Whether *body* has a numeric form's shape: an amount, money, a ratio,
+    a code, or an amount and a word."""
+    if body.startswith("$"):
+        return _money(body) is not None
+    suffixed = _WORD_SUFFIX_RE.match(body)
+    return (_amount(body) is not None or bool(_RATIO_RE.match(body) or _CODE_RE.match(body))
+            or bool(suffixed) and _amount(suffixed.group(1)) is not None)
+
+
 def _reference_cell(raw: str, definition) -> TypedValue:
     body = raw.strip()
     lowered = body.lower()
@@ -73,16 +93,14 @@ def _reference_cell(raw: str, definition) -> TypedValue:
             flag = body == "1" or body.lower() == "yes"
             return TypedValue(ValueKind.BINARY, value=float(flag), qualifier=qualifier)
         raise ValueParseError(raw, definition.id, "binary cells must be 0/1 or no/yes")
+    if not _is_form(body) and _is_form(body.replace(",", "")):
+        raise ValueParseError(raw, definition.id, "misgrouped thousands separator")
 
     amount = _amount(body)
     if amount is not None:
         return TypedValue(ValueKind.NUMBER, float(amount), qualifier=qualifier)
     if body.startswith("$"):
-        rest = body[1:].strip()
-        sym = _WORD_SUFFIX_RE.match(rest)
-        if sym and sym.group(2).isupper():
-            rest = sym.group(1)
-        amount = _amount(rest)
+        amount = _money(body)
         if amount is None:
             raise ValueParseError(raw, definition.id, "malformed money amount")
         return TypedValue(ValueKind.MONEY, float(amount), "USD", qualifier=qualifier)
@@ -185,7 +203,10 @@ _SHAPED = st.builds(
 @example("-1,5 (code)", _CODED)
 @example("-12,345.5 (code)", _CODED)
 @example("<$1,234,567.5k OP", _DEFINITIONS[0])
+@example("1,000 foo", _DEFINITIONS[0])    # well grouped, so the suffix is the fault
+@example("5,0 foo", _DEFINITIONS[0])
+@example("$5,0 foo", _DEFINITIONS[0])
 def test_parse_value_agrees_with_the_sequential_grammar(cell, definition):
     # A copy starts with an empty memo, so every example is parsed afresh.
     expected = _outcome(reference_parse, cell, definition)
-    assert _outcome(parse_value, cell, definition.replace()) == expected
+    assert _outcome(parse_value, cell, definition._replace()) == expected

@@ -184,6 +184,17 @@ def test_parse_rejects_garbage():
         parse_value("$bad", _def("FAO-QN-2"))
 
 
+@pytest.mark.parametrize("raw, indicator", [
+    ("1,5", "COM-QN-1"), ("1,5:2", "TAC-QN-6"), ("2,5 (x)", "PSO-QN-1"),
+    ("$1,5m", "FAO-QN-2"), ("1,5 weeks", "COM-QN-7"), ("1,5 OP", "FAO-QN-2"),
+])
+def test_parse_names_a_misgrouped_thousands_separator_in_every_form(raw, indicator):
+    with pytest.raises(ValueParseError) as exc:
+        parse_value(raw, _def(indicator))
+    assert str(exc.value) == (f"cannot parse {raw!r} for indicator {indicator}: "
+                              "misgrouped thousands separator")
+
+
 def test_parse_rejects_out_of_domain_values():
     with pytest.raises(ValueParseError):
         parse_value("$-5", _def("FAO-QN-2"))
@@ -343,7 +354,7 @@ def test_coerce_rejects_non_time_mismatch():
                                    (token_amount(5, "OP"), "COM-QN-1", "headcount")]:
         with pytest.raises(UnitError):
             coerce_unit(value, unit, _def(indicator))
-    usd = _def("FAO-QN-2").replace(unit="usd")
+    usd = _def("FAO-QN-2")._replace(unit="usd")
     assert coerce_unit(money(5), None, usd) == money(5)
     assert coerce_unit(token_amount(5, "OP"), None, usd) == token_amount(5, "OP")
 
@@ -490,7 +501,7 @@ def test_memos_belong_to_one_definition():
     assert in_months == pytest.approx(2 / 4.345)
     # A fresh schema, and a copy of a definition, start with empty memos.
     assert builtin_schema().observed_lines == {}
-    copied = builtin.get("COM-QN-8").replace(description="copy")
+    copied = builtin.get("COM-QN-8")._replace(description="copy")
     assert copied.parsed_cells == {}
     # A line memoised under one schema is unknown under a schema without
     # its indicator, though that schema shares the other definitions.

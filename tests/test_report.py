@@ -211,10 +211,10 @@ def test_structured_audit_lines_follow_each_record_not_its_value():
     # the structured format prints: each record gets its own line.
     _, results = _raw_results()
     rec = results[0].audit[0]
-    negative, positive = rec.replace(minimum=-0.0), rec.replace(minimum=0.0)
+    negative, positive = rec._replace(minimum=-0.0), rec._replace(minimum=0.0)
     assert negative == positive and hash(negative) == hash(positive)
-    doctored = [results[0].replace(audit=(negative, positive)),
-                results[1].replace(audit=(positive, negative))]
+    doctored = [results[0]._replace(audit=(negative, positive)),
+                results[1]._replace(audit=(positive, negative))]
     document = render_comparison(doctored, fmt="structured").decode("utf-8")
     minima = [line.split("|")[3] for line in document.splitlines() if line.startswith("audit|")]
     assert minima == ["-0.0000", "0.0000", "0.0000", "-0.0000"]

@@ -491,7 +491,7 @@ def test_records_are_slotted_values(record, field, other):
         delattr(record, field)
     assert getattr(record, field) != other
 
-    changed = record.replace(**{field: other})
+    changed = record._replace(**{field: other})
     assert type(changed) is type(record) and changed != record
     for name in record._fields:
         if name == field:
@@ -501,7 +501,7 @@ def test_records_are_slotted_values(record, field, other):
 
     assert record == tuple(record) and tuple(record) == record  # tuple equality
     assert repr(record).startswith(f"{type(record).__name__}({record._fields[0]}=")
-    copies = (record.replace(), copy.copy(record), copy.deepcopy(record),
+    copies = (record._replace(), copy.copy(record), copy.deepcopy(record),
               pickle.loads(pickle.dumps(record)))
     for twin in copies:
         assert type(twin) is type(record)
@@ -520,19 +520,19 @@ def test_copies_of_a_definition_start_with_empty_memos():
     definition.parsed_cells["3"] = number(3)
     schema.observed_lines["COM-QN-2|3"] = (definition, Observation("COM-QN-2", "3", number(3)))
     assert definition.scorable
-    for twin in (definition.replace(), copy.copy(definition), copy.deepcopy(definition),
+    for twin in (definition._replace(), copy.copy(definition), copy.deepcopy(definition),
                  pickle.loads(pickle.dumps(definition))):
         assert twin == definition
         assert twin.parsed_cells == {} and twin.scorable == definition.scorable
     # The line memo lives on the schema, and copies of it start empty too.
-    for twin in (schema.replace(), copy.copy(schema), copy.deepcopy(schema),
+    for twin in (schema._replace(), copy.copy(schema), copy.deepcopy(schema),
                  pickle.loads(pickle.dumps(schema))):
         assert twin == schema and twin.observed_lines == {}
 
 
 def test_schema_copies_rebuild_the_id_map():
     schema = builtin_schema()
-    for twin in (schema.replace(), copy.copy(schema), copy.deepcopy(schema),
+    for twin in (schema._replace(), copy.copy(schema), copy.deepcopy(schema),
                  pickle.loads(pickle.dumps(schema))):
         assert twin == schema and twin.get is not schema.get
         assert [twin.get(ind.id) for ind in schema.indicators] == list(schema.indicators)
@@ -543,7 +543,6 @@ def test_schema_copies_rebuild_the_id_map():
 #: Every way to rebuild a record from its fields, given the record, the
 #: fields and a twin built from those fields without the constructor.
 _REBUILDS = {
-    "replace": lambda record, fields, twin: record.replace(**dict(zip(record._fields, fields))),
     "_replace": lambda record, fields, twin: record._replace(**dict(zip(record._fields, fields))),
     "_make": lambda record, fields, twin: type(record)._make(fields),
     "copy": lambda record, fields, twin: copy.copy(twin),
@@ -596,10 +595,11 @@ def test_record_constructors_bind_fields_like_a_signature():
                 lambda: Criterion(*fields, "p", "extra"),         # one argument too many
                 lambda: Criterion(*fields, "p", id="again"),      # a field given twice
                 lambda: Criterion(*fields, prompt="p", colour=1),  # no such field
-                lambda: AuditRecord("COM-QN-2", "3", None, None, None, colour=1),
-                lambda: Excluded("missing").replace(colour=1)):
+                lambda: AuditRecord("COM-QN-2", "3", None, None, None, colour=1)):
         with pytest.raises(TypeError):
             bad()
+    with pytest.raises(ValueError, match="colour"):  # namedtuple's own _replace
+        Excluded("missing")._replace(colour=1)
 
 
 def test_records_are_tuples_that_compare_as_tuples():

@@ -50,7 +50,7 @@ def cohort_300():
 
 def _unshared(results):
     """*results* with every audit record replaced by a private copy."""
-    return [r.replace(audit=tuple(a.replace() for a in r.audit)) for r in results]
+    return [r._replace(audit=tuple(a._replace() for a in r.audit)) for r in results]
 
 
 def _records(result):
