@@ -34,6 +34,13 @@ under the indicator's declared data type:
 A numeric cell is matched once, against one alternation of these forms; a
 cell no form matches is classified by its shape to name its fault.
 
+Every ``TypedValue`` is built by its constructor, the one place a parsed
+value's rules are written: the value is finite, and is None exactly for a
+missing, text or country value; money and token amounts are >= 0; a binary
+value is 0 or 1; a missing value's qualifier is ``unspecified``.  Parsing,
+the factories and ``coerce_unit`` all go through it, and a broken rule is a
+ValueError that ``parse_value`` reports as the cell's ValueParseError.
+
 Observation files are pipe-delimited UTF-8 text::
 
     # comments and blank lines are ignored
@@ -204,12 +211,16 @@ class TypedValue(Record, namedtuple("TypedValue", (
         is_code: bool = False,  # leading-numeral categorical cell under unit=scoring
         qualifier: Qualifier = Qualifier.EXACT,
     ) -> TypedValue:
-        """A value checked as the factories below check theirs."""
-        if value is not None:
-            _finite(value)
-        if kind is _MONEY or kind is _TOKEN_AMOUNT:
-            if value is None or value < 0:
-                raise ValueError(f"{kind.value} amount must be >= 0")
+        """A value checked against every rule in the module docstring;
+        each parse, factory, ``coerce_unit`` result, copy and rebuild comes
+        through here."""
+        if (value is None) != (kind is _MISSING or kind is _TEXT or kind is _COUNTRY):
+            raise ValueError(f"{kind.value} values "
+                             + ("need a value" if value is None else "carry no value"))
+        if value is not None and not math.isfinite(value):
+            raise ValueError(f"{value!r} is not a finite number")
+        if (kind is _MONEY or kind is _TOKEN_AMOUNT) and value < 0:
+            raise ValueError(f"{kind.value} amount must be >= 0")
         if kind is _BINARY and value not in (0.0, 1.0):
             raise ValueError("binary value must be 0 or 1")
         if kind is _MISSING and qualifier is not _UNSPECIFIED:
@@ -221,56 +232,26 @@ class TypedValue(Record, namedtuple("TypedValue", (
 #: keyword binding and the checks of the class's own constructor.
 _new = tuple.__new__
 
-
-def _finite(x: float) -> float:
-    """*x*, or ValueError when it is infinite or NaN."""
-    if not math.isfinite(x):
-        raise ValueError(f"{x!r} is not a finite number")
-    return x
-
-
-def _nonnegative(kind: ValueKind, amount: float) -> float:
-    amount = _finite(float(amount))
-    if amount < 0:
-        raise ValueError(f"{kind.value} amount must be >= 0")
-    return amount
-
-
-MISSING = TypedValue(kind=_MISSING, qualifier=_UNSPECIFIED)
+MISSING = TypedValue(_MISSING, qualifier=_UNSPECIFIED)
 
 
 def number(value: float, unit: str | None = None, is_code: bool = False,
            qualifier: Qualifier = _EXACT) -> TypedValue:
-    return _new(TypedValue, (_NUMBER, _finite(float(value)), None, unit, is_code, qualifier))
+    return TypedValue(_NUMBER, float(value), None, unit, is_code, qualifier)
 
 
 def money(amount: float, qualifier: Qualifier = _EXACT) -> TypedValue:
-    return _new(TypedValue, (_MONEY, _nonnegative(_MONEY, amount), "USD", None, False,
-                             qualifier))
+    return TypedValue(_MONEY, float(amount), "USD", None, False, qualifier)
 
 
 def token_amount(amount: float, symbol: str, qualifier: Qualifier = _EXACT) -> TypedValue:
-    return _new(TypedValue, (_TOKEN_AMOUNT, _nonnegative(_TOKEN_AMOUNT, amount),
-                             symbol.upper(), None, False, qualifier))
+    return TypedValue(_TOKEN_AMOUNT, float(amount), symbol.upper(), None, False, qualifier)
 
 
-def ratio(numerator: float, denominator: float,
-          qualifier: Qualifier = Qualifier.EXACT) -> TypedValue:
+def ratio(numerator: float, denominator: float, qualifier: Qualifier = _EXACT) -> TypedValue:
     if denominator == 0:
         raise ValueError("ratio denominator must be non-zero")
-    return TypedValue(kind=_RATIO, value=numerator / denominator, qualifier=qualifier)
-
-
-def binary(value: int, qualifier: Qualifier = Qualifier.EXACT) -> TypedValue:
-    return TypedValue(kind=_BINARY, value=float(value), qualifier=qualifier)
-
-
-def country(qualifier: Qualifier = Qualifier.EXACT) -> TypedValue:
-    return TypedValue(kind=_COUNTRY, qualifier=qualifier)
-
-
-def text(qualifier: Qualifier = Qualifier.EXACT) -> TypedValue:
-    return TypedValue(kind=_TEXT, qualifier=qualifier)
+    return TypedValue(_RATIO, numerator / denominator, None, None, False, qualifier)
 
 
 def _to_float(token: str) -> float:
@@ -295,7 +276,7 @@ def _parse_country(body: str, raw: str, definition: IndicatorDef,
         words = words[:-1]
     cleaned = " ".join(words)
     if re.fullmatch(r"[A-Za-z]{3}", cleaned) or cleaned.lower() in _JURISDICTIONS:
-        return country(qualifier)
+        return TypedValue(_COUNTRY, None, None, None, False, qualifier)
     raise ValueParseError(raw, definition.id, "not an ISO alpha-3 code or known jurisdiction")
 
 
@@ -330,7 +311,7 @@ def _parse_cell(raw: str, definition: IndicatorDef) -> TypedValue:
         return MISSING
 
     if data_type is _TEXT_DATA:
-        return text()
+        return TypedValue(_TEXT)
 
     qualifier = _EXACT
     if body.startswith("<"):
@@ -344,10 +325,9 @@ def _parse_cell(raw: str, definition: IndicatorDef) -> TypedValue:
         return _parse_country(body, raw, definition, qualifier)
 
     if data_type is _BINARY_DATA:
-        if body in ("0", "1"):
-            return binary(int(body), qualifier)
-        if body.lower() in ("no", "yes"):
-            return binary(int(body.lower() == "yes"), qualifier)
+        flag = body.lower()
+        if flag in ("0", "1", "no", "yes"):
+            return TypedValue(_BINARY, float(flag in ("1", "yes")), None, None, False, qualifier)
         raise ValueParseError(raw, definition.id, "binary cells must be 0/1 or no/yes")
 
     if data_type not in _NUMERIC_DATA:

@@ -109,16 +109,15 @@ def collect_responses(template: RubricTemplate,
     return grouped
 
 
-def render_template(template: RubricTemplate | None = None) -> str:
-    """Blank survey rows, ready to fill offline and paste into an observation
-    file."""
-    template = template or builtin_template()
+def render_template() -> str:
+    """Blank survey rows for the builtin template, ready to fill offline and
+    paste into an observation file."""
     lines = [
         f"# Self-assessment survey: score each criterion from "
         f"{SCALE_MIN} ({SCALE_ANCHORS[0]}) to {SCALE_MAX} ({SCALE_ANCHORS[1]}).",
         "# Leave the score empty to skip a criterion.",
     ]
-    for criterion in template.criteria:
+    for criterion in builtin_template().criteria:
         lines.append(f"# [{criterion.category.code}] {criterion.name}: {criterion.prompt}")
         lines.append(f"{criterion.id}|")
     return "\n".join(lines) + "\n"

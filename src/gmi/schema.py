@@ -77,9 +77,11 @@ class Record:
 
     ``_replace``, ``_make``, ``copy``, ``deepcopy`` and ``pickle`` rebuild
     a record through its class's constructor, so they run its checks again
-    and a copy starts with empty memos.  Records built per
-    cell or per program are made with ``tuple.__new__(cls, fields)`` from
-    fields known to be complete and valid.
+    and a copy starts with empty memos.  Records of a class with no checks
+    that are built per row, cell or program (such as ``Observation``,
+    ``AuditRecord`` and ``GmiResult``) are made with
+    ``tuple.__new__(cls, fields)`` from complete fields; a ``TypedValue`` is
+    always built through its constructor.
     """
 
     __slots__ = ()

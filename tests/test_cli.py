@@ -511,6 +511,8 @@ def test_a_bad_row_names_the_file_and_the_line(tmp_path, monkeypatch, gmi_run, r
     "name, text, argv, message",
     [("rates.txt", "ARB|1.0\nOP|x\n", ["score", *PROGRAM_FILES, "--rates", "rates.txt"],
       "rate 'x' is not a number"),
+     ("rates.txt", "ARB|1.0\nOP|1|2\n", ["score", *PROGRAM_FILES, "--rates", "rates.txt"],
+      "rate rows have 2 fields"),
      ("schema.txt", "id|category|kind|data_type|unit|direction|description\n"
                     "XYZ-QN|XYZ|synthetic|n.a.|none|non-scorable|Bogus\n",
       ["validate", PROGRAM_FILES[0], "--schema", "schema.txt"],
@@ -518,7 +520,7 @@ def test_a_bad_row_names_the_file_and_the_line(tmp_path, monkeypatch, gmi_run, r
      ("table.txt", "program|FAO|PSO|GOV|EFI|TAC|COM\nA|1|1|x|1|1|1\n",
       ["score", "table.txt", "--mode", "precomputed-categories"],
       "score 'x' is not a number")],
-    ids=["rates", "schema", "category-table"],
+    ids=["rates", "rates-field-count", "schema", "category-table"],
 )
 def test_every_file_error_names_its_file(tmp_path, monkeypatch, capsys, name, text, argv,
                                          message):

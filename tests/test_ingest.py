@@ -22,7 +22,10 @@ from gmi.errors import (
     ValueParseError,
 )
 from gmi.ingest import (
+    Observation,
+    ProgramDataset,
     Qualifier,
+    TypedValue,
     ValueKind,
     coerce_unit,
     load_program_dataset,
@@ -195,6 +198,28 @@ def test_parse_names_a_misgrouped_thousands_separator_in_every_form(raw, indicat
                               "misgrouped thousands separator")
 
 
+# Each rule of a parsed value, broken once.  The constructor is the one
+# place they are checked; the factories and every rebuild go through it.
+@pytest.mark.parametrize("fields, message", [
+    ((ValueKind.NUMBER,), "number values need a value"),
+    ((ValueKind.RATIO,), "ratio values need a value"),
+    ((ValueKind.MONEY, None, "USD"), "money values need a value"),
+    ((ValueKind.TEXT, 1.0), "text values carry no value"),
+    ((ValueKind.COUNTRY, 0.0), "country values carry no value"),
+    ((ValueKind.MISSING, 0.0, None, None, False, Qualifier.UNSPECIFIED),
+     "missing values carry no value"),
+    ((ValueKind.NUMBER, math.inf), "inf is not a finite number"),
+    ((ValueKind.TOKEN_AMOUNT, -1.0, "OP"), "token-amount amount must be >= 0"),
+    ((ValueKind.BINARY, 0.5), "binary value must be 0 or 1"),
+    ((ValueKind.MISSING,), "missing values carry no qualifier"),
+], ids=["number-no-value", "ratio-no-value", "money-no-value", "text-value", "country-value",
+        "missing-value", "not-finite", "negative-amount", "binary-not-0-or-1",
+        "missing-qualifier"])
+def test_a_typed_value_breaking_a_rule_is_rejected(fields, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        TypedValue(*fields)
+
+
 def test_parse_rejects_out_of_domain_values():
     with pytest.raises(ValueParseError):
         parse_value("$-5", _def("FAO-QN-2"))
@@ -227,6 +252,7 @@ def test_parse_is_deterministic():
                             "ratio denominator must be non-zero"),
         ("12 xyz", "COM-QN-1", "cannot parse '12 xyz' for indicator COM-QN-1: "
                                "unrecognised suffix 'xyz'"),
+        ("3", "COM-QN", "cannot parse '3' for indicator COM-QN: indicator is not observable"),
     ],
 )
 def test_parse_order_keeps_each_numeric_form(raw, indicator, expected):
@@ -633,6 +659,13 @@ def test_validate_rubric_only_dataset():
     assert report.categories[Category.COM].scorable
     others = [c for cat, c in report.categories.items() if cat is not Category.COM]
     assert all(not c.scorable for c in others)
+
+
+def test_validate_rejects_an_indicator_the_schema_lacks():
+    # A dataset built in code, whose id no loader checked.
+    dataset = ProgramDataset("A", {"FAO-QN-99": Observation("FAO-QN-99", "5", number(5))}, {})
+    with pytest.raises(UnknownIndicator, match="^indicator 'FAO-QN-99' not present"):
+        validate_dataset(dataset, SCHEMA)
 
 
 def test_validate_does_not_mutate_dataset():

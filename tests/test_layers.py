@@ -1,5 +1,6 @@
 """Import layering of the engine package: one direction, no hidden cycles,
-and a start-up that loads no module it does not use."""
+no private ``collections`` name, and a start-up that loads no module it
+does not use."""
 
 from __future__ import annotations
 
@@ -54,6 +55,25 @@ def test_relative_imports_point_down_the_layers():
         if RANK[target] >= RANK[module]
     ]
     assert upward == []
+
+
+def test_the_engine_reaches_no_private_collections_name():
+    # The records are collections.namedtuple classes; the engine reaches none
+    # of that module's private names (such as _tuplegetter), which may change
+    # between Python versions.
+    found = []
+    for module, tree in TREES.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("collections"):
+                names = [alias.name for alias in node.names]
+            elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and node.value.id == "collections"):
+                names = [node.attr]
+            else:
+                continue
+            found += [f"{module} line {node.lineno}: {name}" for name in names
+                      if name.startswith("_")]
+    assert found == []
 
 
 #: Modules that ``import gmi.cli`` and ``import gmi.bundled`` must not load:

@@ -165,23 +165,31 @@ def test_reported_scores_stay_in_documented_ranges():
 
 
 _HEAD = "format|gmi-comparison|1\nprograms|A\nprogram|A\n"
+_AUDIT = "audit|COM-QN-1|3|1.0000|4.0000|maybe|0.5000|exact"  # neither score nor excluded
 
 
 @pytest.mark.parametrize(
-    "document",
+    "document, message",
     [
-        _HEAD + "gmi|x\nstage|Experimental\n",
-        _HEAD + "gmi\nstage|Experimental\n",
-        _HEAD + "gmi|1.0000\nstage|Bogus\n",
-        _HEAD + "gmi|1.0000\nstage|Experimental\ncategory|FAO|score\n",
-        _HEAD + "stage|Experimental\n",
-        _HEAD + "gmi|1.0000\ngmi|2.0000\nstage|Experimental\n",
+        (_HEAD + "gmi|x\nstage|Experimental\n", "malformed gmi record: 'gmi|x'"),
+        (_HEAD + "gmi\nstage|Experimental\n", "malformed gmi record: 'gmi'"),
+        (_HEAD + "gmi|1.0000\nstage|Bogus\n", "malformed stage record: 'stage|Bogus'"),
+        (_HEAD + "gmi|1.0000\nstage|Experimental\ncategory|FAO|score\n",
+         "malformed category record: 'category|FAO|score'"),
+        (_HEAD + "stage|Experimental\n", "program 'A' has no gmi record"),
+        (_HEAD + "gmi|1.0000\ngmi|2.0000\nstage|Experimental\n", "duplicate gmi record for 'A'"),
+        ("format|gmi-table|1\n", "not a structured comparison document"),
+        (_HEAD + "gmi|1.0000\nstage|Experimental\nscore|1\n", "unknown record 'score'"),
+        ("format|gmi-comparison|1\ngmi|1.0000\n", "record 'gmi' before any program block"),
+        (_HEAD + f"gmi|1.0000\nstage|Experimental\n{_AUDIT}\n",
+         f"malformed audit record: {_AUDIT!r}"),
     ],
     ids=["gmi-not-a-number", "gmi-no-value", "unknown-stage", "category-no-value",
-         "no-gmi", "duplicate-gmi"],
+         "no-gmi", "duplicate-gmi", "not-structured", "unknown-record",
+         "record-before-program", "audit-mode"],
 )
-def test_parse_structured_rejects_malformed_documents(document):
-    with pytest.raises(ParseError):
+def test_parse_structured_rejects_malformed_documents(document, message):
+    with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
         parse_structured(document)
 
 

@@ -210,6 +210,17 @@ def test_a_field_a_schema_row_cannot_hold_is_rejected(field, text):
     assert exc.value.indicator_id == "COM-QN-1"
 
 
+@pytest.mark.parametrize("indicator, change, message", [
+    ("COM-QN-1", {"category": Category.FAO}, "indicator 'COM-QN-1' declares category FAO"),
+    ("COM-QN", {"id": "COM-QN-2"},
+     "synthetic roll-up for COM must be named COM-QN, got 'COM-QN-2'"),
+    ("COM-QN-1", {"data_type": None}, "indicator 'COM-QN-1' needs a data type"),
+], ids=["category-prefix", "roll-up-name", "no-data-type"])
+def test_a_definition_breaking_a_rule_is_rejected(indicator, change, message):
+    with pytest.raises(SchemaError, match=f"^{message}$"):
+        builtin_schema().get(indicator)._replace(**change).validate()
+
+
 def test_an_id_with_a_trailing_line_break_is_rejected():
     with pytest.raises(SchemaError, match="is not well formed"):
         builtin_schema().get("COM-QN-1")._replace(id="COM-QN-1\n").validate()

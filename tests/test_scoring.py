@@ -180,6 +180,11 @@ def test_compute_gmi_reproduces_published_composites():
     assert results["Arbitrum STIP"].gmi == pytest.approx(1.1807, abs=1e-3)
 
 
+def test_compute_gmi_requires_a_program():
+    with pytest.raises(ValueError, match="^at least one program is required$"):
+        compute_gmi({})
+
+
 def test_compute_gmi_single_program_is_neutral():
     results = compute_gmi({"Solo": PUBLISHED_CATEGORY_SCORES["Mantle"]})
     result = results["Solo"]
@@ -433,6 +438,8 @@ def test_load_category_table_errors():
     for bad in ("nan", "inf", "-inf"):
         with pytest.raises(ParseError):
             load_category_table(f"program|FAO|PSO|GOV|EFI|TAC|COM\nX|1|2|{bad}|4|5|6\n")
+    with pytest.raises(ParseError, match="^category table has no program rows$"):
+        load_category_table("program|FAO|PSO|GOV|EFI|TAC|COM\nnote|no rows yet\n")
     # The table is read in one pass, so of several defects the first by
     # line number is reported: the duplicate, not the short row after it.
     with pytest.raises(ParseError, match="^line 3: duplicate program 'X'$"):
@@ -561,6 +568,8 @@ def _rebuild(route, record, field=None, value=None):
 def test_every_rebuild_runs_the_constructor_checks(route):
     with pytest.raises(ValueError, match="not a finite number"):
         _rebuild(route, number(3), "value", math.inf)
+    with pytest.raises(ValueError, match="^number values need a value$"):
+        _rebuild(route, number(3), "value", None)
     criterion = Criterion("governance", Category.GOV, "Governance", "How decisions are made.")
     with pytest.raises(ParseError, match="duplicate criterion id 'governance'"):
         _rebuild(route, RubricTemplate((criterion,)), "criteria", (criterion, criterion))
