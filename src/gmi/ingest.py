@@ -37,7 +37,9 @@ cell no form matches is classified by its shape to name its fault.
 Every ``TypedValue`` is built by its constructor, the one place a parsed
 value's rules are written: the value is finite, and is None exactly for a
 missing, text or country value; money and token amounts are >= 0; a binary
-value is 0 or 1; a missing value's qualifier is ``unspecified``.  Parsing,
+value is 0 or 1; a missing value's qualifier is ``unspecified``; the symbol
+is ``"USD"`` exactly for money, a non-empty string for a token amount and
+None otherwise; only a number carries a unit or the code flag.  Parsing,
 the factories and ``coerce_unit`` all go through it, and a broken rule is a
 ValueError that ``parse_value`` reports as the cell's ValueParseError.
 
@@ -225,6 +227,14 @@ class TypedValue(Record, namedtuple("TypedValue", (
             raise ValueError("binary value must be 0 or 1")
         if kind is _MISSING and qualifier is not _UNSPECIFIED:
             raise ValueError("missing values carry no qualifier")
+        if kind is _TOKEN_AMOUNT:
+            if not (isinstance(symbol, str) and symbol):
+                raise ValueError("token-amount values need a symbol")
+        elif symbol != ("USD" if kind is _MONEY else None):
+            raise ValueError(f"{kind.value} values carry "
+                             + ("the symbol 'USD'" if kind is _MONEY else "no symbol"))
+        if kind is not _NUMBER and (unit is not None or is_code):
+            raise ValueError(f"{kind.value} values carry no unit or code flag")
         return _new(cls, (kind, value, symbol, unit, is_code, qualifier))
 
 
@@ -378,7 +388,7 @@ def coerce_unit(value: TypedValue, from_unit: str | None, definition: IndicatorD
     if (value.kind is _MONEY or value.kind is _TOKEN_AMOUNT) and dst != "usd":
         raise UnitError(value.symbol, definition.unit)
     if from_unit is None or from_unit.lower() == dst:
-        if value.kind is _NUMBER and value.unit is not None:
+        if value.unit is not None:
             return number(value.value, is_code=value.is_code, qualifier=value.qualifier)
         return value
     src = from_unit.lower()
@@ -456,7 +466,7 @@ def load_program_dataset(source: bytes | str, schema: Schema) -> ProgramDataset:
                 annotation = fields[2].lower() if len(fields) == 3 else None
                 if annotation:
                     annotation = _CANONICAL_TIME.get(annotation.rstrip("s"), annotation)
-                inline = value.unit if value.kind is _NUMBER else None
+                inline = value.unit
                 if inline and annotation and inline != annotation:
                     raise ParseError(f"unit annotation {annotation!r} contradicts "
                                      f"inline unit {inline!r}")
@@ -530,7 +540,7 @@ def scoring_status(value: TypedValue, definition: IndicatorDef,
     if kind is _MISSING:
         return None, "missing"
     if kind is _TOKEN_AMOUNT:
-        rate = (rates or {}).get(value.symbol or "")
+        rate = (rates or {}).get(value.symbol)
         if rate is None:
             return None, "token-unconverted"
         return value.value * rate, None

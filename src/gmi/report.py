@@ -22,6 +22,7 @@ Identical inputs render to identical bytes.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterable, Iterator, Sequence
 from itertools import chain
 
@@ -192,20 +193,29 @@ _RECORD_FIELDS = {"program": 2, "gmi": 2, "stage": 2, "category": 4, "audit": 8}
 _CATEGORY_BUCKETS = {"input": "inputs", "score": "scores"}
 
 
+def _finite(text: str) -> float:
+    if not math.isfinite(value := float(text)):
+        raise ValueError(text)
+    return value
+
+
 def parse_structured(data: bytes | str) -> list[GmiResult]:
     """Parse the structured format back into GmiResult values.
 
     The document is read as every loader reads its own (``read_lines``, then
     ``record_fields``), one record at a time, so a cohort's tens of
     thousands of audit records are never all split at once.  Each program
-    block needs exactly one ``gmi`` and one ``stage`` record; any malformed
-    document raises ParseError.
+    block needs exactly one ``gmi`` and one ``stage`` record, at most one
+    record per category and bucket, and a name no other block has; every
+    number must be finite, as the renderer writes none other.  Any
+    malformed document raises ParseError.
     """
     records = filter(None, map(record_fields, read_lines(data)))
     if next(records, [])[:2] != ["format", "gmi-comparison"]:
         raise ParseError("not a structured comparison document")
 
-    blocks: list[dict] = []
+    blocks: dict[str, dict] = {}
+    block = None
     for fields in records:
         line = "|".join(fields)
         key = fields[0]
@@ -216,52 +226,43 @@ def parse_structured(data: bytes | str) -> list[GmiResult]:
         if len(fields) != _RECORD_FIELDS[key]:
             raise ParseError(f"malformed {key} record: {line!r}")
         if key == "program":
-            blocks.append({"program": fields[1], "inputs": {}, "scores": {}, "audit": []})
+            if fields[1] in blocks:
+                raise ParseError(f"duplicate program {fields[1]!r}")
+            block = blocks[fields[1]] = {"program": fields[1], "inputs": {}, "scores": {},
+                                         "audit": []}
             continue
-        if not blocks:
+        if block is None:
             raise ParseError(f"record {key!r} before any program block")
-        block = blocks[-1]
         try:
             if key in ("gmi", "stage"):
                 if key in block:
                     raise ParseError(f"duplicate {key} record for {block['program']!r}")
-                block[key] = float(fields[1]) if key == "gmi" else Stage(fields[1])
+                block[key] = _finite(fields[1]) if key == "gmi" else Stage(fields[1])
             elif key == "category":
                 cat = Category.from_code(fields[1])
-                block[_CATEGORY_BUCKETS[fields[2]]][cat] = float(fields[3])
+                bucket = block[_CATEGORY_BUCKETS[fields[2]]]
+                if cat in bucket:
+                    raise ParseError(f"duplicate category {cat.code} {fields[2]} record "
+                                     f"for {block['program']!r}")
+                bucket[cat] = _finite(fields[3])
             else:
                 _, indicator, raw, lo, hi, mode, payload, qualifier = fields
                 if mode not in ("score", "excluded"):
                     raise ParseError(f"malformed audit record: {line!r}")
-                block["audit"].append(
-                    AuditRecord(
-                        indicator=indicator,
-                        raw=raw,
-                        minimum=float(lo) if lo else None,
-                        maximum=float(hi) if hi else None,
-                        score=float(payload) if mode == "score" else None,
-                        exclusion=payload if mode == "excluded" else None,
-                        qualifier=Qualifier(qualifier),
-                    )
-                )
+                block["audit"].append(AuditRecord(
+                    indicator, raw, _finite(lo) if lo else None, _finite(hi) if hi else None,
+                    _finite(payload) if mode == "score" else None,
+                    payload if mode == "excluded" else None, Qualifier(qualifier)))
         except (KeyError, ValueError):
             raise ParseError(f"malformed {key} record: {line!r}") from None
 
     results = []
-    for block in blocks:
+    for block in blocks.values():
         for key in ("gmi", "stage"):
             if key not in block:
                 raise ParseError(f"program {block['program']!r} has no {key} record")
-        results.append(
-            GmiResult(
-                program=block["program"],
-                category_scores=block["inputs"],
-                normalized_category_scores=block["scores"],
-                gmi=block["gmi"],
-                stage=block["stage"],
-                audit=tuple(block["audit"]),
-            )
-        )
+        results.append(GmiResult(block["program"], block["inputs"], block["scores"],
+                                 block["gmi"], block["stage"], tuple(block["audit"])))
     return results
 
 

@@ -17,10 +17,10 @@ Cells repeat down a column, so the column routine maps each distinct cell
 ``(value, reason, raw, qualifier)`` to its value, hands that map to
 ``minmax_normalize`` once per column, and builds one frozen
 ``AuditRecord`` per distinct cell, shared by every program whose cell is
-identical; the maps are local to the call.  ``score_datasets`` returns the
-results with a ``ScoreMatrix`` whose ``entries`` are derived from those
-results on first access, so a caller that never reads them never builds
-them.  Each result holds its own category inputs in ``category_scores``.
+identical; the maps are local to the call.  ``score_datasets`` sends every
+observed column through it, scorable or not, and returns the results with a
+``ScoreMatrix`` that reads its ``entries`` from them on each access.  Each
+result holds its own category inputs in ``category_scores``.
 
 Layer order: this module sits above ``ingest`` and below ``report``.
 """
@@ -31,7 +31,6 @@ import math
 from collections import namedtuple
 from collections.abc import Hashable, Mapping, Sequence
 from enum import Enum
-from functools import cached_property
 from itertools import chain, repeat
 from operator import itemgetter
 
@@ -97,15 +96,15 @@ _SCORE = itemgetter(AuditRecord._fields.index("score"))
 
 class ScoreMatrix(Record, namedtuple("ScoreMatrix", ("results",))):
     """The cohort's indicator scores keyed by ``(program, indicator id)``,
-    read from *results* on first access.
+    read from *results* on each access of ``entries``.
 
     Each result's audit trail is its indicator records followed by its
     ``CATEGORY_COUNT`` category records, so ``entries`` reads the former.
-    Not slotted: the map is a ``cached_property`` memo.
     """
+    __slots__ = ()
     results: tuple[GmiResult, ...]
 
-    @cached_property
+    @property
     def entries(self) -> dict[tuple[str, str], float | Excluded]:
         return {
             (result.program, record.indicator):
@@ -274,7 +273,7 @@ def score_datasets(
 
     Program order follows the input order throughout: every column, every
     per-program list and the results are aligned with *datasets*.  The
-    matrix reads its map from the results on first access.
+    matrix reads its map from the results on each access.
     """
     template = template or rubric.builtin_template()
     check_distinct_programs([ds.program for ds in datasets])
@@ -282,7 +281,7 @@ def score_datasets(
     observed_ids = dict.fromkeys(chain.from_iterable(observations))
 
     # One list per observed indicator, aligned with *datasets*; an
-    # unscorable column holds None where a program has no record.
+    # unscorable column holds None where a program has no row.
     columns: list[list[AuditRecord | None]] = []
     # The scores of each category's scorable columns, in the same order.
     scored: dict[Category, list[list[float | None]]] = {cat: [] for cat in CATEGORIES}
@@ -295,19 +294,15 @@ def score_datasets(
             else scoring_status(value := obs.value, definition, rates) + (obs.raw, value.qualifier)
             for obs in map(dict.get, observations, repeat(indicator_id))
         ]
-
+        column = _score_column(indicator_id, cells, definition.direction)
         if definition.scorable:
-            column = _score_column(indicator_id, cells, definition.direction)
             # A record's score is None exactly when it carries an exclusion.
             scored[definition.category].append(list(map(_SCORE, column)))
         else:
-            # Every observed cell of an unscorable indicator reads
-            # "non-scorable"; those cells enter the audit trail unbounded,
-            # one record per distinct cell as in _score_column.
-            records = {cell: _new(AuditRecord, (indicator_id, cell[2], None, None, None, cell[1],
-                                                cell[3]))
-                       for cell in dict.fromkeys(cells) if cell[1] == "non-scorable"}
-            column = list(map(records.get, cells))
+            # Every observed cell reads "non-scorable", with no bounds; a
+            # program without a row leaves no record.
+            column = [None if cell is _ABSENT_CELL else record
+                      for cell, record in zip(cells, column)]
         columns.append(column)
 
     count = len(datasets)

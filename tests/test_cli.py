@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import contextlib
 import gc
+import importlib
 import io
 import os
+import re
 import subprocess
 import sys
 import sysconfig
@@ -27,6 +29,7 @@ from gmi.schema import builtin_schema
 CATEGORY_TABLE = str(bundled_category_table_path())
 PROGRAM_FILES = [str(p) for p in bundled_program_paths()]
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 #: The child process runs the console script that ``pip install`` wrote,
 #: when there is one, and the module otherwise.
@@ -568,3 +571,37 @@ def test_main_restores_the_callers_gc_state(capsys, monkeypatch, argv, expected,
             gc.disable()
     assert survivors
     capsys.readouterr()
+
+
+def test_readme_library_use_runs_as_written(tmp_path, monkeypatch, capsys):
+    # The block runs on two bundled programs saved as a.txt and b.txt and
+    # prints what ``gmi score`` reports for them.
+    block = re.search(r"## Library use\n\n```python\n(.*?)```",
+                      README.read_text(encoding="utf-8"), re.S)[1]
+    monkeypatch.chdir(tmp_path)
+    for name, source in zip(("a.txt", "b.txt"), PROGRAM_FILES):
+        Path(name).write_bytes(Path(source).read_bytes())
+    exec(compile(block, str(README), "exec"), {})
+    printed = capsys.readouterr().out
+    assert main(["score", "a.txt", "b.txt", "--allow-partial", "--format", "delimited"]) == 0
+    rows = {row[0]: row[1:]
+            for row in (line.split("|") for line in capsys.readouterr().out.splitlines())}
+    assert printed == "".join(f"{program} {gmi} {stage}\n" for program, gmi, stage
+                              in zip(rows["ID"], rows["GMI"], rows["STAGE"]))
+
+
+def test_readme_names_each_name_by_its_module():
+    # ``gmi`` holds no engine name, so every ``gmi.<module>.<name>`` in
+    # README starts with a module, and the name is found there.
+    names = set(re.findall(r"\bgmi(?:\.\w+)+", README.read_text(encoding="utf-8")))
+    assert "gmi.scoring.compute_gmi" in names
+    unresolved = []
+    for name in sorted(names):
+        module, *attributes = name.split(".")[1:]
+        try:
+            found = importlib.import_module(f"gmi.{module}")
+            for attribute in attributes:
+                found = getattr(found, attribute)
+        except (ImportError, AttributeError):
+            unresolved.append(name)
+    assert unresolved == []

@@ -212,9 +212,15 @@ def test_parse_names_a_misgrouped_thousands_separator_in_every_form(raw, indicat
     ((ValueKind.TOKEN_AMOUNT, -1.0, "OP"), "token-amount amount must be >= 0"),
     ((ValueKind.BINARY, 0.5), "binary value must be 0 or 1"),
     ((ValueKind.MISSING,), "missing values carry no qualifier"),
+    ((ValueKind.MONEY, 5.0, "EUR"), "money values carry the symbol 'USD'"),
+    ((ValueKind.TOKEN_AMOUNT, 5.0), "token-amount values need a symbol"),
+    ((ValueKind.TEXT, None, "X", "weeks", True), "text values carry no symbol"),
+    ((ValueKind.RATIO, 0.5, None, "weeks"), "ratio values carry no unit or code flag"),
+    ((ValueKind.BINARY, 1.0, None, None, True), "binary values carry no unit or code flag"),
 ], ids=["number-no-value", "ratio-no-value", "money-no-value", "text-value", "country-value",
         "missing-value", "not-finite", "negative-amount", "binary-not-0-or-1",
-        "missing-qualifier"])
+        "missing-qualifier", "money-symbol", "token-amount-symbol", "symbol-elsewhere",
+        "unit-off-a-number", "code-off-a-number"])
 def test_a_typed_value_breaking_a_rule_is_rejected(fields, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         TypedValue(*fields)

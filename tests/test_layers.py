@@ -14,9 +14,10 @@ PACKAGE = Path(__file__).resolve().parent.parent / "src" / "gmi"
 
 #: Each module may import only modules earlier in this order.
 LAYERS = ("errors", "schema", "rubric", "ingest", "scoring", "report", "cli")
-#: Outside the chain: ``bundled`` only locates data files and imports no
-#: engine module; the package facade re-exports every layer.
-RANK = {name: i for i, name in enumerate(LAYERS)} | {"bundled": -1, "__init__": len(LAYERS)}
+#: Outside the chain: ``bundled`` only locates data files, and the package
+#: (``__init__``), which every ``import gmi.<module>`` runs first, holds only
+#: ``__version__``; neither imports an engine module.
+RANK = {name: i for i, name in enumerate(LAYERS)} | {"bundled": -1, "__init__": -1}
 
 TREES = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
          for path in sorted(PACKAGE.glob("*.py"))}
@@ -83,11 +84,28 @@ def test_the_engine_reaches_no_private_collections_name():
 HEAVY_AT_START_UP = ("dataclasses", "inspect", "typing")
 
 
+def _printed_by_a_fresh_interpreter(code: str) -> list[str]:
+    """The words *code* prints in a new ``python -S`` with the engine on its
+    path.  -S: a site-packages ``.pth`` file may import any module first."""
+    path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                          check=True, env={**os.environ, "PYTHONPATH": path}).stdout.split()
+
+
 def test_start_up_imports_no_heavy_module():
-    # -S: a site-packages ``.pth`` file may import any of them before gmi.
     code = ("import sys; import gmi, gmi.cli, gmi.bundled; "
             f"print(' '.join(m for m in {HEAVY_AT_START_UP!r} if m in sys.modules))")
-    path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
-    out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
-                         check=True, env={**os.environ, "PYTHONPATH": path})
-    assert out.stdout.split() == []
+    assert _printed_by_a_fresh_interpreter(code) == []
+
+
+def test_importing_a_module_loads_no_module_above_it():
+    # One interpreter per module, so no earlier import loads a module first.
+    above = {}
+    for module in sorted(RANK):
+        name = "gmi" if module == "__init__" else f"gmi.{module}"
+        loaded = [m.partition(".")[2] or "__init__" for m in _printed_by_a_fresh_interpreter(
+            f"import sys, {name}; "
+            "print(' '.join(m for m in sys.modules if m.split('.')[0] == 'gmi'))")]
+        assert module in loaded
+        above[module] = sorted(m for m in loaded if RANK[m] > RANK[module])
+    assert above == {module: [] for module in RANK}

@@ -183,10 +183,24 @@ _AUDIT = "audit|COM-QN-1|3|1.0000|4.0000|maybe|0.5000|exact"  # neither score no
         ("format|gmi-comparison|1\ngmi|1.0000\n", "record 'gmi' before any program block"),
         (_HEAD + f"gmi|1.0000\nstage|Experimental\n{_AUDIT}\n",
          f"malformed audit record: {_AUDIT!r}"),
+        # The renderer writes no non-finite number, no repeated category
+        # record and no repeated program.
+        (_HEAD + "gmi|nan\nstage|Experimental\n", "malformed gmi record: 'gmi|nan'"),
+        (_HEAD + "gmi|1.0000\nstage|Experimental\ncategory|FAO|score|inf\n",
+         "malformed category record: 'category|FAO|score|inf'"),
+        (_HEAD + "gmi|1.0000\nstage|Experimental\naudit|X|r|nan|inf|score|nan|exact\n",
+         "malformed audit record: 'audit|X|r|nan|inf|score|nan|exact'"),
+        (_HEAD + "gmi|1.0000\nstage|Experimental\naudit|X|r|1.0000|4.0000|score|-inf|exact\n",
+         "malformed audit record: 'audit|X|r|1.0000|4.0000|score|-inf|exact'"),
+        (_HEAD + "gmi|1.0000\nstage|Experimental\ncategory|FAO|input|0.5000\n"
+         "category|FAO|input|0.7000\n", "duplicate category FAO input record for 'A'"),
+        (_HEAD + "gmi|1.0000\nstage|Experimental\nprogram|A\ngmi|2.0000\nstage|Experimental\n",
+         "duplicate program 'A'"),
     ],
     ids=["gmi-not-a-number", "gmi-no-value", "unknown-stage", "category-no-value",
          "no-gmi", "duplicate-gmi", "not-structured", "unknown-record",
-         "record-before-program", "audit-mode"],
+         "record-before-program", "audit-mode", "gmi-nan", "category-inf", "audit-bounds-nan",
+         "audit-score-inf", "duplicate-category", "duplicate-program"],
 )
 def test_parse_structured_rejects_malformed_documents(document, message):
     with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):

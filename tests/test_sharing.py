@@ -165,8 +165,9 @@ def _eager_matrix(datasets, schema, rates=None, template=None):
 
 
 def _assert_matrix_matches(matrix, datasets, schema, rates=None):
-    # Derived on first access, so a caller that never reads it pays nothing.
-    assert "entries" not in vars(matrix)
+    # Read from the results on each access and never stored, so a caller
+    # that never reads it pays nothing.
+    assert not hasattr(matrix, "__dict__")
     entries, category_scores = _eager_matrix(datasets, schema, rates)
     assert matrix.entries == entries
     results_category_scores = {(result.program, cat): score for result in matrix.results
