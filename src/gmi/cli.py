@@ -21,7 +21,6 @@ import os
 import sys
 from pathlib import Path
 
-from . import rubric
 from .errors import EmptyCategory, GmiError, PartialDataError
 from .ingest import (check_distinct_programs, column_bounds, load_program_dataset, load_rates,
                      validate_dataset)
@@ -69,14 +68,13 @@ def _emit(payload: bytes, out: str | None) -> None:
 
 def _cmd_validate(args: argparse.Namespace) -> int:
     schema = _active_schema(args.schema)
-    template = rubric.builtin_template()
     programs: list[str] = []
     chunks: list[bytes] = []
     columns: dict[str, list[float | None]] = {}
     all_ok = True
     for path in args.inputs:
         dataset = _load(path, load_program_dataset, schema)
-        report = validate_dataset(dataset, schema, template, columns)
+        report = validate_dataset(dataset, schema, columns)
         programs.append(dataset.program)
         chunks.append(render_validation(report))
         all_ok = all_ok and report.all_scorable

@@ -45,8 +45,9 @@ class UnknownIndicator(GmiError):
 
 
 class DuplicateIndicator(GmiError):
-    def __init__(self, indicator_id: str):
-        super().__init__(f"duplicate observation for indicator {indicator_id!r}")
+    def __init__(self, indicator_id: str, first_line: int):
+        super().__init__(f"duplicate observation for indicator {indicator_id!r} "
+                         f"(first on line {first_line})")
         self.indicator_id = indicator_id
 
 

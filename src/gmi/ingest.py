@@ -130,6 +130,8 @@ _CANONICAL_TIME = {"week": "weeks", "month": "months", "year": "years"}
 
 _MISSING_SENTINELS = {"n.a.", "tbc", ""}
 
+EXCLUSION_REASONS = ("missing", "non-scorable", "token-unconverted")  # of scoring_status
+
 _MAGNITUDE = {"k": 1e3, "m": 1e6, "b": 1e9}
 
 # Jurisdiction names that a legal-domicile cell may hold in place of an ISO
@@ -440,7 +442,7 @@ def load_program_dataset(source: bytes | str, schema: Schema) -> ProgramDataset:
                 definition, observation = hit
                 key = observation.indicator_id
                 if key in observations:
-                    raise DuplicateIndicator(key)
+                    raise DuplicateIndicator(key, _first_row(lines, start, key))
                 parse_value(observation.raw, definition)  # one per row: see the module docstring
                 observations[key] = observation
                 continue
@@ -460,7 +462,7 @@ def load_program_dataset(source: bytes | str, schema: Schema) -> ProgramDataset:
                     raise ParseError(f"{key} is a {definition.kind.value} indicator "
                                      "and cannot be observed directly")
                 if key in observations:
-                    raise DuplicateIndicator(key)
+                    raise DuplicateIndicator(key, _first_row(lines, start, key))
                 raw = fields[1]
                 value = parse_value(raw, definition)
                 annotation = fields[2].lower() if len(fields) == 3 else None
@@ -481,13 +483,24 @@ def load_program_dataset(source: bytes | str, schema: Schema) -> ProgramDataset:
                 raise ParseError("a second program record; a file holds one program")
             elif INDICATOR_ID_PATTERN.match(key.upper()):
                 raise ParseError(f"indicator id {key!r} must be upper-case")
-            else:
-                rubric.read_answer(answers, fields)
+            elif (answer := rubric.read_answer(fields)) is not None:
+                if answer[0] in answers:
+                    raise ParseError(f"duplicate rubric row for {answer[0]!r} "
+                                     f"(first on line {_first_row(lines, start, answer[0])})")
+                answers[answer[0]] = answer[1]
     except GmiError as exc:  # every row error names its line
         exc.args = (f"line {line_no}: {exc}",)
         raise
 
     return _new(ProgramDataset, (program, observations, answers))
+
+
+def _first_row(lines: list[str], start: int, key: str) -> int:
+    """The line of the first row after line *start* that holds a value of *key*."""
+    for line_no, line in enumerate(lines[start:], start=start + 1):
+        fields = record_fields(line)
+        if fields and fields[0] == key and (fields[1] or INDICATOR_ID_PATTERN.match(key)):
+            return line_no
 
 
 def check_distinct_programs(programs: Sequence[str], inputs: Sequence[str] = ()) -> None:
@@ -594,22 +607,21 @@ class ValidationReport(Record, namedtuple("ValidationReport", ("program", "categ
         return [cat for cat, c in self.categories.items() if not c.scorable]
 
 
-def validate_dataset(dataset: ProgramDataset, schema: Schema, template=None,
+def validate_dataset(dataset: ProgramDataset, schema: Schema,
                      columns: dict[str, list[float | None]] | None = None) -> ValidationReport:
     """Pre-scoring gate: per category, what would score and what is excluded.
 
     A category is scorable iff it has at least one observation that would be
     included in normalization right now (no conversion table assumed) or at
-    least one rubric response.  Rubric answers go through the same check as
-    in scoring, so an unknown criterion raises UnknownCriterion here too.
+    least one rubric response.  Rubric answers get scoring's check against
+    the builtin survey, so an unknown criterion raises UnknownCriterion.
     With *columns*, each observation's value as it would score now (None
     when excluded) is appended to ``columns[indicator id]``, so that a
     cohort's columns can be checked with ``column_bounds``.
     """
-    template = template or rubric.builtin_template()
     # Keyed by scoring_status's exclusion reason; None collects what scores.
     by_category: dict[Category, dict[str | None, list[str]]] = {
-        cat: {None: [], "missing": [], "non-scorable": [], "token-unconverted": []}
+        cat: {reason: [] for reason in (None, *EXCLUSION_REASONS)}
         for cat in CATEGORIES
     }
     for obs in dataset.observations.values():
@@ -621,7 +633,7 @@ def validate_dataset(dataset: ProgramDataset, schema: Schema, template=None,
         if columns is not None:
             columns.setdefault(obs.indicator_id, []).append(value)
 
-    grouped = rubric.collect_responses(template, dataset.rubric)
+    grouped = rubric.collect_responses(dataset.rubric)
     rubric_counts = {cat: len(grouped.get(cat, ())) for cat in CATEGORIES}
 
     categories = {

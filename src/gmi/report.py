@@ -27,9 +27,9 @@ from collections.abc import Iterable, Iterator, Sequence
 from itertools import chain
 
 from .errors import ParseError
-from .ingest import CategoryValidation, Qualifier, ValidationReport
+from .ingest import EXCLUSION_REASONS, CategoryValidation, Qualifier, ValidationReport
 from .schema import CATEGORIES, Category, read_lines, record_fields
-from .scoring import AuditRecord, GmiResult, Stage
+from .scoring import AuditRecord, GmiResult, Stage, classify_maturity
 
 FORMATS = ("table", "delimited", "structured")
 
@@ -193,8 +193,9 @@ _RECORD_FIELDS = {"program": 2, "gmi": 2, "stage": 2, "category": 4, "audit": 8}
 _CATEGORY_BUCKETS = {"input": "inputs", "score": "scores"}
 
 
-def _finite(text: str) -> float:
-    if not math.isfinite(value := float(text)):
+def _number(text: str, lo: float = -math.inf, hi: float = math.inf) -> float:
+    value = float(text)
+    if not (lo <= value <= hi and math.isfinite(value) and format(value, ".4f") == text):
         raise ValueError(text)
     return value
 
@@ -206,20 +207,24 @@ def parse_structured(data: bytes | str) -> list[GmiResult]:
     ``record_fields``), one record at a time, so a cohort's tens of
     thousands of audit records are never all split at once.  Each program
     block needs exactly one ``gmi`` and one ``stage`` record, at most one
-    record per category and bucket, and a name no other block has; every
-    number must be finite, as the renderer writes none other.  Any
-    malformed document raises ParseError.
+    record per category and bucket, and a name no other block has.  As the
+    renderer writes, a number is finite and printed to 4 decimals, a composite
+    is in [0, 6] with the stage of a value within 5e-5 of it, an exclusion has
+    one of three reasons and one ``programs`` record, before the blocks, names
+    them in order; anything else raises ParseError.
     """
     records = filter(None, map(record_fields, read_lines(data)))
     if next(records, [])[:2] != ["format", "gmi-comparison"]:
         raise ParseError("not a structured comparison document")
 
     blocks: dict[str, dict] = {}
-    block = None
+    block = header = None
     for fields in records:
         line = "|".join(fields)
         key = fields[0]
         if key in ("programs", "note"):
+            if key == "programs":  # a second or a late one is never written
+                header = fields[1:] if header is None and block is None else False
             continue
         if key not in _RECORD_FIELDS:
             raise ParseError(f"unknown record {key!r}")
@@ -237,21 +242,21 @@ def parse_structured(data: bytes | str) -> list[GmiResult]:
             if key in ("gmi", "stage"):
                 if key in block:
                     raise ParseError(f"duplicate {key} record for {block['program']!r}")
-                block[key] = _finite(fields[1]) if key == "gmi" else Stage(fields[1])
+                block[key] = _number(fields[1], 0, 6) if key == "gmi" else Stage(fields[1])
             elif key == "category":
                 cat = Category.from_code(fields[1])
                 bucket = block[_CATEGORY_BUCKETS[fields[2]]]
                 if cat in bucket:
                     raise ParseError(f"duplicate category {cat.code} {fields[2]} record "
                                      f"for {block['program']!r}")
-                bucket[cat] = _finite(fields[3])
+                bucket[cat] = _number(fields[3])
             else:
                 _, indicator, raw, lo, hi, mode, payload, qualifier = fields
-                if mode not in ("score", "excluded"):
+                if mode != "score" and (mode != "excluded" or payload not in EXCLUSION_REASONS):
                     raise ParseError(f"malformed audit record: {line!r}")
                 block["audit"].append(AuditRecord(
-                    indicator, raw, _finite(lo) if lo else None, _finite(hi) if hi else None,
-                    _finite(payload) if mode == "score" else None,
+                    indicator, raw, _number(lo) if lo else None, _number(hi) if hi else None,
+                    _number(payload) if mode == "score" else None,
                     payload if mode == "excluded" else None, Qualifier(qualifier)))
         except (KeyError, ValueError):
             raise ParseError(f"malformed {key} record: {line!r}") from None
@@ -261,8 +266,14 @@ def parse_structured(data: bytes | str) -> list[GmiResult]:
         for key in ("gmi", "stage"):
             if key not in block:
                 raise ParseError(f"program {block['program']!r} has no {key} record")
+        gmi, stage = block["gmi"], block["stage"]
+        if all(classify_maturity(min(max(gmi + d, 0), 6)) is not stage for d in (-5e-5, 5e-5)):
+            raise ParseError(f"stage {stage.value} does not match gmi {_fmt(gmi)} "
+                             f"for {block['program']!r}")
         results.append(GmiResult(block["program"], block["inputs"], block["scores"],
-                                 block["gmi"], block["stage"], tuple(block["audit"])))
+                                 gmi, stage, tuple(block["audit"])))
+    if header != list(blocks):
+        raise ParseError("one programs record must name the program blocks in order")
     return results
 
 

@@ -1,9 +1,9 @@
 """Self-assessment survey: builtin criteria, response handling, grouping.
 
-Survey responses are pipe-delimited ``criterion-id|score`` rows inside an
-observation file (``gmi survey template`` prints them blank, ready to paste
-in); scores run from 1 (Low) to 5 (High). A blank score means the criterion
-was left unanswered and is simply omitted from the aggregation.
+The builtin survey is the only rubric.  Its responses are ``criterion-id|score``
+rows inside an observation file (``gmi survey template`` prints them blank,
+ready to paste in); scores run from 1 (Low) to 5 (High). A blank score means
+the criterion was left unanswered and is omitted from the aggregation.
 
 Layer order: this module sits above ``schema`` and below ``ingest``; it owns
 the rubric row reader and the 1..5 range check that loading, validation and
@@ -46,62 +46,45 @@ class Criterion(Record, namedtuple("Criterion", ("id", "category", "name", "prom
 class RubricTemplate(Record, namedtuple("RubricTemplate", ("criteria",))):
     __slots__ = ()
 
-    def __new__(cls, criteria: tuple[Criterion, ...]) -> RubricTemplate:
-        seen: set[str] = set()
-        for criterion in criteria:
-            if criterion.id in seen:
-                raise ParseError(f"duplicate criterion id {criterion.id!r}")
-            seen.add(criterion.id)
-        return tuple.__new__(cls, (criteria,))
 
-    def get(self, criterion_id: str) -> Criterion | None:
-        for criterion in self.criteria:
-            if criterion.id == criterion_id:
-                return criterion
-        return None
+_BUILTIN = RubricTemplate((
+    Criterion("clarity-of-objectives", Category.GOV, "Clarity of Objectives",
+              "How clearly the program's goals are communicated."),
+    Criterion("alignment-with-ecosystem-needs", Category.FAO, "Alignment with Ecosystem Needs",
+              "The program's ability to address emerging ecosystem needs."),
+    Criterion("diversity-of-supported-projects", Category.FAO, "Diversity of Supported Projects",
+              "The variety of supported projects across different verticals."),
+    Criterion("organizational-clarity", Category.PSO, "Organizational Clarity",
+              "The transparency and efficiency of the program's structure."),
+    Criterion("governance", Category.GOV, "Governance",
+              "The decision-making processes and overall governance structure."),
+    Criterion("community-participation-and-engagement", Category.COM,
+              "Community Participation and Engagement",
+              "How effectively the community is involved in the grant process."),
+))
 
-
-_BUILTIN_CRITERIA = (
-    ("clarity-of-objectives", Category.GOV, "Clarity of Objectives",
-     "How clearly the program's goals are communicated."),
-    ("alignment-with-ecosystem-needs", Category.FAO, "Alignment with Ecosystem Needs",
-     "The program's ability to address emerging ecosystem needs."),
-    ("diversity-of-supported-projects", Category.FAO, "Diversity of Supported Projects",
-     "The variety of supported projects across different verticals."),
-    ("organizational-clarity", Category.PSO, "Organizational Clarity",
-     "The transparency and efficiency of the program's structure."),
-    ("governance", Category.GOV, "Governance",
-     "The decision-making processes and overall governance structure."),
-    ("community-participation-and-engagement", Category.COM,
-     "Community Participation and Engagement",
-     "How effectively the community is involved in the grant process."),
-)
-
-
-#: The builtin criterion ids, which every rubric row read from a file names.
-_BUILTIN_IDS = frozenset(c[0] for c in _BUILTIN_CRITERIA)
+#: The builtin criterion ids, which every rubric answer names.
+_BUILTIN_IDS = frozenset(c.id for c in _BUILTIN.criteria)
 
 
 def builtin_template() -> RubricTemplate:
-    return RubricTemplate(
-        criteria=tuple(Criterion(id=c[0], category=c[1], name=c[2], prompt=c[3])
-                       for c in _BUILTIN_CRITERIA)
-    )
+    """The builtin survey, the only rubric: one object, built at import."""
+    return _BUILTIN
 
 
-def collect_responses(template: RubricTemplate,
-                      answers: Mapping[str, int]) -> dict[Category, list[float]]:
+def collect_responses(answers: Mapping[str, int]) -> dict[Category, list[float]]:
     """Group unit-interval rubric scores by the criterion's category.
 
-    Grouping runs in template order, so the result is independent of the
+    Each answer must name a builtin criterion and lie on the 1..5 scale.
+    Grouping runs in builtin order, so the result is independent of the
     order answers arrive in.
     """
     for criterion_id, score in answers.items():
-        if template.get(criterion_id) is None:
+        if criterion_id not in _BUILTIN_IDS:
             raise UnknownCriterion(criterion_id)
         check_score(score, criterion_id)
     grouped: dict[Category, list[float]] = {}
-    for criterion in template.criteria:
+    for criterion in _BUILTIN.criteria:
         if criterion.id in answers:
             grouped.setdefault(criterion.category, []).append(
                 rubric_to_unit(answers[criterion.id])
@@ -123,15 +106,15 @@ def render_template() -> str:
     return "\n".join(lines) + "\n"
 
 
-def read_answer(answers: dict[str, int], fields: list[str]) -> None:
-    """Add one ``criterion-id|score`` row to *answers*; a blank score is
-    unanswered and adds nothing.  An answered row must name a builtin
-    criterion, so an unknown one is rejected on its own row."""
+def read_answer(fields: list[str]) -> tuple[str, int] | None:
+    """One ``criterion-id|score`` row as ``(criterion id, score)``, or None
+    for a blank score, which leaves the criterion unanswered.  An answered
+    row must name a builtin criterion, so an unknown one fails on its row."""
     if len(fields) != 2:
         raise ParseError("rubric rows have 2 fields")
     criterion_id, score_text = fields
     if not score_text:
-        return
+        return None
     try:
         score = int(score_text)
     except ValueError:
@@ -139,6 +122,4 @@ def read_answer(answers: dict[str, int], fields: list[str]) -> None:
     check_score(score, criterion_id)
     if criterion_id not in _BUILTIN_IDS:
         raise UnknownCriterion(criterion_id)
-    if criterion_id in answers:
-        raise ParseError(f"duplicate rubric row for {criterion_id!r}")
-    answers[criterion_id] = score
+    return criterion_id, score

@@ -36,8 +36,8 @@ from operator import itemgetter
 
 from . import rubric
 from .errors import EmptyCategory, ParseError, PartialDataError, UnknownIndicator
-from .ingest import (ProgramDataset, Qualifier, check_distinct_programs, column_bounds,
-                     scoring_status)
+from .ingest import (EXCLUSION_REASONS, ProgramDataset, Qualifier, check_distinct_programs,
+                     column_bounds, scoring_status)
 from .schema import CATEGORIES, Category, Direction, Record, Schema, read_records
 
 #: Width of the composite range: six categories, each normalized to [0, 1].
@@ -77,8 +77,7 @@ class AuditRecord(Record, namedtuple("AuditRecord", (
 
 
 # Excluded is immutable, so each reason has one shared instance.
-_EXCLUDED = {reason: Excluded(reason)
-             for reason in ("missing", "non-scorable", "token-unconverted")}
+_EXCLUDED = {reason: Excluded(reason) for reason in EXCLUSION_REASONS}
 
 # The cell of a program that has no observation of an indicator.
 _ABSENT_CELL = (None, "missing", "n.a.", Qualifier.UNSPECIFIED)
@@ -265,17 +264,15 @@ def compute_gmi(category_scores: Mapping[str, Mapping[Category, float]],
 def score_datasets(
     datasets: Sequence[ProgramDataset],
     schema: Schema,
-    template=None,
     rates: Mapping[str, float] | None = None,
     allow_partial: bool = False,
 ) -> tuple[ScoreMatrix, list[GmiResult]]:
-    """Full pipeline from typed observations to composite results.
+    """Full pipeline from typed observations and builtin-survey answers to composites.
 
     Program order follows the input order throughout: every column, every
     per-program list and the results are aligned with *datasets*.  The
     matrix reads its map from the results on each access.
     """
-    template = template or rubric.builtin_template()
     check_distinct_programs([ds.program for ds in datasets])
     observations = [ds.observations for ds in datasets]
     observed_ids = dict.fromkeys(chain.from_iterable(observations))
@@ -309,7 +306,7 @@ def score_datasets(
     category_scores: dict[str, dict[Category, float]] = {}
     # Each program's scores in each category's scorable columns.
     for ds, by_category in zip(datasets, zip(*(_rows(scored[cat], count) for cat in CATEGORIES))):
-        grouped = rubric.collect_responses(template, ds.rubric)
+        grouped = rubric.collect_responses(ds.rubric)
         per_cat: dict[Category, float] = {}
         for cat, scores in zip(CATEGORIES, by_category):
             indicator_scores = [score for score in scores if score is not None]

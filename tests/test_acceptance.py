@@ -118,7 +118,6 @@ def test_criterion_3_oracle_equivalence_and_invariants():
     invariance, permutation invariance, missing-value locality, additivity
     with ranking invariance, and directional involution."""
     rng = random.Random(424242)
-    template = test_properties._survey()
     checked = 0
     for _ in range(1000):
         programs, schema, indicators, values, rubric_answers, datasets = (
@@ -127,9 +126,7 @@ def test_criterion_3_oracle_equivalence_and_invariants():
         exp_cat, exp_norm, exp_gmi = test_properties.oracle_pipeline(
             programs, indicators, values, rubric_answers
         )
-        _, results = score_datasets(
-            datasets, schema, template=template, allow_partial=True
-        )
+        _, results = score_datasets(datasets, schema, allow_partial=True)
         by_program = {r.program: r for r in results}
         assert set(by_program) == set(exp_gmi)
         for p in programs:
@@ -158,13 +155,12 @@ def test_criterion_4_rubric_anchors_and_count_preservation():
     assert rubric_to_unit(3) == 0.5
     assert rubric_to_unit(5) == 1.0
 
-    template = builtin_template()
-    ids = [c.id for c in template.criteria]
+    ids = [c.id for c in builtin_template().criteria]
     rng = random.Random(99)
     for _ in range(500):
         answered = rng.sample(ids, rng.randint(0, len(ids)))
         answers = {cid: rng.randint(1, 5) for cid in answered}
-        grouped = collect_responses(template, answers)
+        grouped = collect_responses(answers)
         assert sum(len(v) for v in grouped.values()) == len(answers)
     print("\nACCEPTANCE PASS 4: rubric anchors exact (1->0, 3->0.5, 5->1); "
           "500 randomized response sets preserve answer counts")

@@ -18,7 +18,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gmi.cli
-import gmi.rubric
 import gmi.schema
 from gmi.bundled import bundled_category_table_path, bundled_program_paths
 from gmi.cli import main
@@ -70,18 +69,9 @@ def test_validate_bundled_reports_unscorable_categories(gmi_run):
     assert b"unscorable categories: GOV, TAC" in out
 
 
-def test_validate_builds_the_rubric_template_once(monkeypatch, capsys):
-    built = []
-    original = gmi.rubric.builtin_template
-
-    def counting():
-        built.append(1)
-        return original()
-
-    monkeypatch.setattr(gmi.rubric, "builtin_template", counting)
-    assert main(["validate", *PROGRAM_FILES]) == 1
-    assert "unscorable categories: GOV, TAC" in capsys.readouterr().out
-    assert len(built) == 1
+def test_the_rubric_is_one_object_built_at_import():
+    assert builtin_template() is builtin_template()
+    assert not hasattr(gmi.cli, "rubric")
 
 
 def test_validate_keeps_a_line_separator_inside_a_cell(tmp_path, capsys):
@@ -349,7 +339,7 @@ def test_survey_template_round_trip(capsys):
         for line in template_text.splitlines()
     ]
     answers = load_program_dataset("program|X\n" + "\n".join(filled), builtin_schema()).rubric
-    grouped = collect_responses(builtin_template(), answers)
+    grouped = collect_responses(answers)
     assert sum(len(v) for v in grouped.values()) == 6
 
 
@@ -487,10 +477,15 @@ def test_currency_under_a_non_usd_indicator_is_an_input_error(tmp_path, capsys, 
       "ParseError: b.txt: line 4: indicator id 'com-qn-2' must be upper-case"),
      ("COM-QN-99|3",
       "UnknownIndicator: b.txt: line 3: indicator 'COM-QN-99' not present in the active schema"),
-     ("COM-QN-1|10\nCOM-QN-1|11",
-      "DuplicateIndicator: b.txt: line 4: duplicate observation for indicator 'COM-QN-1'"),
+     ("COM-QN-1|10\ngovernance|\ngovernance|4\nCOM-QN-1|11",
+      "DuplicateIndicator: b.txt: line 6: duplicate observation for indicator 'COM-QN-1' "
+      "(first on line 3)"),
      ("COM-QN-1|10\nCOM-QN-1|10",
-      "DuplicateIndicator: b.txt: line 4: duplicate observation for indicator 'COM-QN-1'"),
+      "DuplicateIndicator: b.txt: line 4: duplicate observation for indicator 'COM-QN-1' "
+      "(first on line 3)"),
+     # A blank score holds no answer, so the repeat is of the row after it.
+     ("governance|\ngovernance|4\n\ngovernance|5",
+      "ParseError: b.txt: line 6: duplicate rubric row for 'governance' (first on line 4)"),
      ("governance|9", "RubricRangeError: b.txt: line 3: rubric score 9 for criterion "
                       "'governance' outside the 1..5 scale"),
      ("governance|x", "ParseError: b.txt: line 3: rubric score 'x' is not an integer"),
@@ -498,8 +493,8 @@ def test_currency_under_a_non_usd_indicator_is_an_input_error(tmp_path, capsys, 
                     "the rubric template"),
      ("COM-QN-1|1|2|3", "ParseError: b.txt: line 3: observation rows have 2 or 3 fields")],
     ids=["unit", "value-parse", "misgrouped-thousands", "lower-case-id", "unknown-indicator",
-         "duplicate", "duplicate-memoised", "rubric-range", "rubric-not-an-integer",
-         "unknown-criterion", "row-shape"],
+         "duplicate", "duplicate-memoised", "duplicate-rubric", "rubric-range",
+         "rubric-not-an-integer", "unknown-criterion", "row-shape"],
 )
 def test_a_bad_row_names_the_file_and_the_line(tmp_path, monkeypatch, gmi_run, rows, error):
     # The second copy of a line is read through the schema's line memo, so

@@ -34,10 +34,12 @@ from gmi.ingest import (
     number,
     parse_value,
     ratio,
+    scoring_status,
     token_amount,
     validate_dataset,
 )
 from gmi.schema import Category, Schema, builtin_schema, dump_schema, load_schema
+from gmi.scoring import score_datasets
 from test_sharing import _load_cohort_module
 
 SCHEMA = builtin_schema()
@@ -672,6 +674,21 @@ def test_validate_rejects_an_indicator_the_schema_lacks():
     dataset = ProgramDataset("A", {"FAO-QN-99": Observation("FAO-QN-99", "5", number(5))}, {})
     with pytest.raises(UnknownIndicator, match="^indicator 'FAO-QN-99' not present"):
         validate_dataset(dataset, SCHEMA)
+
+
+@pytest.mark.parametrize("kind", [ValueKind.TEXT, ValueKind.COUNTRY])
+def test_a_word_under_a_scorable_indicator_is_excluded_as_non_scorable(kind):
+    # Parsing gives a scorable indicator no text or country value, but a
+    # dataset built in code can hold one: it is excluded, not scored.
+    definition = SCHEMA.get("COM-QN-1")
+    assert definition.scorable
+    assert scoring_status(TypedValue(kind), definition) == (None, "non-scorable")
+    a = ProgramDataset("A", {"COM-QN-1": Observation("COM-QN-1", "many", TypedValue(kind))},
+                       {"governance": 4})
+    b = ProgramDataset("B", {"COM-QN-1": Observation("COM-QN-1", "3", number(3))}, {})
+    records = [{rec.indicator: rec for rec in result.audit}["COM-QN-1"]
+               for result in score_datasets([a, b], SCHEMA, allow_partial=True)[1]]
+    assert [(rec.exclusion, rec.score) for rec in records] == [("non-scorable", None), (None, 0.5)]
 
 
 def test_validate_does_not_mutate_dataset():

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from gmi.errors import PartialDataError
 from gmi.ingest import Observation, ProgramDataset, number, validate_dataset
-from gmi.rubric import Criterion, RubricTemplate
+from gmi.rubric import builtin_template
 from gmi.schema import (
     Category,
     DataType,
@@ -113,16 +113,6 @@ def oracle_pipeline(programs, indicators, values, rubric_answers):
 # ---------------------------------------------------------------------------
 
 
-def _survey() -> RubricTemplate:
-    return RubricTemplate(
-        criteria=tuple(
-            Criterion(id=f"crit-{cat.code.lower()}", category=cat,
-                      name=f"Criterion {cat.code}", prompt="p")
-            for cat in Category
-        )
-    )
-
-
 def make_instance(rng: random.Random):
     n_programs = rng.randint(1, 5)
     programs = [f"P{i}" for i in range(1, n_programs + 1)]
@@ -162,16 +152,17 @@ def make_instance(rng: random.Random):
             else:
                 values[(p, ind_id)] = rng.uniform(-100.0, 100.0)
 
-    # one criterion per category in the generated template, so each category
-    # carries at most one rubric answer
+    # answers to the builtin survey, in its order: FAO and GOV can carry
+    # two, and EFI and TAC, which no criterion serves, none
+    criteria = builtin_template().criteria
     rubric_answers = {}
     per_program_rubric = {p: {} for p in programs}
     for p in programs:
-        for cat in Category:
+        for criterion in criteria:
             if rng.random() < 0.4:
                 answer = rng.randint(1, 5)
-                rubric_answers[(p, cat.code)] = [answer]
-                per_program_rubric[p][f"crit-{cat.code.lower()}"] = answer
+                rubric_answers.setdefault((p, criterion.category.code), []).append(answer)
+                per_program_rubric[p][criterion.id] = answer
 
     # every program needs at least one category input
     for p in programs:
@@ -179,10 +170,10 @@ def make_instance(rng: random.Random):
             values.get((p, ind_id)) is not None for ind_id, _, _ in indicators
         )
         if not has_value and not per_program_rubric[p]:
-            cat = rng.choice(list(Category))
+            criterion = rng.choice(criteria)
             answer = rng.randint(1, 5)
-            rubric_answers[(p, cat.code)] = [answer]
-            per_program_rubric[p][f"crit-{cat.code.lower()}"] = answer
+            rubric_answers[(p, criterion.category.code)] = [answer]
+            per_program_rubric[p][criterion.id] = answer
 
     datasets = []
     for p in programs:
@@ -198,7 +189,6 @@ def make_instance(rng: random.Random):
 
 def test_pipeline_matches_brute_force_oracle():
     rng = random.Random(20240917)
-    template = _survey()
     for _ in range(1000):
         programs, schema, indicators, values, rubric_answers, datasets = (
             make_instance(rng)
@@ -206,9 +196,7 @@ def test_pipeline_matches_brute_force_oracle():
         exp_cat, exp_norm, exp_gmi = oracle_pipeline(
             programs, indicators, values, rubric_answers
         )
-        _, results = score_datasets(
-            datasets, schema, template=template, allow_partial=True
-        )
+        _, results = score_datasets(datasets, schema, allow_partial=True)
         by_program = {r.program: r for r in results}
         assert set(by_program) == set(exp_gmi)
         for p in programs:
@@ -233,16 +221,15 @@ def test_pipeline_matches_brute_force_oracle():
 
 def test_validate_predicts_partial_data_error():
     rng = random.Random(20241018)
-    template = _survey()
     for _ in range(300):
         _, schema, _, _, _, datasets = make_instance(rng)
         unscorable = [
             (ds.program, cat.code)
             for ds in datasets
-            for cat in validate_dataset(ds, schema, template).unscorable_categories()
+            for cat in validate_dataset(ds, schema).unscorable_categories()
         ]
         try:
-            score_datasets(datasets, schema, template=template, allow_partial=False)
+            score_datasets(datasets, schema, allow_partial=False)
         except PartialDataError as exc:
             assert exc.missing == unscorable
         else:
@@ -399,8 +386,7 @@ def test_directional_involution(x):
 def test_pipeline_outputs_stay_in_range(rnd):
     rng = random.Random(rnd.randint(0, 2**32))
     _, schema, _, _, _, datasets = make_instance(rng)
-    _, results = score_datasets(datasets, schema, template=_survey(),
-                                allow_partial=True)
+    _, results = score_datasets(datasets, schema, allow_partial=True)
     for result in results:
         assert 0.0 <= result.gmi <= 6.0 + 1e-9
         for value in result.normalized_category_scores.values():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import re
+import sys
 
 import pytest
 
@@ -196,15 +197,48 @@ _AUDIT = "audit|COM-QN-1|3|1.0000|4.0000|maybe|0.5000|exact"  # neither score no
          "category|FAO|input|0.7000\n", "duplicate category FAO input record for 'A'"),
         (_HEAD + "gmi|1.0000\nstage|Experimental\nprogram|A\ngmi|2.0000\nstage|Experimental\n",
          "duplicate program 'A'"),
+        # Every number is printed to four decimals, a composite lies in
+        # [0, 6] and names its own stage, an exclusion has one of three
+        # reasons, and the programs record lists the blocks.
+        (_HEAD + "gmi|1e3\nstage|Advanced\n", "malformed gmi record: 'gmi|1e3'"),
+        (_HEAD + "gmi|1.84150\nstage|Foundational\n", "malformed gmi record: 'gmi|1.84150'"),
+        (_HEAD + "gmi|6.0001\nstage|Advanced\n", "malformed gmi record: 'gmi|6.0001'"),
+        (_HEAD + "gmi|1.0000\nstage|Experimental\ncategory|FAO|score|1_0\n",
+         "malformed category record: 'category|FAO|score|1_0'"),
+        (_HEAD + "gmi|1.8415\nstage|Advanced\n",
+         "stage Advanced does not match gmi 1.8415 for 'A'"),
+        (_HEAD + "gmi|1.0000\nstage|Experimental\naudit|X|r|||excluded|bogus|exact\n",
+         "malformed audit record: 'audit|X|r|||excluded|bogus|exact'"),
+        ("format|gmi-comparison|1\nprograms|B|A\nprogram|A\ngmi|1.0000\nstage|Experimental\n"
+         "program|B\ngmi|2.0000\nstage|Foundational\n",
+         "one programs record must name the program blocks in order"),
+        ("format|gmi-comparison|1\nprogram|A\ngmi|1.0000\nstage|Experimental\n",
+         "one programs record must name the program blocks in order"),
+        (_HEAD + "gmi|1.0000\nstage|Experimental\nprograms|A\n",
+         "one programs record must name the program blocks in order"),
     ],
     ids=["gmi-not-a-number", "gmi-no-value", "unknown-stage", "category-no-value",
          "no-gmi", "duplicate-gmi", "not-structured", "unknown-record",
          "record-before-program", "audit-mode", "gmi-nan", "category-inf", "audit-bounds-nan",
-         "audit-score-inf", "duplicate-category", "duplicate-program"],
+         "audit-score-inf", "duplicate-category", "duplicate-program", "gmi-exponent",
+         "gmi-fifth-decimal", "gmi-above-six", "category-underscore", "stage-of-another-gmi",
+         "excluded-bogus", "programs-out-of-order", "no-programs", "programs-after-a-block"],
 )
 def test_parse_structured_rejects_malformed_documents(document, message):
     with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
         parse_structured(document)
+
+
+@pytest.mark.parametrize("stage", ["Experimental", "Foundational"])
+def test_parse_structured_accepts_every_number_the_renderer_writes(stage):
+    # A printed 1.5000 may round a composite on either side of the stage
+    # threshold; -0.0000 and a full-length float bound print as themselves.
+    top = format(sys.float_info.max, ".4f")
+    document = (f"format|gmi-comparison|1\nprograms|A\n\nprogram|A\ngmi|1.5000\nstage|{stage}\n"
+                "category|FAO|input|-0.0000\ncategory|FAO|score|0.0000\n"
+                f"audit|COM-QN-1|5|-{top}|{top}|score|-0.0000|exact\n"
+                "audit|COM-QN-2|n.a.|||excluded|missing|unspecified\n").encode()
+    assert render_comparison(parse_structured(document), fmt="structured") == document
 
 
 def test_structured_bounds_keep_the_sign_of_zero(tmp_path, capsys):

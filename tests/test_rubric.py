@@ -25,7 +25,8 @@ def _answers(rows: str) -> dict[str, int]:
 
 
 def test_builtin_template_has_six_criteria():
-    assert len(builtin_template().criteria) == 6
+    criteria = builtin_template().criteria
+    assert len(criteria) == len({c.id for c in criteria}) == 6
 
 
 def test_builtin_template_names():
@@ -57,29 +58,26 @@ def test_scale_anchors():
 
 
 def test_collect_all_midpoints():
-    template = builtin_template()
-    answers = {c.id: 3 for c in template.criteria}
-    grouped = collect_responses(template, answers)
+    answers = {c.id: 3 for c in builtin_template().criteria}
+    grouped = collect_responses(answers)
     assert set(grouped) == {Category.GOV, Category.FAO, Category.PSO, Category.COM}
     for scores in grouped.values():
         assert all(s == 0.5 for s in scores)
 
 
 def test_collect_single_answer():
-    grouped = collect_responses(builtin_template(), {"governance": 5})
+    grouped = collect_responses({"governance": 5})
     assert grouped == {Category.GOV: [1.0]}
 
 
 def test_collect_clarity_and_governance():
-    grouped = collect_responses(
-        builtin_template(), {"clarity-of-objectives": 2, "governance": 4}
-    )
+    grouped = collect_responses({"clarity-of-objectives": 2, "governance": 4})
     assert grouped == {Category.GOV: [0.25, 0.75]}
 
 
 def test_collect_rejects_unknown_criterion():
     with pytest.raises(UnknownCriterion):
-        collect_responses(builtin_template(), {"velocity": 3})
+        collect_responses({"velocity": 3})
 
 
 def test_an_answered_unknown_criterion_is_rejected_on_its_row():
@@ -90,26 +88,24 @@ def test_an_answered_unknown_criterion_is_rejected_on_its_row():
 
 def test_collect_rejects_out_of_range():
     with pytest.raises(RubricRangeError):
-        collect_responses(builtin_template(), {"governance": 0})
+        collect_responses({"governance": 0})
 
 
 def test_collect_preserves_answer_count():
-    template = builtin_template()
     rng = random.Random(7)
-    ids = [c.id for c in template.criteria]
+    ids = [c.id for c in builtin_template().criteria]
     for _ in range(200):
         answered = rng.sample(ids, rng.randint(0, len(ids)))
         answers = {cid: rng.randint(1, 5) for cid in answered}
-        grouped = collect_responses(template, answers)
+        grouped = collect_responses(answers)
         assert sum(len(v) for v in grouped.values()) == len(answers)
 
 
 def test_collect_is_order_independent():
-    template = builtin_template()
     answers = {"governance": 4, "clarity-of-objectives": 2,
                "organizational-clarity": 5}
     shuffled = dict(reversed(list(answers.items())))
-    assert collect_responses(template, answers) == collect_responses(template, shuffled)
+    assert collect_responses(answers) == collect_responses(shuffled)
 
 
 def test_template_render_is_deterministic():
@@ -127,7 +123,7 @@ def test_template_round_trips_through_responses():
             filled.append(line + str(score))
     answers = _answers("\n".join(filled))
     assert len(answers) == 6
-    grouped = collect_responses(builtin_template(), answers)
+    grouped = collect_responses(answers)
     assert sum(len(v) for v in grouped.values()) == 6
 
 

@@ -570,9 +570,6 @@ def test_every_rebuild_runs_the_constructor_checks(route):
         _rebuild(route, number(3), "value", math.inf)
     with pytest.raises(ValueError, match="^number values need a value$"):
         _rebuild(route, number(3), "value", None)
-    criterion = Criterion("governance", Category.GOV, "Governance", "How decisions are made.")
-    with pytest.raises(ParseError, match="duplicate criterion id 'governance'"):
-        _rebuild(route, RubricTemplate((criterion,)), "criteria", (criterion, criterion))
     # An indicator keeps the direction it is rebuilt with, whichever it is.
     definition = IndicatorDef("COM-QN-2", Category.COM, Kind.QUANTITATIVE, DataType.NUMERIC,
                               "headcount", Direction.LOWER_BETTER, "Applicants")

@@ -16,12 +16,12 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
-from test_properties import _survey, make_instance
+from test_properties import make_instance
 
 from gmi.bundled import bundled_program_paths
 from gmi.ingest import load_program_dataset, load_rates, scoring_status
 from gmi.report import FORMATS, render_comparison
-from gmi.rubric import builtin_template, collect_responses
+from gmi.rubric import collect_responses
 from gmi.schema import Category, Direction, builtin_schema
 from gmi.scoring import Excluded, score_datasets
 
@@ -68,12 +68,10 @@ def _score_texts(texts: dict[str, str]):
 # when no record is shared.
 def test_sharing_never_changes_the_output_bytes(cohort_300):
     rng = random.Random(20261018)
-    template = _survey()
     cohorts = [cohort_300[4]]
     for _ in range(200):
         _, schema, _, _, _, datasets = make_instance(rng)
-        cohorts.append(score_datasets(datasets, schema, template=template,
-                                      allow_partial=True)[1])
+        cohorts.append(score_datasets(datasets, schema, allow_partial=True)[1])
     shared = 0
     for results in cohorts:
         records = [rec for r in results for rec in r.audit]
@@ -124,9 +122,8 @@ def test_signed_zeros_keep_their_own_score_text():
         assert f"audit|COM-QN-1|{raw}|0.0000|5.0000|score|{score}|exact\n" in lines[program]
 
 
-def _eager_matrix(datasets, schema, rates=None, template=None):
+def _eager_matrix(datasets, schema, rates=None):
     """The matrix's two maps, built column by column with plain loops."""
-    template = template or builtin_template()
     entries = {}
     included = {}
     for indicator in dict.fromkeys(i for ds in datasets for i in ds.observations):
@@ -154,7 +151,7 @@ def _eager_matrix(datasets, schema, rates=None, template=None):
             included.setdefault((program, definition.category), []).append(score)
     category_scores = {}
     for ds in datasets:
-        grouped = collect_responses(template, ds.rubric)
+        grouped = collect_responses(ds.rubric)
         for cat in Category:
             inputs = list(included.get((ds.program, cat), []))
             if grouped.get(cat):
