@@ -6,7 +6,8 @@ reserved delimiter (``|``):
 * ``table``      fixed-width text for terminals,
 * ``delimited``  pipe-separated rows for spreadsheets and diffing,
 * ``structured`` a key-value document that ``parse_structured`` reads back
-  into GmiResult values (4-decimal fixed-point), rejecting malformed ones.
+  into GmiResult values (4-decimal fixed-point), accepting only what the
+  renderer writes.
 
 Each renderer reads the GmiResult values and their audit trails directly;
 the exclusions and footnotes of the table and delimited formats are the
@@ -24,11 +25,11 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Iterator, Sequence
-from itertools import chain
+from itertools import chain, zip_longest
 
 from .errors import ParseError
 from .ingest import EXCLUSION_REASONS, CategoryValidation, Qualifier, ValidationReport
-from .schema import CATEGORIES, Category, read_lines, record_fields
+from .schema import CATEGORIES, read_lines
 from .scoring import AuditRecord, GmiResult, Stage, classify_maturity
 
 FORMATS = ("table", "delimited", "structured")
@@ -41,11 +42,14 @@ _ABSENT = "n.a."
 _QUALIFIER_TEXT = {q: q.value for q in Qualifier}
 _STAGE_TEXT = {s: s.value for s in Stage}
 _CATEGORY_CODES = tuple((cat, cat.code) for cat in CATEGORIES)
+_CATEGORY_OF = {code: cat for cat, code in _CATEGORY_CODES}
 _APPROXIMATE = (Qualifier.APPROX_UPPER_BOUND, Qualifier.APPROX_LOWER_BOUND)
+#: Each column's (minimum, maximum, printed minimum, printed maximum).
+_Bounds = dict[str, tuple[float | None, float | None, str, str]]
 
 
-def _fmt(x: float | None) -> str:
-    return _ABSENT if x is None else format(x, ".4f")
+def _fmt(x: float | None, absent: str = _ABSENT) -> str:
+    return absent if x is None else format(x, ".4f")
 
 
 def _table_rows(results: Sequence[GmiResult]) -> list[list[str]]:
@@ -126,51 +130,53 @@ def _render_delimited(results: Sequence[GmiResult], notes: Sequence[str]) -> Ite
     yield _encoded(f"NOTE|{note}" for note in notes)
 
 
-def _bound(x: float | None) -> str:
-    return "" if x is None else _fmt(x)
-
-
-def _audit_line(rec: AuditRecord,
-                bounds: dict[str, tuple[float | None, float | None, str, str]]) -> str:
+def _audit_line(rec: AuditRecord, bounds: _Bounds) -> str:
     indicator, raw, minimum, maximum, score, exclusion, qualifier = rec
     # A column's records share its bound objects, so each column's bounds
     # are formatted once.  The check is by identity, never by value:
     # -0.0 == 0.0, yet they print differently.
     cached = bounds.get(indicator)
     if cached is None or cached[0] is not minimum or cached[1] is not maximum:
-        cached = bounds[indicator] = (minimum, maximum, _bound(minimum), _bound(maximum))
+        cached = bounds[indicator] = (minimum, maximum, _fmt(minimum, ""), _fmt(maximum, ""))
     _, _, lo, hi = cached
     tail = f"score|{_fmt(score)}" if exclusion is None else f"excluded|{exclusion}"
     return f"audit|{indicator}|{raw}|{lo}|{hi}|{tail}|{_QUALIFIER_TEXT[qualifier]}"
 
 
+def _block_lines(result: GmiResult, bounds: _Bounds, audit_lines: dict[int, str]) -> list[str]:
+    """*result*'s structured block: a blank line, then its records."""
+    lines = ["", f"program|{result.program}", f"gmi|{_fmt(result.gmi)}",
+             f"stage|{_STAGE_TEXT[result.stage]}"]
+    for cat, code in _CATEGORY_CODES:
+        if cat in result.category_scores:
+            lines.append(f"category|{code}|input|{_fmt(result.category_scores[cat])}")
+        if cat in result.normalized_category_scores:
+            lines.append(f"category|{code}|score|{_fmt(result.normalized_category_scores[cat])}")
+    for rec in result.audit:
+        line = audit_lines.get(id(rec))
+        if line is None:
+            line = audit_lines[id(rec)] = _audit_line(rec, bounds)
+        lines.append(line)
+    return lines
+
+
+def _frame(results: Iterable[GmiResult], notes: Sequence[str]) -> tuple[list[str], list[str]]:
+    """The structured head, before the blocks, and the note records after them."""
+    return (["format|gmi-comparison|1", "|".join(["programs", *(r.program for r in results)])],
+            ["", *(f"note|{note}" for note in notes)] if notes else [])
+
+
 def _render_structured(results: Sequence[GmiResult], notes: Sequence[str]) -> Iterator[bytes]:
-    yield _encoded(["format|gmi-comparison|1",
-                    "|".join(["programs", *(r.program for r in results)])])
-    bounds: dict[str, tuple[float | None, float | None, str, str]] = {}
+    head, tail = _frame(results, notes)
+    yield _encoded(head)
     # Programs share their audit records, so each distinct record's line is
     # formatted once.  The key is the record's identity: an AuditRecord
     # hashes by its fields in Python, and every record outlives this call.
+    bounds: _Bounds = {}
     audit_lines: dict[int, str] = {}
     for result in results:
-        lines = ["", f"program|{result.program}", f"gmi|{_fmt(result.gmi)}",
-                 f"stage|{_STAGE_TEXT[result.stage]}"]
-        for cat, code in _CATEGORY_CODES:
-            if cat in result.category_scores:
-                lines.append(f"category|{code}|input|{_fmt(result.category_scores[cat])}")
-            if cat in result.normalized_category_scores:
-                lines.append(
-                    f"category|{code}|score|"
-                    f"{_fmt(result.normalized_category_scores[cat])}"
-                )
-        for rec in result.audit:
-            line = audit_lines.get(id(rec))
-            if line is None:
-                line = audit_lines[id(rec)] = _audit_line(rec, bounds)
-            lines.append(line)
-        yield _encoded(lines)
-    if notes:
-        yield _encoded(["", *(f"note|{note}" for note in notes)])
+        yield _encoded(_block_lines(result, bounds, audit_lines))
+    yield _encoded(tail)
 
 
 def render_comparison(results: Sequence[GmiResult], fmt: str = "table",
@@ -188,93 +194,85 @@ def render_comparison(results: Sequence[GmiResult], fmt: str = "table",
     return b"".join(render(results, notes))
 
 
-# Field count of each record kind inside a program block.
-_RECORD_FIELDS = {"program": 2, "gmi": 2, "stage": 2, "category": 4, "audit": 8}
-_CATEGORY_BUCKETS = {"input": "inputs", "score": "scores"}
-
-
 def _number(text: str, lo: float = -math.inf, hi: float = math.inf) -> float:
     value = float(text)
-    if not (lo <= value <= hi and math.isfinite(value) and format(value, ".4f") == text):
+    if not (lo <= value <= hi and math.isfinite(value)):
         raise ValueError(text)
     return value
+
+
+def _read_block(lines: list[str], start: int, stop: int) -> GmiResult:
+    """Read the block ``lines[start:stop]``, raising only for a field that
+    cannot be read, and check what no rendering of it can show."""
+    inputs, scores, audit = {}, {}, []
+    at = start + 2
+    try:
+        gmi = _number(lines[at].partition("|")[2], 0, 6)
+        at += 1
+        stage = Stage(lines[at].partition("|")[2])
+        for at in range(at + 1, stop):
+            fields = lines[at].split("|")
+            if fields[0] == "category":
+                if fields[2] == "input":
+                    inputs[_CATEGORY_OF[fields[1]]] = _number(fields[3])
+                else:
+                    scores[_CATEGORY_OF[fields[1]]] = _number(fields[3], 0, 1)
+                continue
+            _, indicator, raw, lo, hi, mode, payload, qualifier = fields
+            excluded = mode == "excluded"
+            if excluded and payload not in EXCLUSION_REASONS:
+                raise ValueError(payload)
+            audit.append(AuditRecord(indicator, raw, _number(lo) if lo else None,
+                                     _number(hi) if hi else None,
+                                     None if excluded else _number(payload, 0, 1),
+                                     payload if excluded else None, Qualifier(qualifier)))
+    except (ValueError, LookupError):
+        raise ParseError(f"line {at + 1}: not as the renderer writes it") from None
+    if not scores or abs(sum(scores.values()) * 6 / len(scores) - gmi) > 4e-4:
+        raise ParseError(f"line {start + 3}: gmi is not its categories' rescaled sum")
+    if all(classify_maturity(min(max(gmi + d, 0), 6)) is not stage for d in (-5e-5, 5e-5)):
+        raise ParseError(f"line {start + 4}: stage is not the stage of gmi")
+    return GmiResult(lines[start + 1].partition("|")[2], inputs, scores, gmi, stage, tuple(audit))
+
+
+def _match(lines: list[str], start: int, rendered: list[str]) -> None:
+    """Raise at the first of *lines*, from document index *start*, not as *rendered*."""
+    if lines != rendered:
+        at = next(at for at, pair in enumerate(zip_longest(lines, rendered)) if pair[0] != pair[1])
+        raise ParseError(f"line {start + at + 1}: not as the renderer writes it")
 
 
 def parse_structured(data: bytes | str) -> list[GmiResult]:
     """Parse the structured format back into GmiResult values.
 
-    The document is read as every loader reads its own (``read_lines``, then
-    ``record_fields``), one record at a time, so a cohort's tens of
-    thousands of audit records are never all split at once.  Each program
-    block needs exactly one ``gmi`` and one ``stage`` record, at most one
-    record per category and bucket, and a name no other block has.  As the
-    renderer writes, a number is finite and printed to 4 decimals, a composite
-    is in [0, 6] with the stage of a value within 5e-5 of it, an exclusion has
-    one of three reasons and one ``programs`` record, before the blocks, names
-    them in order; anything else raises ParseError.
+    A document is accepted only as the renderer writes its results, line for
+    line after ``read_lines``.  Each program block is read leniently and
+    rendered again on its own; then the head and the ``note`` records are
+    rendered from what was read.  The first line that differs, or that
+    cannot be read, raises ParseError ``line N: not as the renderer writes
+    it``.  What no rendering shows is checked too: every number is finite,
+    scores lie in [0, 1] and composites in [0, 6], an exclusion has one of
+    three reasons, a block has a category score, its composite is within
+    4e-4 of their sum × 6 / present and its stage is that of the composite
+    ± 5e-5, and no program repeats.
     """
-    records = filter(None, map(record_fields, read_lines(data)))
-    if next(records, [])[:2] != ["format", "gmi-comparison"]:
-        raise ParseError("not a structured comparison document")
-
-    blocks: dict[str, dict] = {}
-    block = header = None
-    for fields in records:
-        line = "|".join(fields)
-        key = fields[0]
-        if key in ("programs", "note"):
-            if key == "programs":  # a second or a late one is never written
-                header = fields[1:] if header is None and block is None else False
-            continue
-        if key not in _RECORD_FIELDS:
-            raise ParseError(f"unknown record {key!r}")
-        if len(fields) != _RECORD_FIELDS[key]:
-            raise ParseError(f"malformed {key} record: {line!r}")
-        if key == "program":
-            if fields[1] in blocks:
-                raise ParseError(f"duplicate program {fields[1]!r}")
-            block = blocks[fields[1]] = {"program": fields[1], "inputs": {}, "scores": {},
-                                         "audit": []}
-            continue
-        if block is None:
-            raise ParseError(f"record {key!r} before any program block")
-        try:
-            if key in ("gmi", "stage"):
-                if key in block:
-                    raise ParseError(f"duplicate {key} record for {block['program']!r}")
-                block[key] = _number(fields[1], 0, 6) if key == "gmi" else Stage(fields[1])
-            elif key == "category":
-                cat = Category.from_code(fields[1])
-                bucket = block[_CATEGORY_BUCKETS[fields[2]]]
-                if cat in bucket:
-                    raise ParseError(f"duplicate category {cat.code} {fields[2]} record "
-                                     f"for {block['program']!r}")
-                bucket[cat] = _number(fields[3])
-            else:
-                _, indicator, raw, lo, hi, mode, payload, qualifier = fields
-                if mode != "score" and (mode != "excluded" or payload not in EXCLUSION_REASONS):
-                    raise ParseError(f"malformed audit record: {line!r}")
-                block["audit"].append(AuditRecord(
-                    indicator, raw, _number(lo) if lo else None, _number(hi) if hi else None,
-                    _number(payload) if mode == "score" else None,
-                    payload if mode == "excluded" else None, Qualifier(qualifier)))
-        except (KeyError, ValueError):
-            raise ParseError(f"malformed {key} record: {line!r}") from None
-
-    results = []
-    for block in blocks.values():
-        for key in ("gmi", "stage"):
-            if key not in block:
-                raise ParseError(f"program {block['program']!r} has no {key} record")
-        gmi, stage = block["gmi"], block["stage"]
-        if all(classify_maturity(min(max(gmi + d, 0), 6)) is not stage for d in (-5e-5, 5e-5)):
-            raise ParseError(f"stage {stage.value} does not match gmi {_fmt(gmi)} "
-                             f"for {block['program']!r}")
-        results.append(GmiResult(block["program"], block["inputs"], block["scores"],
-                                 gmi, stage, tuple(block["audit"])))
-    if header != list(blocks):
-        raise ParseError("one programs record must name the program blocks in order")
-    return results
+    lines = read_lines(data)
+    cuts = [at for at, line in enumerate(lines) if not line] + [len(lines)]
+    results: dict[str, GmiResult] = {}
+    for start, stop in zip(cuts, cuts[1:]):
+        if stop == start + 1 or not lines[start + 1].startswith("program|"):
+            break
+        result = _read_block(lines, start, stop)
+        _match(lines[start:stop], start, _block_lines(result, {}, {}))
+        if result.program in results:
+            raise ParseError(f"line {start + 2}: program {result.program!r} repeats")
+        results[result.program] = result
+    else:
+        start = len(lines)
+    head, tail = _frame(results.values(), [line.partition("|")[2] for line in lines[start + 1:]])
+    _match(lines[:cuts[0]], 0, head)
+    _match(lines[start:], start, tail)
+    return list(results.values())
 
 
 # ---------------------------------------------------------------------------

@@ -23,16 +23,15 @@ SCALE_MAX = 5
 SCALE_ANCHORS = ("Low", "High")
 
 
-def check_score(score: int, criterion_id: str = "") -> int:
-    """Return *score* if it lies on the 1..5 scale, else raise RubricRangeError."""
+def check_score(score: int, criterion_id: str = "") -> None:
+    """Raise RubricRangeError unless *score* lies on the 1..5 scale."""
     if score not in range(SCALE_MIN, SCALE_MAX + 1):
         raise RubricRangeError(score, criterion_id)
-    return score
 
 
 def rubric_to_unit(score: int) -> float:
-    """Map a 1..5 self-assessment answer onto [0, 1]."""
-    return (check_score(score) - 1) / 4
+    """Map a 1..5 answer, range-checked by its reader, onto [0, 1]."""
+    return (score - 1) / 4
 
 
 class Criterion(Record, namedtuple("Criterion", ("id", "category", "name", "prompt"))):

@@ -2,16 +2,23 @@
 
 from __future__ import annotations
 
+import functools
+import gc
 import re
 import sys
+import tracemalloc
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from test_sharing import _load_cohort_module
 
 from gmi.bundled import bundled_category_table_path, bundled_program_paths
 from gmi.errors import ParseError
-from gmi.ingest import load_program_dataset, validate_dataset
+from gmi.ingest import EXCLUSION_REASONS, load_program_dataset, load_rates, validate_dataset
 from gmi.report import parse_structured, render_comparison, render_validation
-from gmi.schema import Category, builtin_schema
+from gmi.schema import Category, builtin_schema, read_lines
 from gmi.scoring import (
     compute_gmi,
     load_category_table,
@@ -165,68 +172,102 @@ def test_reported_scores_stay_in_documented_ranges():
             assert all(0.0 <= v <= 1.0 for v in values)
 
 
-_HEAD = "format|gmi-comparison|1\nprograms|A\nprogram|A\n"
-_AUDIT = "audit|COM-QN-1|3|1.0000|4.0000|maybe|0.5000|exact"  # neither score nor excluded
+_RAW = (Path(__file__).resolve().parent / "golden" /
+        "raw_partial_comparison.structured.txt").read_text(encoding="utf-8")
+_NOT_WRITTEN = "not as the renderer writes it"
+_TAIKO_AUDIT = "audit|COM-QN-1|118,300|15.0000|118300.0000|score|1.0000|exact"  # line 17
+_TAIKO_MISSING = "audit|COM-AUX-1|n.a.|30.5000|111.0000|excluded|missing|unspecified"  # line 19
+#: A document whose one block has a composite and no category score.
+_LONE_BLOCK = "format|gmi-comparison|1\nprograms|A\n\nprogram|A\ngmi|{}\nstage|Advanced\n"
 
 
+def _edited(edits: dict[int, str | None]) -> str:
+    """The raw structured golden with its line N replaced by ``edits[N]``,
+    which may hold several lines, or deleted where that is None."""
+    lines: list[str | None] = _RAW.split("\n")[:-1]
+    for number, line in edits.items():
+        lines[number - 1] = line
+    return "".join(f"{line}\n" for line in lines if line is not None)
+
+
+# Each document is the raw golden, which the renderer wrote, with one field
+# edited, unless a row says otherwise.  Lines 1-2 are the head, line 3 is
+# blank, and Taiko's block runs from line 4 (program) through 5 (gmi), 6
+# (stage) and 7-16 (categories, input before score, FAO first) to its audit
+# records on lines 17-62; Mantle's block starts on line 64.
 @pytest.mark.parametrize(
-    "document, message",
+    "edits, message",
     [
-        (_HEAD + "gmi|x\nstage|Experimental\n", "malformed gmi record: 'gmi|x'"),
-        (_HEAD + "gmi\nstage|Experimental\n", "malformed gmi record: 'gmi'"),
-        (_HEAD + "gmi|1.0000\nstage|Bogus\n", "malformed stage record: 'stage|Bogus'"),
-        (_HEAD + "gmi|1.0000\nstage|Experimental\ncategory|FAO|score\n",
-         "malformed category record: 'category|FAO|score'"),
-        (_HEAD + "stage|Experimental\n", "program 'A' has no gmi record"),
-        (_HEAD + "gmi|1.0000\ngmi|2.0000\nstage|Experimental\n", "duplicate gmi record for 'A'"),
-        ("format|gmi-table|1\n", "not a structured comparison document"),
-        (_HEAD + "gmi|1.0000\nstage|Experimental\nscore|1\n", "unknown record 'score'"),
-        ("format|gmi-comparison|1\ngmi|1.0000\n", "record 'gmi' before any program block"),
-        (_HEAD + f"gmi|1.0000\nstage|Experimental\n{_AUDIT}\n",
-         f"malformed audit record: {_AUDIT!r}"),
-        # The renderer writes no non-finite number, no repeated category
-        # record and no repeated program.
-        (_HEAD + "gmi|nan\nstage|Experimental\n", "malformed gmi record: 'gmi|nan'"),
-        (_HEAD + "gmi|1.0000\nstage|Experimental\ncategory|FAO|score|inf\n",
-         "malformed category record: 'category|FAO|score|inf'"),
-        (_HEAD + "gmi|1.0000\nstage|Experimental\naudit|X|r|nan|inf|score|nan|exact\n",
-         "malformed audit record: 'audit|X|r|nan|inf|score|nan|exact'"),
-        (_HEAD + "gmi|1.0000\nstage|Experimental\naudit|X|r|1.0000|4.0000|score|-inf|exact\n",
-         "malformed audit record: 'audit|X|r|1.0000|4.0000|score|-inf|exact'"),
-        (_HEAD + "gmi|1.0000\nstage|Experimental\ncategory|FAO|input|0.5000\n"
-         "category|FAO|input|0.7000\n", "duplicate category FAO input record for 'A'"),
-        (_HEAD + "gmi|1.0000\nstage|Experimental\nprogram|A\ngmi|2.0000\nstage|Experimental\n",
-         "duplicate program 'A'"),
-        # Every number is printed to four decimals, a composite lies in
-        # [0, 6] and names its own stage, an exclusion has one of three
-        # reasons, and the programs record lists the blocks.
-        (_HEAD + "gmi|1e3\nstage|Advanced\n", "malformed gmi record: 'gmi|1e3'"),
-        (_HEAD + "gmi|1.84150\nstage|Foundational\n", "malformed gmi record: 'gmi|1.84150'"),
-        (_HEAD + "gmi|6.0001\nstage|Advanced\n", "malformed gmi record: 'gmi|6.0001'"),
-        (_HEAD + "gmi|1.0000\nstage|Experimental\ncategory|FAO|score|1_0\n",
-         "malformed category record: 'category|FAO|score|1_0'"),
-        (_HEAD + "gmi|1.8415\nstage|Advanced\n",
-         "stage Advanced does not match gmi 1.8415 for 'A'"),
-        (_HEAD + "gmi|1.0000\nstage|Experimental\naudit|X|r|||excluded|bogus|exact\n",
-         "malformed audit record: 'audit|X|r|||excluded|bogus|exact'"),
-        ("format|gmi-comparison|1\nprograms|B|A\nprogram|A\ngmi|1.0000\nstage|Experimental\n"
-         "program|B\ngmi|2.0000\nstage|Foundational\n",
-         "one programs record must name the program blocks in order"),
-        ("format|gmi-comparison|1\nprogram|A\ngmi|1.0000\nstage|Experimental\n",
-         "one programs record must name the program blocks in order"),
-        (_HEAD + "gmi|1.0000\nstage|Experimental\nprograms|A\n",
-         "one programs record must name the program blocks in order"),
+        ({5: "gmi|x"}, f"line 5: {_NOT_WRITTEN}"),
+        ({5: "gmi"}, f"line 5: {_NOT_WRITTEN}"),
+        ({6: "stage|Bogus"}, f"line 6: {_NOT_WRITTEN}"),
+        ({8: "category|FAO|score"}, f"line 8: {_NOT_WRITTEN}"),
+        ({5: None}, f"line 5: {_NOT_WRITTEN}"),  # a record, not a field, deleted
+        ({5: "gmi|3.6000\ngmi|3.6000"}, f"line 6: {_NOT_WRITTEN}"),  # a record repeated
+        ({1: "format|gmi-table|1"}, f"line 1: {_NOT_WRITTEN}"),
+        ({17: "score|1.0000"}, f"line 17: {_NOT_WRITTEN}"),
+        ({3: "gmi|3.6000\n"}, f"line 3: {_NOT_WRITTEN}"),  # a record inserted
+        ({17: _TAIKO_AUDIT.replace("|score|", "|maybe|")}, f"line 17: {_NOT_WRITTEN}"),
+        # The engine writes no non-finite number and no repeated category.
+        ({5: "gmi|nan"}, f"line 5: {_NOT_WRITTEN}"),
+        ({8: "category|FAO|score|inf"}, f"line 8: {_NOT_WRITTEN}"),
+        ({17: _TAIKO_AUDIT.replace("|15.0000|", "|nan|")}, f"line 17: {_NOT_WRITTEN}"),
+        ({17: _TAIKO_AUDIT.replace("|score|1.0000|", "|score|-inf|")},
+         f"line 17: {_NOT_WRITTEN}"),
+        ({8: "category|FAO|score|1.0000\ncategory|FAO|score|1.0000"},
+         f"line 9: {_NOT_WRITTEN}"),  # a record repeated
+        # Two fields edited; the document renders to itself.
+        ({2: "programs|Taiko|Taiko|Arbitrum STIP|Optimism", 64: "program|Taiko"},
+         "line 64: program 'Taiko' repeats"),
+        # A number is written to four decimals, scores lie in [0, 1] and a
+        # composite in [0, 6], and it has its own stage.
+        ({5: "gmi|36e-1"}, f"line 5: {_NOT_WRITTEN}"),
+        ({5: "gmi|3.60000"}, f"line 5: {_NOT_WRITTEN}"),
+        # A lone block that renders to itself, with no category score.
+        (_LONE_BLOCK.format("6.0001"), f"line 5: {_NOT_WRITTEN}"),
+        (_LONE_BLOCK.format("6.0000"), "line 5: gmi is not its categories' rescaled sum"),
+        ({8: "category|FAO|score|1_0"}, f"line 8: {_NOT_WRITTEN}"),
+        ({8: "category|FAO|score|7.0000"}, f"line 8: {_NOT_WRITTEN}"),
+        ({17: _TAIKO_AUDIT.replace("|score|1.0000|", "|score|9.0000|")},
+         f"line 17: {_NOT_WRITTEN}"),
+        ({6: "stage|Advanced"}, "line 6: stage is not the stage of gmi"),
+        # Renders to itself; the engine knows three exclusion reasons.
+        ({19: _TAIKO_MISSING.replace("|missing|", "|bogus|")}, f"line 19: {_NOT_WRITTEN}"),
+        ({2: "programs|Mantle|Taiko|Arbitrum STIP|Optimism"}, f"line 2: {_NOT_WRITTEN}"),
+        ({2: None}, f"line 2: {_NOT_WRITTEN}"),  # a record deleted
+        ({63: "programs|Taiko|Mantle|Arbitrum STIP|Optimism\n"},
+         f"line 63: {_NOT_WRITTEN}"),  # a record inserted
+        # The version, the field count and the category order are as
+        # written, and a composite is its categories' sum × 6 / present.
+        ({1: "format|gmi-comparison|7"}, f"line 1: {_NOT_WRITTEN}"),
+        ({1: "format|gmi-comparison|1|x"}, f"line 1: {_NOT_WRITTEN}"),
+        ({7: "category|PSO|input|0.7500", 8: "category|PSO|score|1.0000",
+          9: "category|FAO|input|0.9000", 10: "category|FAO|score|1.0000"},
+         f"line 7: {_NOT_WRITTEN}"),  # two records swapped
+        ({5: "gmi|2.0000", 6: "stage|Foundational"},
+         "line 5: gmi is not its categories' rescaled sum"),
+        ({5: "gmi|3.6005"}, "line 5: gmi is not its categories' rescaled sum"),
     ],
     ids=["gmi-not-a-number", "gmi-no-value", "unknown-stage", "category-no-value",
          "no-gmi", "duplicate-gmi", "not-structured", "unknown-record",
          "record-before-program", "audit-mode", "gmi-nan", "category-inf", "audit-bounds-nan",
          "audit-score-inf", "duplicate-category", "duplicate-program", "gmi-exponent",
-         "gmi-fifth-decimal", "gmi-above-six", "category-underscore", "stage-of-another-gmi",
-         "excluded-bogus", "programs-out-of-order", "no-programs", "programs-after-a-block"],
+         "gmi-fifth-decimal", "gmi-above-six", "no-category-score", "category-underscore",
+         "category-score-above-one", "audit-score-above-one", "stage-of-another-gmi",
+         "excluded-bogus", "programs-out-of-order", "no-programs", "programs-after-a-block",
+         "format-version", "format-extra-field", "categories-out-of-order",
+         "gmi-not-its-sum", "gmi-5e-4-off-its-sum"],
 )
-def test_parse_structured_rejects_malformed_documents(document, message):
+def test_parse_structured_rejects_malformed_documents(edits, message):
+    document = edits if isinstance(edits, str) else _edited(edits)
     with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
         parse_structured(document)
+
+
+def test_parse_structured_accepts_a_composite_within_its_roundings():
+    # Five printed scores and the composite each round by up to 5e-5.
+    document = _edited({5: "gmi|3.6004"})
+    assert render_comparison(parse_structured(document), fmt="structured") == document.encode()
 
 
 @pytest.mark.parametrize("stage", ["Experimental", "Foundational"])
@@ -235,10 +276,94 @@ def test_parse_structured_accepts_every_number_the_renderer_writes(stage):
     # threshold; -0.0000 and a full-length float bound print as themselves.
     top = format(sys.float_info.max, ".4f")
     document = (f"format|gmi-comparison|1\nprograms|A\n\nprogram|A\ngmi|1.5000\nstage|{stage}\n"
-                "category|FAO|input|-0.0000\ncategory|FAO|score|0.0000\n"
+                "category|FAO|input|-0.0000\ncategory|FAO|score|0.2500\n"
                 f"audit|COM-QN-1|5|-{top}|{top}|score|-0.0000|exact\n"
                 "audit|COM-QN-2|n.a.|||excluded|missing|unspecified\n").encode()
     assert render_comparison(parse_structured(document), fmt="structured") == document
+
+
+@functools.lru_cache(maxsize=None)
+def _cohort_document(seed: int, count: int) -> str:
+    """The structured comparison of the benchmark generator's cohort, scored
+    with its rates and partial rescaling."""
+    cohort = _load_cohort_module().generate(seed, count)
+    datasets = [load_program_dataset(program.text, SCHEMA) for program in cohort.programs]
+    results = score_datasets(datasets, SCHEMA, load_rates(cohort.rates_text),
+                             allow_partial=True)[1]
+    return render_comparison(results, fmt="structured").decode("utf-8")
+
+
+def _nudged(text: str, step: float) -> str:
+    try:
+        return format(float(text) + step, ".4f")
+    except ValueError:
+        return text
+
+
+@st.composite
+def _edited_documents(draw) -> str:
+    """A rendered document with one field of one record replaced by another
+    record's field, the field's number ±1e-4, ``nan`` or nothing."""
+    seed = draw(st.one_of(st.none(), st.integers(0, 3)))
+    document = _RAW if seed is None else _cohort_document(seed, draw(st.integers(2, 8)))
+    lines = document.split("\n")
+    records = [at for at, line in enumerate(lines) if line]
+    edited = draw(st.sampled_from(records))
+    fields = lines[edited].split("|")
+    at = draw(st.integers(0, len(fields) - 1))
+    donor = lines[draw(st.sampled_from(records))].split("|")
+    fields[at] = draw(st.one_of(st.sampled_from(donor), st.sampled_from(("nan", "")),
+                                st.sampled_from((-1e-4, 1e-4)).map(
+                                    functools.partial(_nudged, fields[at]))))
+    lines[edited] = "|".join(fields)
+    return "\n".join(lines)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_edited_documents())
+# Each of these renders to itself, yet holds what the engine never writes.
+@example(_edited({19: _TAIKO_MISSING.replace("|missing|", "|bogus|")}))
+@example(_edited({2: "programs|Taiko|Taiko|Arbitrum STIP|Optimism", 64: "program|Taiko"}))
+@example(_LONE_BLOCK.format("6.0001"))
+def test_an_edited_document_is_rejected_or_renders_to_itself(document):
+    try:
+        results = parse_structured(document)
+    except ParseError:
+        return
+    assert render_comparison(results, fmt="structured") == document.encode("utf-8")
+    # What no rendering shows holds as the engine writes it.
+    assert len({r.program for r in results}) == len(results)
+    for r in results:
+        scores = r.normalized_category_scores
+        assert scores and abs(sum(scores.values()) * 6 / len(scores) - r.gmi) <= 4e-4
+        assert 0 <= r.gmi <= 6 and all(0 <= score <= 1 for score in scores.values())
+        assert all(rec.exclusion in (None, *EXCLUSION_REASONS) for rec in r.audit)
+
+
+def _traced(function, argument):
+    """*function*(*argument*) with tracemalloc's peak during the call and
+    the memory its result still holds, in bytes."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = function(argument)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak - before, held - before
+
+
+def test_parse_structured_holds_at_most_one_block_beyond_its_lines():
+    # The reader keeps the document's lines and its results; it renders one
+    # block at a time to compare, so its working memory stays below what
+    # read_lines itself takes on the way to those lines.  A cache of every
+    # rendered line, or a whole rendered document, would exceed it.
+    document = _cohort_document(1, 200).encode("utf-8")
+    _, lines_peak, _ = _traced(read_lines, document)
+    results, peak, held = _traced(parse_structured, document)
+    assert len(results) == 200
+    assert peak - held <= 1.1 * lines_peak, (peak - held, lines_peak)
 
 
 def test_structured_bounds_keep_the_sign_of_zero(tmp_path, capsys):

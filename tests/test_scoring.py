@@ -149,9 +149,16 @@ def test_rubric_to_unit_anchors():
     assert rubric_to_unit(1) == 0.0
     assert rubric_to_unit(3) == 0.5
     assert rubric_to_unit(5) == 1.0
-    for bad in (0, 6, -1):
-        with pytest.raises(RubricRangeError):
-            rubric_to_unit(bad)
+
+
+@pytest.mark.parametrize("bad", [0, 6, -1])
+def test_an_out_of_range_answer_of_a_built_dataset_is_rejected(bad):
+    # A dataset built in code skips read_answer's check; collect_responses
+    # checks every dataset that scoring reads.
+    datasets = [_dataset("A", {"COM-QN-1": number(3)}, {"governance": bad}),
+                _dataset("B", {"COM-QN-1": number(5)})]
+    with pytest.raises(RubricRangeError, match=f"^rubric score {bad} for criterion 'governance'"):
+        score_datasets(datasets, builtin_schema(), allow_partial=True)
 
 
 def test_score_category():
