@@ -20,7 +20,7 @@ under the indicator's declared data type:
   groups of exactly 3 (``1,000``, ``12,500.5``).  ``1,5`` or ``1,,000`` is
   an error, not 15 or 1000: a cell that some form matches once its commas
   are removed fails with ``misgrouped thousands separator``.
-* ``A:B`` is a ratio, valued A/B.
+* ``A:B`` is a ratio, valued A/B; a zero ``B`` is an error.
 * a number followed by a time-unit word (``week(s)``/``month(s)``/
   ``year(s)``) is a Number annotated with that unit for later coercion.
 * a number followed by an upper-case symbol (``50K OP``) is a token amount.
@@ -39,9 +39,10 @@ value's rules are written: the value is finite, and is None exactly for a
 missing, text or country value; money and token amounts are >= 0; a binary
 value is 0 or 1; a missing value's qualifier is ``unspecified``; the symbol
 is ``"USD"`` exactly for money, a non-empty string for a token amount and
-None otherwise; only a number carries a unit or the code flag.  Parsing,
-the factories and ``coerce_unit`` all go through it, and a broken rule is a
-ValueError that ``parse_value`` reports as the cell's ValueParseError.
+None otherwise; only a number carries a unit or the code flag.  Parsing
+and ``coerce_unit`` call it with all six fields positional, and a broken
+rule is a ValueError that ``parse_value`` reports as the cell's
+ValueParseError.
 
 Observation files are pipe-delimited UTF-8 text::
 
@@ -109,6 +110,7 @@ from .schema import (
     Record,
     Schema,
     read_lines,
+    read_number,
     read_records,
     record_fields,
 )
@@ -216,8 +218,8 @@ class TypedValue(Record, namedtuple("TypedValue", (
         qualifier: Qualifier = Qualifier.EXACT,
     ) -> TypedValue:
         """A value checked against every rule in the module docstring;
-        each parse, factory, ``coerce_unit`` result, copy and rebuild comes
-        through here."""
+        each parse, ``coerce_unit`` result, copy and rebuild comes through
+        here."""
         if (value is None) != (kind is _MISSING or kind is _TEXT or kind is _COUNTRY):
             raise ValueError(f"{kind.value} values "
                              + ("need a value" if value is None else "carry no value"))
@@ -244,26 +246,7 @@ class TypedValue(Record, namedtuple("TypedValue", (
 #: keyword binding and the checks of the class's own constructor.
 _new = tuple.__new__
 
-MISSING = TypedValue(_MISSING, qualifier=_UNSPECIFIED)
-
-
-def number(value: float, unit: str | None = None, is_code: bool = False,
-           qualifier: Qualifier = _EXACT) -> TypedValue:
-    return TypedValue(_NUMBER, float(value), None, unit, is_code, qualifier)
-
-
-def money(amount: float, qualifier: Qualifier = _EXACT) -> TypedValue:
-    return TypedValue(_MONEY, float(amount), "USD", None, False, qualifier)
-
-
-def token_amount(amount: float, symbol: str, qualifier: Qualifier = _EXACT) -> TypedValue:
-    return TypedValue(_TOKEN_AMOUNT, float(amount), symbol.upper(), None, False, qualifier)
-
-
-def ratio(numerator: float, denominator: float, qualifier: Qualifier = _EXACT) -> TypedValue:
-    if denominator == 0:
-        raise ValueError("ratio denominator must be non-zero")
-    return TypedValue(_RATIO, numerator / denominator, None, None, False, qualifier)
+MISSING = TypedValue(_MISSING, None, None, None, False, _UNSPECIFIED)
 
 
 def _to_float(token: str) -> float:
@@ -306,7 +289,7 @@ def parse_value(raw: str, definition: IndicatorDef) -> TypedValue:
         except ValueParseError:
             raise
         except ValueError as exc:
-            # constructor guards (negative amounts, zero denominators)
+            # constructor guards (negative amounts, non-finite values)
             raise ValueParseError(raw, definition.id, str(exc)) from exc
         memo[raw] = value
     return value
@@ -348,15 +331,18 @@ def _parse_cell(raw: str, definition: IndicatorDef) -> TypedValue:
     match = _CELL_RE.fullmatch(body)
     form = match.lastgroup if match else None
     if form == "number":
-        return number(_amount(match, 2), qualifier=qualifier)
+        return TypedValue(_NUMBER, _amount(match, 2), None, None, False, qualifier)
     if form == "money":
         # A token symbol after a dollar amount yields to the dollar sign.
-        return money(_amount(match, 5), qualifier)
+        return TypedValue(_MONEY, _amount(match, 5), "USD", None, False, qualifier)
     if form == "ratio":
-        return ratio(_to_float(match[8]), _to_float(match[9]), qualifier)
+        denominator = _to_float(match[9])
+        if denominator == 0:
+            raise ValueParseError(raw, definition.id, "ratio denominator must be non-zero")
+        return TypedValue(_RATIO, _to_float(match[8]) / denominator, None, None, False, qualifier)
     if form == "code":
-        return number(_to_float(match[11]), is_code=definition.unit == "scoring",
-                      qualifier=qualifier)
+        return TypedValue(_NUMBER, _to_float(match[11]), None, None,
+                          definition.unit == "scoring", qualifier)
     if form == "suffixed":
         amount, word = _amount(match, 13), match[15]
     elif _CELL_RE.fullmatch(body.replace(",", "")):
@@ -371,11 +357,12 @@ def _parse_cell(raw: str, definition: IndicatorDef) -> TypedValue:
     if word.lower() in _TIME_UNITS:
         if amount is None:
             raise ValueParseError(raw, definition.id, "malformed duration")
-        return number(amount, unit=_CANONICAL_TIME[word.lower().rstrip("s")], qualifier=qualifier)
+        return TypedValue(_NUMBER, amount, None, _CANONICAL_TIME[word.lower().rstrip("s")],
+                          False, qualifier)
     if word.isupper() and 2 <= len(word) <= 6:
         if amount is None:
             raise ValueParseError(raw, definition.id, "malformed token amount")
-        return token_amount(amount, word, qualifier)
+        return TypedValue(_TOKEN_AMOUNT, amount, word, None, False, qualifier)
     raise ValueParseError(raw, definition.id, f"unrecognised suffix {word!r}")
 
 
@@ -391,12 +378,12 @@ def coerce_unit(value: TypedValue, from_unit: str | None, definition: IndicatorD
         raise UnitError(value.symbol, definition.unit)
     if from_unit is None or from_unit.lower() == dst:
         if value.unit is not None:
-            return number(value.value, is_code=value.is_code, qualifier=value.qualifier)
+            return TypedValue(_NUMBER, value.value, None, None, value.is_code, value.qualifier)
         return value
     src = from_unit.lower()
     if src in _TIME_UNITS and dst in _TIME_UNITS and value.kind is _NUMBER:
         converted = value.value * _TIME_UNITS[src] / _TIME_UNITS[dst]
-        return number(converted, is_code=value.is_code, qualifier=value.qualifier)
+        return TypedValue(_NUMBER, converted, None, None, value.is_code, value.qualifier)
     raise UnitError(from_unit, definition.unit)
 
 
@@ -524,7 +511,7 @@ def load_rates(source: bytes | str) -> dict[str, float]:
                 raise ParseError("rate rows have 2 fields")
             symbol = fields[0].upper()
             try:
-                rate = float(fields[1])
+                rate = read_number(fields[1])
             except ValueError:
                 raise ParseError(f"rate {fields[1]!r} is not a number") from None
             if not 0 < rate < math.inf:

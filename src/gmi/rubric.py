@@ -16,7 +16,7 @@ from collections import namedtuple
 from collections.abc import Mapping
 
 from .errors import ParseError, RubricRangeError, UnknownCriterion
-from .schema import Category, Record
+from .schema import Category, Record, read_number
 
 SCALE_MIN = 1
 SCALE_MAX = 5
@@ -115,7 +115,7 @@ def read_answer(fields: list[str]) -> tuple[str, int] | None:
     if not score_text:
         return None
     try:
-        score = int(score_text)
+        score = read_number(score_text, int)
     except ValueError:
         raise ParseError(f"rubric score {score_text!r} is not an integer") from None
     check_score(score, criterion_id)

@@ -17,11 +17,11 @@ The builtin registry is such a document, the text ``gmi schema dump``
 prints, held in this module and read by ``load_schema`` like any other.
 
 Layer order: this module sits directly above ``errors`` and imports no
-other engine module; it owns the record reader every document loader uses
-and ``Record``, the mixin of every engine record class.  Each record class
-is a ``collections.namedtuple`` class, so records compare and hash as
-plain tuples of their fields; the mixin makes every copy of a record go
-through its class's constructor.
+other engine module; it owns the record reader every document loader uses,
+``read_number`` for their numeric fields and ``Record``, the mixin of every
+engine record class.  Each record class is a ``collections.namedtuple``
+class, so records compare and hash as plain tuples of their fields; the
+mixin makes every copy of a record go through its class's constructor.
 """
 
 from __future__ import annotations
@@ -69,6 +69,13 @@ def read_records(source: bytes | str) -> list[tuple[int, list[str]]]:
     passed through ``record_fields``, skipping blank lines and comments."""
     return [(line_no, fields) for line_no, line in enumerate(read_lines(source), start=1)
             if (fields := record_fields(line)) is not None]
+
+
+def read_number(text: str, convert: type = float) -> float | int:
+    """``convert(text)``, but a ``_`` (a digit separator to Python) raises ValueError."""
+    if "_" in text:
+        raise ValueError(text)
+    return convert(text)
 
 
 class Record:

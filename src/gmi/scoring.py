@@ -38,7 +38,7 @@ from . import rubric
 from .errors import EmptyCategory, ParseError, PartialDataError, UnknownIndicator
 from .ingest import (EXCLUSION_REASONS, ProgramDataset, Qualifier, check_distinct_programs,
                      column_bounds, scoring_status)
-from .schema import CATEGORIES, Category, Direction, Record, Schema, read_records
+from .schema import CATEGORIES, Category, Direction, Record, Schema, read_number, read_records
 
 #: Width of the composite range: six categories, each normalized to [0, 1].
 CATEGORY_COUNT = 6
@@ -370,7 +370,7 @@ def load_category_table(source: bytes | str) -> CategoryTable:
                 if cell.lower() in ("n.a.", ""):
                     continue
                 try:
-                    score = float(cell)
+                    score = read_number(cell)
                 except ValueError:
                     raise ParseError(f"score {cell!r} is not a number") from None
                 if not math.isfinite(score):

@@ -30,12 +30,8 @@ from gmi.ingest import (
     coerce_unit,
     load_program_dataset,
     load_rates,
-    money,
-    number,
     parse_value,
-    ratio,
     scoring_status,
-    token_amount,
     validate_dataset,
 )
 from gmi.schema import Category, Schema, builtin_schema, dump_schema, load_schema
@@ -201,7 +197,7 @@ def test_parse_names_a_misgrouped_thousands_separator_in_every_form(raw, indicat
 
 
 # Each rule of a parsed value, broken once.  The constructor is the one
-# place they are checked; the factories and every rebuild go through it.
+# place they are checked; every parse, unit coercion and rebuild goes through it.
 @pytest.mark.parametrize("fields, message", [
     ((ValueKind.NUMBER,), "number values need a value"),
     ((ValueKind.RATIO,), "ratio values need a value"),
@@ -245,15 +241,15 @@ def test_parse_is_deterministic():
 @pytest.mark.parametrize(
     "raw,indicator,expected",
     [
-        ("12", "COM-QN-1", number(12)),
-        ("-3", "COM-QN-1", number(-3)),
-        ("1,200.5k", "COM-QN-1", number(1_200_500)),
-        ("$5 OP", "COM-QN-1", money(5)),
-        ("1:2", "COM-QN-1", ratio(1, 2)),
-        ("3 (code)", "FAO-QN-9", number(3, is_code=True)),
-        ("3 (code)", "COM-QN-1", number(3)),
-        ("2 weeks", "COM-QN-1", number(2, unit="weeks")),
-        ("5 OP", "COM-QN-1", token_amount(5, "OP")),
+        ("12", "COM-QN-1", TypedValue(ValueKind.NUMBER, 12.0)),
+        ("-3", "COM-QN-1", TypedValue(ValueKind.NUMBER, -3.0)),
+        ("1,200.5k", "COM-QN-1", TypedValue(ValueKind.NUMBER, 1_200_500.0)),
+        ("$5 OP", "COM-QN-1", TypedValue(ValueKind.MONEY, 5.0, "USD")),
+        ("1:2", "COM-QN-1", TypedValue(ValueKind.RATIO, 1 / 2)),
+        ("3 (code)", "FAO-QN-9", TypedValue(ValueKind.NUMBER, 3.0, is_code=True)),
+        ("3 (code)", "COM-QN-1", TypedValue(ValueKind.NUMBER, 3.0)),
+        ("2 weeks", "COM-QN-1", TypedValue(ValueKind.NUMBER, 2.0, unit="weeks")),
+        ("5 OP", "COM-QN-1", TypedValue(ValueKind.TOKEN_AMOUNT, 5.0, "OP")),
         ("5 op", "COM-QN-1", "cannot parse '5 op' for indicator COM-QN-1: "
                              "unrecognised suffix 'op'"),
         ("1:0", "COM-QN-1", "cannot parse '1:0' for indicator COM-QN-1: "
@@ -307,13 +303,14 @@ def _cell(value, grouped: bool = False) -> str:
 @pytest.mark.parametrize(
     "value,indicator",
     [
-        (money(276_000_000), "COM-QN-14"),
-        (token_amount(50_000, "OP", Qualifier.APPROX_UPPER_BOUND), "FAO-QN-2"),
-        (ratio(1, 28), "TAC-QN-6"),
-        (number(30.5), "COM-AUX-1"),
-        (number(4, unit="months"), "COM-QN-8"),
-        (number(1, is_code=True), "PSO-QN-1"),
-        (number(6_500_000), "COM-QN-14"),
+        (TypedValue(ValueKind.MONEY, 276_000_000.0, "USD"), "COM-QN-14"),
+        (TypedValue(ValueKind.TOKEN_AMOUNT, 50_000.0, "OP",
+                    qualifier=Qualifier.APPROX_UPPER_BOUND), "FAO-QN-2"),
+        (TypedValue(ValueKind.RATIO, 1 / 28), "TAC-QN-6"),
+        (TypedValue(ValueKind.NUMBER, 30.5), "COM-AUX-1"),
+        (TypedValue(ValueKind.NUMBER, 4.0, unit="months"), "COM-QN-8"),
+        (TypedValue(ValueKind.NUMBER, 1.0, is_code=True), "PSO-QN-1"),
+        (TypedValue(ValueKind.NUMBER, 6_500_000.0), "COM-QN-14"),
     ],
 )
 def test_format_parse_round_trip(value, indicator):
@@ -321,10 +318,11 @@ def test_format_parse_round_trip(value, indicator):
 
 
 def test_parse_reads_small_numbers_without_an_exponent():
-    assert parse_value("0.0000001", _def("COM-AUX-1")) == number(1e-07)
-    assert parse_value("$0.000015", _def("COM-QN-14")) == money(1.5e-05)
-    assert parse_value("-0.00000000025", _def("COM-AUX-1")) == number(-2.5e-10)
-    assert parse_value("0.0000001:3", _def("TAC-QN-6")) == ratio(1e-07, 3)
+    number, money, ratio = ValueKind.NUMBER, ValueKind.MONEY, ValueKind.RATIO
+    assert parse_value("0.0000001", _def("COM-AUX-1")) == TypedValue(number, 1e-07)
+    assert parse_value("$0.000015", _def("COM-QN-14")) == TypedValue(money, 1.5e-05, "USD")
+    assert parse_value("-0.00000000025", _def("COM-AUX-1")) == TypedValue(number, -2.5e-10)
+    assert parse_value("0.0000001:3", _def("TAC-QN-6")) == TypedValue(ratio, 1e-07 / 3)
     with pytest.raises(ValueParseError):  # the grammar itself has no exponents
         parse_value("1e-07", _def("COM-AUX-1"))
 
@@ -337,9 +335,10 @@ _QUALIFIERS = st.sampled_from(
 
 @given(_AMOUNTS, _QUALIFIERS, st.sampled_from(["OP", "ARB", "TAIKO"]), st.booleans())
 def test_format_parse_round_trip_property(amount, qualifier, symbol, grouped):
-    for value, indicator in ((number(amount, qualifier=qualifier), "COM-AUX-1"),
-                             (money(amount, qualifier), "COM-QN-14"),
-                             (token_amount(amount, symbol, qualifier), "FAO-QN-2")):
+    for value, indicator in (
+            (TypedValue(ValueKind.NUMBER, amount, qualifier=qualifier), "COM-AUX-1"),
+            (TypedValue(ValueKind.MONEY, amount, "USD", qualifier=qualifier), "COM-QN-14"),
+            (TypedValue(ValueKind.TOKEN_AMOUNT, amount, symbol, qualifier=qualifier), "FAO-QN-2")):
         assert parse_value(_cell(value, grouped), _def(indicator)) == value
 
 
@@ -347,7 +346,8 @@ def test_format_parse_round_trip_property(amount, qualifier, symbol, grouped):
 def test_format_parse_round_trip_property_ratio(numerator, denominator, qualifier, grouped):
     assume(math.isfinite(numerator / denominator))
     cell = f"{_PREFIX[qualifier]}{_numeral(numerator, grouped)}:{_numeral(denominator, grouped)}"
-    assert parse_value(cell, _def("TAC-QN-6")) == ratio(numerator, denominator, qualifier)
+    assert parse_value(cell, _def("TAC-QN-6")) == TypedValue(
+        ValueKind.RATIO, numerator / denominator, qualifier=qualifier)
 
 
 # ---------------------------------------------------------------------------
@@ -356,45 +356,50 @@ def test_format_parse_round_trip_property_ratio(numerator, denominator, qualifie
 
 
 def test_coerce_months_to_weeks():
-    value = coerce_unit(number(6, unit="months"), "months", _def("COM-QN-8"))
+    months = TypedValue(ValueKind.NUMBER, 6.0, unit="months")
+    value = coerce_unit(months, "months", _def("COM-QN-8"))
     assert value.value == pytest.approx(26.07)
     assert value.unit is None
 
 
 def test_coerce_identity_weeks():
-    value = coerce_unit(number(18, unit="weeks"), "weeks", _def("COM-QN-8"))
+    value = coerce_unit(TypedValue(ValueKind.NUMBER, 18.0, unit="weeks"), "weeks",
+                        _def("COM-QN-8"))
     assert value.value == 18
 
 
 def test_coerce_identity_money():
-    value = money(5000)
+    value = TypedValue(ValueKind.MONEY, 5000.0, "USD")
     assert coerce_unit(value, "USD", _def("FAO-QN-2")) == value
 
 
 def test_coerce_years_to_weeks():
-    value = coerce_unit(number(2, unit="years"), "years", _def("COM-QN-7"))
+    value = coerce_unit(TypedValue(ValueKind.NUMBER, 2.0, unit="years"), "years", _def("COM-QN-7"))
     assert value.value == pytest.approx(2 * 52.14)
 
 
 def test_coerce_rejects_non_time_mismatch():
     with pytest.raises(UnitError):
-        coerce_unit(number(5), "headcount", _def("FAO-QN-2"))
+        coerce_unit(TypedValue(ValueKind.NUMBER, 5.0), "headcount", _def("FAO-QN-2"))
     # Money and token amounts are currency: only a USD indicator takes them,
     # whatever unit the row claims.
-    for value, indicator, unit in [(money(5), "COM-QN-7", None),
-                                   (money(5), "COM-QN-7", "weeks"),
-                                   (money(5), "PSO-QN-1", None),
-                                   (token_amount(5, "OP"), "COM-QN-1", None),
-                                   (token_amount(5, "OP"), "COM-QN-1", "headcount")]:
+    money = TypedValue(ValueKind.MONEY, 5.0, "USD")
+    tokens = TypedValue(ValueKind.TOKEN_AMOUNT, 5.0, "OP")
+    for value, indicator, unit in [(money, "COM-QN-7", None),
+                                   (money, "COM-QN-7", "weeks"),
+                                   (money, "PSO-QN-1", None),
+                                   (tokens, "COM-QN-1", None),
+                                   (tokens, "COM-QN-1", "headcount")]:
         with pytest.raises(UnitError):
             coerce_unit(value, unit, _def(indicator))
     usd = _def("FAO-QN-2")._replace(unit="usd")
-    assert coerce_unit(money(5), None, usd) == money(5)
-    assert coerce_unit(token_amount(5, "OP"), None, usd) == token_amount(5, "OP")
+    assert coerce_unit(money, None, usd) == TypedValue(ValueKind.MONEY, 5.0, "USD")
+    assert coerce_unit(tokens, None, usd) == TypedValue(ValueKind.TOKEN_AMOUNT, 5.0, "OP")
 
 
 def test_coerce_twice_is_identity():
-    once = coerce_unit(number(6, unit="months"), "months", _def("COM-QN-8"))
+    months = TypedValue(ValueKind.NUMBER, 6.0, unit="months")
+    once = coerce_unit(months, "months", _def("COM-QN-8"))
     assert coerce_unit(once, "weeks", _def("COM-QN-8")).value == pytest.approx(once.value)
 
 
@@ -451,6 +456,9 @@ def test_rubric_rows_accepted_and_range_checked():
     assert ds.rubric == {"governance": 4}
     with pytest.raises(RubricRangeError):
         load_program_dataset("program|X\ngovernance|6\n", SCHEMA)
+    # int() reads "0_3" as 3; a rubric score has no digit separators.
+    with pytest.raises(ParseError, match="^line 2: rubric score '0_3' is not an integer$"):
+        load_program_dataset("program|X\ngovernance|0_3\n", SCHEMA)
 
 
 def test_missing_program_header_rejected():
@@ -635,7 +643,7 @@ def test_load_rates():
         load_rates("ARB|zero\n")
     with pytest.raises(ParseError):
         load_rates("ARB|0.5\nARB|0.6\n")
-    for bad in ("nan", "inf", "-inf", "0"):
+    for bad in ("nan", "inf", "-inf", "0", "0_5"):
         with pytest.raises(ParseError):
             load_rates(f"ARB|{bad}\n")
     with pytest.raises(ParseError):
@@ -671,7 +679,8 @@ def test_validate_rubric_only_dataset():
 
 def test_validate_rejects_an_indicator_the_schema_lacks():
     # A dataset built in code, whose id no loader checked.
-    dataset = ProgramDataset("A", {"FAO-QN-99": Observation("FAO-QN-99", "5", number(5))}, {})
+    five = TypedValue(ValueKind.NUMBER, 5.0)
+    dataset = ProgramDataset("A", {"FAO-QN-99": Observation("FAO-QN-99", "5", five)}, {})
     with pytest.raises(UnknownIndicator, match="^indicator 'FAO-QN-99' not present"):
         validate_dataset(dataset, SCHEMA)
 
@@ -685,7 +694,8 @@ def test_a_word_under_a_scorable_indicator_is_excluded_as_non_scorable(kind):
     assert scoring_status(TypedValue(kind), definition) == (None, "non-scorable")
     a = ProgramDataset("A", {"COM-QN-1": Observation("COM-QN-1", "many", TypedValue(kind))},
                        {"governance": 4})
-    b = ProgramDataset("B", {"COM-QN-1": Observation("COM-QN-1", "3", number(3))}, {})
+    three = TypedValue(ValueKind.NUMBER, 3.0)
+    b = ProgramDataset("B", {"COM-QN-1": Observation("COM-QN-1", "3", three)}, {})
     records = [{rec.indicator: rec for rec in result.audit}["COM-QN-1"]
                for result in score_datasets([a, b], SCHEMA, allow_partial=True)[1]]
     assert [(rec.exclusion, rec.score) for rec in records] == [("non-scorable", None), (None, 0.5)]

@@ -15,7 +15,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gmi.errors import PartialDataError
-from gmi.ingest import Observation, ProgramDataset, number, validate_dataset
+from gmi.ingest import Observation, ProgramDataset, TypedValue, ValueKind, validate_dataset
 from gmi.rubric import builtin_template
 from gmi.schema import (
     Category,
@@ -181,7 +181,8 @@ def make_instance(rng: random.Random):
         for ind_id, _, _ in indicators:
             v = values.get((p, ind_id))
             if v is not None:
-                observations[ind_id] = Observation(ind_id, raw=repr(v), value=number(v))
+                observations[ind_id] = Observation(ind_id, raw=repr(v),
+                                                   value=TypedValue(ValueKind.NUMBER, v))
         datasets.append(ProgramDataset(program=p, observations=observations,
                                        rubric=per_program_rubric[p]))
     return programs, schema, indicators, values, rubric_answers, datasets

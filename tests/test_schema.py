@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from gmi.bundled import bundled_category_table_path, bundled_program_paths
 from gmi.errors import ParseError, SchemaError
-from gmi.ingest import load_program_dataset, load_rates, number, scoring_status
+from gmi.ingest import TypedValue, ValueKind, load_program_dataset, load_rates, scoring_status
 from gmi.report import parse_structured, render_comparison
 from gmi.schema import (
     Category,
@@ -251,6 +251,6 @@ def test_every_valid_schema_round_trips_through_its_document(changes, container)
         return
     reloaded = load_schema(dump_schema(schema))
     assert reloaded == schema
-    code = number(2, is_code=True)
+    code = TypedValue(ValueKind.NUMBER, 2.0, is_code=True)
     for ind in schema.indicators:
         assert scoring_status(code, ind) == scoring_status(code, reloaded.get(ind.id))

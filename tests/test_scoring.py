@@ -23,9 +23,7 @@ from gmi.ingest import (
     Qualifier,
     TypedValue,
     ValidationReport,
-    money,
-    number,
-    token_amount,
+    ValueKind,
 )
 from gmi.rubric import Criterion, RubricTemplate, rubric_to_unit
 from gmi.schema import (
@@ -155,8 +153,9 @@ def test_rubric_to_unit_anchors():
 def test_an_out_of_range_answer_of_a_built_dataset_is_rejected(bad):
     # A dataset built in code skips read_answer's check; collect_responses
     # checks every dataset that scoring reads.
-    datasets = [_dataset("A", {"COM-QN-1": number(3)}, {"governance": bad}),
-                _dataset("B", {"COM-QN-1": number(5)})]
+    datasets = [_dataset("A", {"COM-QN-1": TypedValue(ValueKind.NUMBER, 3.0)},
+                         {"governance": bad}),
+                _dataset("B", {"COM-QN-1": TypedValue(ValueKind.NUMBER, 5.0)})]
     with pytest.raises(RubricRangeError, match=f"^rubric score {bad} for criterion 'governance'"):
         score_datasets(datasets, builtin_schema(), allow_partial=True)
 
@@ -306,8 +305,9 @@ def _full_rubric(score: int) -> dict[str, int]:
 def test_score_datasets_tokens_excluded_without_rates():
     schema = builtin_schema()
     datasets = [
-        _dataset("A", {"FAO-QN-2": money(1000)}, _full_rubric(3)),
-        _dataset("B", {"FAO-QN-2": token_amount(2000, "ARB")}, _full_rubric(3)),
+        _dataset("A", {"FAO-QN-2": TypedValue(ValueKind.MONEY, 1000.0, "USD")}, _full_rubric(3)),
+        _dataset("B", {"FAO-QN-2": TypedValue(ValueKind.TOKEN_AMOUNT, 2000.0, "ARB")},
+                 _full_rubric(3)),
     ]
     matrix, _ = score_datasets(datasets, schema, allow_partial=True)
     assert matrix.entries[("B", "FAO-QN-2")] == Excluded("token-unconverted")
@@ -316,13 +316,15 @@ def test_score_datasets_tokens_excluded_without_rates():
 
 def test_score_datasets_rejects_an_indicator_the_schema_lacks():
     # A dataset loaded against one schema and scored against another.
-    datasets = [_dataset("A", {"FAO-QN-99": money(1000)}, _full_rubric(3))]
+    datasets = [_dataset("A", {"FAO-QN-99": TypedValue(ValueKind.MONEY, 1000.0, "USD")},
+                         _full_rubric(3))]
     with pytest.raises(UnknownIndicator, match="FAO-QN-99"):
         score_datasets(datasets, builtin_schema(), allow_partial=True)
 
 
 def test_score_datasets_names_a_repeated_program():
-    datasets = [_dataset(name, {"FAO-QN-2": money(1000)}, _full_rubric(3))
+    datasets = [_dataset(name, {"FAO-QN-2": TypedValue(ValueKind.MONEY, 1000.0, "USD")},
+                         _full_rubric(3))
                 for name in ("A", "B", "C", "B")]
     with pytest.raises(ParseError, match="^duplicate program 'B'$"):
         score_datasets(datasets, builtin_schema(), allow_partial=True)
@@ -331,8 +333,9 @@ def test_score_datasets_names_a_repeated_program():
 def test_score_datasets_tokens_convert_with_rates():
     schema = builtin_schema()
     datasets = [
-        _dataset("A", {"FAO-QN-2": money(1000)}, _full_rubric(3)),
-        _dataset("B", {"FAO-QN-2": token_amount(2000, "ARB")}, _full_rubric(3)),
+        _dataset("A", {"FAO-QN-2": TypedValue(ValueKind.MONEY, 1000.0, "USD")}, _full_rubric(3)),
+        _dataset("B", {"FAO-QN-2": TypedValue(ValueKind.TOKEN_AMOUNT, 2000.0, "ARB")},
+                 _full_rubric(3)),
     ]
     matrix, _ = score_datasets(datasets, schema, rates={"ARB": 1.0}, allow_partial=True)
     assert matrix.entries[("A", "FAO-QN-2")] == 0.0
@@ -342,8 +345,10 @@ def test_score_datasets_tokens_convert_with_rates():
 def test_score_datasets_codes_need_explicit_direction():
     schema = builtin_schema()
     datasets = [
-        _dataset("A", {"PSO-QN-1": number(1, is_code=True)}, _full_rubric(3)),
-        _dataset("B", {"PSO-QN-1": number(0, is_code=True)}, _full_rubric(3)),
+        _dataset("A", {"PSO-QN-1": TypedValue(ValueKind.NUMBER, 1.0, is_code=True)},
+                 _full_rubric(3)),
+        _dataset("B", {"PSO-QN-1": TypedValue(ValueKind.NUMBER, 0.0, is_code=True)},
+                 _full_rubric(3)),
     ]
     matrix, _ = score_datasets(datasets, schema, allow_partial=True)
     assert matrix.entries[("A", "PSO-QN-1")] == Excluded("non-scorable")
@@ -370,8 +375,8 @@ def test_score_datasets_lower_better_direction():
         "FAO-QN-6|FAO|quantitative|numeric|weeks|lower-better|"))
     assert schema.get("FAO-QN-6").direction is Direction.LOWER_BETTER
     datasets = [
-        _dataset("A", {"FAO-QN-6": number(2)}, _full_rubric(3)),
-        _dataset("B", {"FAO-QN-6": number(4)}, _full_rubric(3)),
+        _dataset("A", {"FAO-QN-6": TypedValue(ValueKind.NUMBER, 2.0)}, _full_rubric(3)),
+        _dataset("B", {"FAO-QN-6": TypedValue(ValueKind.NUMBER, 4.0)}, _full_rubric(3)),
     ]
     matrix, _ = score_datasets(datasets, schema, allow_partial=True)
     assert matrix.entries[("A", "FAO-QN-6")] == 1.0
@@ -381,13 +386,15 @@ def test_score_datasets_lower_better_direction():
 def test_score_datasets_rubric_counts_as_one_element():
     schema = builtin_schema()
     datasets = [
-        _dataset("A", {"FAO-QN-2": money(0), "FAO-QN-3": money(0)},
+        _dataset("A", {"FAO-QN-2": TypedValue(ValueKind.MONEY, 0.0, "USD"),
+                       "FAO-QN-3": TypedValue(ValueKind.MONEY, 0.0, "USD")},
                  {"alignment-with-ecosystem-needs": 5,
                   "diversity-of-supported-projects": 5,
                   **{k: 3 for k in ("clarity-of-objectives", "organizational-clarity",
                                     "governance",
                                     "community-participation-and-engagement")}}),
-        _dataset("B", {"FAO-QN-2": money(100), "FAO-QN-3": money(100)},
+        _dataset("B", {"FAO-QN-2": TypedValue(ValueKind.MONEY, 100.0, "USD"),
+                       "FAO-QN-3": TypedValue(ValueKind.MONEY, 100.0, "USD")},
                  _full_rubric(3)),
     ]
     _, (a, b) = score_datasets(datasets, schema, allow_partial=True)
@@ -400,8 +407,8 @@ def test_score_datasets_rubric_counts_as_one_element():
 def test_score_datasets_program_order_is_input_order():
     schema = builtin_schema()
     datasets = [
-        _dataset("Z", {"FAO-QN-2": money(10)}, _full_rubric(3)),
-        _dataset("A", {"FAO-QN-2": money(20)}, _full_rubric(3)),
+        _dataset("Z", {"FAO-QN-2": TypedValue(ValueKind.MONEY, 10.0, "USD")}, _full_rubric(3)),
+        _dataset("A", {"FAO-QN-2": TypedValue(ValueKind.MONEY, 20.0, "USD")}, _full_rubric(3)),
     ]
     matrix, results = score_datasets(datasets, schema, allow_partial=True)
     assert [r.program for r in matrix.results] == ["Z", "A"]
@@ -442,7 +449,7 @@ def test_load_category_table_errors():
         load_category_table(
             "program|FAO|PSO|GOV|EFI|TAC|COM\nX|1|2|3|4|5|6\nX|1|2|3|4|5|6\n"
         )
-    for bad in ("nan", "inf", "-inf"):
+    for bad in ("nan", "inf", "-inf", "0_5"):
         with pytest.raises(ParseError):
             load_category_table(f"program|FAO|PSO|GOV|EFI|TAC|COM\nX|1|2|{bad}|4|5|6\n")
     with pytest.raises(ParseError, match="^category table has no program rows$"):
@@ -465,7 +472,7 @@ def _record_samples():
     value for that field."""
     schema = builtin_schema()
     definition = schema.get("COM-QN-2")
-    value = number(3.5, qualifier=Qualifier.APPROX_LOWER_BOUND)
+    value = TypedValue(ValueKind.NUMBER, 3.5, qualifier=Qualifier.APPROX_LOWER_BOUND)
     observation = Observation("COM-QN-2", ">3.5", value)
     audit = AuditRecord("COM-QN-2", ">3.5", 1.0, 4.0, 0.8333, None,
                         Qualifier.APPROX_LOWER_BOUND)
@@ -531,8 +538,8 @@ def test_copies_of_a_definition_start_with_empty_memos():
     schema = builtin_schema()
     definition = schema.get("COM-QN-2")
     assert definition.parsed_cells == {} and schema.observed_lines == {}
-    definition.parsed_cells["3"] = number(3)
-    schema.observed_lines["COM-QN-2|3"] = (definition, Observation("COM-QN-2", "3", number(3)))
+    three = definition.parsed_cells["3"] = TypedValue(ValueKind.NUMBER, 3.0)
+    schema.observed_lines["COM-QN-2|3"] = (definition, Observation("COM-QN-2", "3", three))
     assert definition.scorable
     for twin in (definition._replace(), copy.copy(definition), copy.deepcopy(definition),
                  pickle.loads(pickle.dumps(definition))):
@@ -574,9 +581,9 @@ def _rebuild(route, record, field=None, value=None):
 @pytest.mark.parametrize("route", _REBUILDS)
 def test_every_rebuild_runs_the_constructor_checks(route):
     with pytest.raises(ValueError, match="not a finite number"):
-        _rebuild(route, number(3), "value", math.inf)
+        _rebuild(route, TypedValue(ValueKind.NUMBER, 3.0), "value", math.inf)
     with pytest.raises(ValueError, match="^number values need a value$"):
-        _rebuild(route, number(3), "value", None)
+        _rebuild(route, TypedValue(ValueKind.NUMBER, 3.0), "value", None)
     # An indicator keeps the direction it is rebuilt with, whichever it is.
     definition = IndicatorDef("COM-QN-2", Category.COM, Kind.QUANTITATIVE, DataType.NUMERIC,
                               "headcount", Direction.LOWER_BETTER, "Applicants")
@@ -587,8 +594,8 @@ def test_every_rebuild_runs_the_constructor_checks(route):
     # Records with memos: every rebuild starts with none of them filled.
     schema = builtin_schema()
     definition = schema.get("COM-QN-2")
-    definition.parsed_cells["3"] = number(3)
-    schema.observed_lines["COM-QN-2|3"] = (definition, Observation("COM-QN-2", "3", number(3)))
+    three = definition.parsed_cells["3"] = TypedValue(ValueKind.NUMBER, 3.0)
+    schema.observed_lines["COM-QN-2|3"] = (definition, Observation("COM-QN-2", "3", three))
     for record in (definition, schema):
         assert vars(record)
         twin = _rebuild(route, record)
