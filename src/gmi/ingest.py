@@ -56,21 +56,28 @@ first field is read as a rubric criterion id with an integer 1..5 score, or
 a blank score for an unanswered criterion, as ``gmi survey template``
 prints them.  An answered row must name a builtin criterion.
 
-Observation lines repeat across a cohort (flags, codes, platforms,
-placeholders), so ingest memoises at two levels.  ``schema.observed_lines``
-maps each observation line read without error to ``(definition, finished
-Observation)``; the Observation holds the indicator id and the raw cell.
-``load_program_dataset`` looks up every line after the program record
-there.  A hit runs only the per-file duplicate check, the cell's
-``parse_value`` call (perfbench's trace counts one per observation row) and
-the store, and shares the immutable Observation; a miss takes the full path
-of filter, split, row checks, parse, unit annotation and ``coerce_unit``.
-Below it, ``definition.parsed_cells`` maps each raw cell to its TypedValue.
-Only successes are stored: an error is raised afresh every time it is met,
-and any error raised while reading a row names the row's line.  Both memos
-start empty when their owner is built, copied or unpickled
-(``builtin_schema()`` builds a fresh schema per call); a long-lived schema
-keeps one entry per distinct line and cell.
+Lines repeat across a cohort (flags, codes, platforms, placeholders,
+survey answers, comments), so ingest memoises at two levels.
+``schema.observed_lines`` maps each line after the program record that was
+read without error to what it holds: ``(definition, finished
+Observation)`` for an observation row, ``(None, (criterion id, score))``
+for an answered rubric row and ``(None, None)`` for a comment, a blank
+line or an unanswered rubric row.  ``load_program_dataset`` looks up every
+such line there.  A hit runs only the per-file duplicate check and the
+store; an observation hit also makes the cell's ``parse_value`` call
+(perfbench's trace counts one per observation row) and shares the
+immutable Observation.  A miss takes the full path of filter, split, row
+checks, parse, unit annotation and ``coerce_unit``.  Below it,
+``definition.parsed_cells`` maps each raw cell to its TypedValue; a
+successful parse depends only on the cell text, the data type and the
+code flag (``unit == "scoring"``), so ``load_schema`` gives all the
+definitions of one data type and code flag one shared dict.  Only
+successes are stored: an error, which names the definition's id, is
+raised afresh every time it is met, and any error raised while reading a
+row names the row's line.  Both memos belong to one loaded schema and
+start empty when it is built, copied or unpickled (``builtin_schema()``
+builds a fresh schema per call); a long-lived schema keeps one entry per
+distinct line and per distinct cell of each parse class.
 
 Per-row and per-cell code compares kinds, qualifiers and data types with
 module-level bindings of the Enum members made at import (``_NUMBER``,
@@ -278,8 +285,9 @@ def _parse_country(body: str, raw: str, definition: IndicatorDef,
 def parse_value(raw: str, definition: IndicatorDef) -> TypedValue:
     """Parse one raw cell under *definition*'s declared data type.
 
-    A successful parse is kept in ``definition.parsed_cells``; a cell that
-    fails is parsed again, and fails again, on every call.
+    A successful parse is kept in ``definition.parsed_cells``, which the
+    definitions of one parse class share; a cell that fails is parsed
+    again, and fails again, on every call.
     """
     memo = definition.parsed_cells
     value = memo.get(raw)
@@ -402,6 +410,10 @@ class ProgramDataset(Record, namedtuple("ProgramDataset", ("program", "observati
     rubric: dict[str, int]
 
 
+#: The line memo's entry for a comment or a blank line.
+_SKIPPED = (None, None)
+
+
 def load_program_dataset(source: bytes | str, schema: Schema) -> ProgramDataset:
     """Load one program's observation file against *schema*, through the
     schema's line memo (see the module docstring)."""
@@ -426,15 +438,22 @@ def load_program_dataset(source: bytes | str, schema: Schema) -> ProgramDataset:
         for line_no, line in enumerate(lines[start:], start=start + 1):
             hit = memo.get(line)
             if hit is not None:
-                definition, observation = hit
-                key = observation.indicator_id
+                definition, entry = hit
+                if definition is None:  # a rubric row or a skipped line
+                    if entry is not None:
+                        if entry[0] in answers:
+                            raise _duplicate_answer(lines, start, entry[0])
+                        answers[entry[0]] = entry[1]
+                    continue
+                key = entry.indicator_id
                 if key in observations:
                     raise DuplicateIndicator(key, _first_row(lines, start, key))
-                parse_value(observation.raw, definition)  # one per row: see the module docstring
-                observations[key] = observation
+                parse_value(entry.raw, definition)  # one per row: see the module docstring
+                observations[key] = entry
                 continue
             fields = record_fields(line)
             if fields is None:
+                memo[line] = _SKIPPED
                 continue
             key = fields[0]
             # Every schema id matches the indicator id pattern, so the pattern
@@ -470,16 +489,23 @@ def load_program_dataset(source: bytes | str, schema: Schema) -> ProgramDataset:
                 raise ParseError("a second program record; a file holds one program")
             elif INDICATOR_ID_PATTERN.match(key.upper()):
                 raise ParseError(f"indicator id {key!r} must be upper-case")
-            elif (answer := rubric.read_answer(fields)) is not None:
-                if answer[0] in answers:
-                    raise ParseError(f"duplicate rubric row for {answer[0]!r} "
-                                     f"(first on line {_first_row(lines, start, answer[0])})")
-                answers[answer[0]] = answer[1]
+            else:
+                answer = rubric.read_answer(fields)  # None when unanswered
+                if answer is not None:
+                    if answer[0] in answers:
+                        raise _duplicate_answer(lines, start, answer[0])
+                    answers[answer[0]] = answer[1]
+                memo[line] = (None, answer)
     except GmiError as exc:  # every row error names its line
         exc.args = (f"line {line_no}: {exc}",)
         raise
 
     return _new(ProgramDataset, (program, observations, answers))
+
+
+def _duplicate_answer(lines: list[str], start: int, criterion: str) -> ParseError:
+    return ParseError(f"duplicate rubric row for {criterion!r} "
+                      f"(first on line {_first_row(lines, start, criterion)})")
 
 
 def _first_row(lines: list[str], start: int, key: str) -> int:

@@ -64,7 +64,7 @@ def _table_rows(results: Sequence[GmiResult]) -> list[list[str]]:
 
 def _encoded(lines: Iterable[str]) -> bytes:
     """*lines*, each ended by a newline, as UTF-8; no lines give ``b""``."""
-    return "".join(f"{line}\n" for line in lines).encode("utf-8")
+    return "\n".join([*lines, ""]).encode("utf-8")
 
 
 def _exclusions(result: GmiResult) -> list[tuple[str, str, str, str]]:

@@ -176,9 +176,11 @@ class IndicatorDef(Record, namedtuple("IndicatorDef", (
     @cached_property
     def parsed_cells(self) -> dict:
         """``ingest.parse_value``'s successful results, keyed by raw cell.
-        A parse depends only on the cell text and this definition, so an
-        entry is valid for as long as the definition lives.  It is no
-        field: copies, ``_replace`` and pickles start with it empty."""
+        A successful parse depends only on the cell text, the data type and
+        the code flag (``unit == "scoring"``), so ``load_schema`` gives the
+        definitions of one data type and code flag one shared dict.  It is
+        no field: copies, ``_replace`` and pickles start with their own,
+        empty."""
         return {}
 
     def validate(self) -> None:
@@ -230,9 +232,11 @@ class Schema(Record, namedtuple("Schema", ("indicators",))):
 
     @cached_property
     def observed_lines(self) -> dict:
-        """``ingest.load_program_dataset``'s memo of observation lines read
-        under this schema: line text -> (definition, finished Observation).
-        It is no field either, so copies and pickles start with it empty."""
+        """``ingest.load_program_dataset``'s memo of every line read without
+        error under this schema: line text -> (definition, finished
+        Observation) for an observation row, (None, (criterion id, score))
+        for an answered rubric row and (None, None) for a line it skips.  It
+        is no field either, so copies and pickles start with it empty."""
         return {}
 
     def validate(self) -> None:
@@ -329,6 +333,9 @@ def load_schema(source: bytes | str) -> Schema:
 
     schema = Schema(indicators=tuple(indicators))
     schema.validate()
+    memos: dict[tuple[DataType | None, bool], dict] = {}
+    for ind in indicators:  # one cell memo per parse class (see parsed_cells)
+        ind.parsed_cells = memos.setdefault((ind.data_type, ind.unit == "scoring"), {})
     return schema
 
 

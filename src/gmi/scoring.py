@@ -13,14 +13,19 @@ column routine returns its audit records in the same order, so every
 per-program row is read by transposing columns with ``zip``, never by
 program name.
 
-Cells repeat down a column, so the column routine maps each distinct cell
-``(value, reason, raw, qualifier)`` to its value, hands that map to
-``minmax_normalize`` once per column, and builds one frozen
-``AuditRecord`` per distinct cell, shared by every program whose cell is
-identical; the maps are local to the call.  ``score_datasets`` sends every
-observed column through it, scorable or not, and returns the results with a
-``ScoreMatrix`` that reads its ``entries`` from them on each access.  Each
-result holds its own category inputs in ``category_scores``.
+Cells repeat down a column, so the column routine takes a column's
+distinct cells, each under a key, and each program's key; it hands
+``minmax_normalize`` one map of the distinct cells' values per column and
+builds one frozen ``AuditRecord`` per distinct cell, shared by every
+program with its key.  ``score_datasets`` keys a cell by its
+Observation's identity: ingest reads identical lines into one shared
+Observation, so records are shared per distinct observation line, and two
+different lines with equal cells (``5`` and ``5|headcount``) get equal but
+separate records.  ``compute_gmi`` keys each category cell by the cell
+itself.  ``score_datasets`` sends every observed column through the
+routine, scorable or not, and returns the results with a ``ScoreMatrix``
+that reads its ``entries`` from them on each access.  Each result holds
+its own category inputs in ``category_scores``.
 
 Layer order: this module sits above ``ingest`` and below ``report``.
 """
@@ -177,32 +182,32 @@ def _format_score(x: float) -> str:
 
 def _score_column(
     indicator: str,
-    cells: Sequence[tuple[float | None, str | None, str, Qualifier]],
+    cells: Mapping[Hashable, tuple[float | None, str | None, str, Qualifier]],
+    keys: Sequence[Hashable],
     direction: Direction = Direction.HIGHER_BETTER,
 ) -> list[AuditRecord]:
     """Min-max one column across the cohort; both passes use this.
 
-    *cells* holds each program's cell, in program order: value, exclusion
-    reason, raw text and qualifier; the value is None exactly when the
-    reason is not.  Returns each program's audit record in the same order,
-    holding its directed score or its exclusion and the column's bounds.
-    Each distinct cell is normalised once and gets one record, shared by
-    every program with that cell.  The whole cell tuple is the key: its raw
-    text keeps ``0`` and ``-0`` apart, which compare equal as floats yet
-    score as ``0.0000`` and ``-0.0000``.  Raises ParseError when the
-    column's range overflows a float (``column_bounds``).
+    *cells* maps each distinct key to its cell: value, exclusion reason,
+    raw text and qualifier; the value is None exactly when the reason is
+    not.  *keys* holds each program's key, in program order.  Returns each
+    program's audit record in the same order, holding its directed score or
+    its exclusion and the column's bounds.  Each distinct cell is
+    normalised once and gets one record, shared by every program with its
+    key.  Raises ParseError when the column's range overflows a float
+    (``column_bounds``).
     """
-    values = {cell: cell[0] for cell in dict.fromkeys(cells)}
+    values = {key: cell[0] for key, cell in cells.items()}
     lo, hi = column_bounds(indicator, values.values())
     # Distinct cells keep their first program's order, so the bounds, and
     # which of 0.0 and -0.0 is one, are those of the whole column.
-    records = {
-        cell: _new(AuditRecord, (indicator, cell[2], lo, hi,
-                                 None if cell[1] else directional_score(entry, direction),
-                                 cell[1], cell[3]))
-        for cell, entry in minmax_normalize(values).items()
-    }
-    return list(map(records.__getitem__, cells))
+    records = {}
+    for key, entry in minmax_normalize(values).items():
+        _, reason, raw, qualifier = cells[key]
+        records[key] = _new(AuditRecord, (indicator, raw, lo, hi,
+                                          None if reason else directional_score(entry, direction),
+                                          reason, qualifier))
+    return list(map(records.__getitem__, keys))
 
 
 def _rows(columns: list[list], count: int):
@@ -234,12 +239,14 @@ def compute_gmi(category_scores: Mapping[str, Mapping[Category, float]],
 
     columns = []
     for cat in CATEGORIES:
+        # The whole cell is the key: its text keeps 0.0 and -0.0 apart,
+        # which compare equal as floats yet print differently.
         cells = []
         for scores in rows:
             value = scores.get(cat)
             cells.append((None, "missing", "n.a.", _EXACT) if value is None
                          else (value, None, _format_score(value), _EXACT))
-        columns.append(_score_column(cat.roll_up, cells))
+        columns.append(_score_column(cat.roll_up, dict(zip(cells, cells)), cells))
 
     results: dict[str, GmiResult] = {}
     # zip(*columns) gives each program's six category records in order.
@@ -286,21 +293,29 @@ def score_datasets(
         definition = schema.get(indicator_id)
         if definition is None:
             raise UnknownIndicator(indicator_id)
-        cells = [
-            _ABSENT_CELL if obs is None
-            else scoring_status(value := obs.value, definition, rates) + (obs.raw, value.qualifier)
-            for obs in map(dict.get, observations, repeat(indicator_id))
-        ]
-        column = _score_column(indicator_id, cells, definition.direction)
+        column = list(map(dict.get, observations, repeat(indicator_id)))
+        # Identical lines share one Observation, so its identity keys the
+        # column's distinct cells; a program without a row has key id(None).
+        keys = list(map(id, column))
+        cells = {}
+        for key, obs in zip(keys, column):
+            if obs is None:
+                cells[key] = _ABSENT_CELL
+                continue
+            # One scoring_status call per row, which perfbench counts.
+            status = scoring_status(obs.value, definition, rates)
+            if key not in cells:
+                cells[key] = (*status, obs.raw, obs.value.qualifier)
+        records = _score_column(indicator_id, cells, keys, definition.direction)
         if definition.scorable:
             # A record's score is None exactly when it carries an exclusion.
-            scored[definition.category].append(list(map(_SCORE, column)))
+            scored[definition.category].append(list(map(_SCORE, records)))
         else:
             # Every observed cell reads "non-scorable", with no bounds; a
             # program without a row leaves no record.
-            column = [None if cell is _ABSENT_CELL else record
-                      for cell, record in zip(cells, column)]
-        columns.append(column)
+            records = [None if obs is None else record
+                       for obs, record in zip(column, records)]
+        columns.append(records)
 
     count = len(datasets)
     category_scores: dict[str, dict[Category, float]] = {}

@@ -479,7 +479,7 @@ def test_unit_annotation_matching_declared_unit_is_identity():
 
 
 # ---------------------------------------------------------------------------
-# Per-definition memos of parsed cells and finished observations
+# The memos of parsed cells and of lines read
 # ---------------------------------------------------------------------------
 
 
@@ -532,7 +532,51 @@ def test_signed_zeros_keep_their_signs():
         assert math.copysign(1.0, parse_value(raw, schema.get("COM-QN-1")).value) == sign
 
 
-def test_memos_belong_to_one_definition():
+def test_definitions_of_one_parse_class_share_their_parsed_cells():
+    schema = builtin_schema()
+    load_program_dataset("program|X\nFAO-QN-2|$5,000\n", schema)
+    # FAO-QN-2 (USD) and COM-QN-1 (headcount) are both numeric, neither a code.
+    assert schema.get("COM-QN-1").parsed_cells["$5,000"].value == 5000
+    assert schema.get("FAO-QN-2").parsed_cells is schema.get("COM-QN-1").parsed_cells
+    # Under unit "scoring" the leading numeral is a code; elsewhere it is not.
+    code = parse_value("3 (retroactive)", schema.get("FAO-QN-9"))
+    assert "3 (retroactive)" not in schema.get("COM-QN-1").parsed_cells
+    plain = parse_value("3 (retroactive)", schema.get("COM-QN-1"))
+    assert (code.is_code, plain.is_code) == (True, False)
+    assert code.value == plain.value == 3
+    assert schema.get("FAO-QN-9").parsed_cells is schema.get("PSO-QN-1").parsed_cells
+    # A binary indicator under unit "scoring" is another class again.
+    assert schema.get("EFI-QN-1").parsed_cells is not schema.get("FAO-QN-9").parsed_cells
+
+
+def test_every_line_read_without_error_is_memoised():
+    schema = builtin_schema()
+    text = ("program|A\n# note\n\ngovernance|4\nclarity-of-objectives|\n"
+            "FAO-QN-2|$5,000\n")
+    first = load_program_dataset(text, schema)
+    lines = schema.observed_lines
+    assert lines["# note"] == lines[""] == lines["clarity-of-objectives|"] == (None, None)
+    assert lines["governance|4"] == (None, ("governance", 4))
+    assert "program|A" not in lines
+    with pytest.raises(RubricRangeError):
+        load_program_dataset("program|B\ngovernance|9\n", schema)
+    assert "governance|9" not in lines
+    again = load_program_dataset(text.replace("program|A", "program|C"), schema)
+    assert (again.rubric, again.observations) == (first.rubric, first.observations)
+
+
+def test_a_duplicate_rubric_row_met_through_the_memo_names_its_first_line():
+    schema = builtin_schema()
+    load_program_dataset("program|A\ngovernance|4\n", schema)
+    assert "governance|4" in schema.observed_lines
+    for text, line, first in (("program|B\n# note\ngovernance|4\ngovernance|4\n", 4, 3),
+                              ("program|B\ngovernance|\ngovernance|2\n\ngovernance|4\n", 5, 3)):
+        with pytest.raises(ParseError, match=rf"^line {line}: duplicate rubric row for "
+                                             rf"'governance' \(first on line {first}\)$"):
+            load_program_dataset(text, schema)
+
+
+def test_memos_belong_to_one_loaded_schema():
     builtin = builtin_schema()
     custom = load_schema(dump_schema(builtin).replace(
         "COM-QN-8|COM|quantitative|numeric|weeks|", "COM-QN-8|COM|quantitative|numeric|months|"))
@@ -541,10 +585,13 @@ def test_memos_belong_to_one_definition():
     assert load_program_dataset(row, builtin).observations["COM-QN-8"].value.value == 2
     in_months = load_program_dataset(row, custom).observations["COM-QN-8"].value.value
     assert in_months == pytest.approx(2 / 4.345)
-    # A fresh schema, and a copy of a definition, start with empty memos.
+    # A fresh schema, and a copy of a definition, start with empty memos;
+    # a copy's cell memo is its own.
     assert builtin_schema().observed_lines == {}
+    assert builtin_schema().get("COM-QN-8").parsed_cells == {}
     copied = builtin.get("COM-QN-8")._replace(description="copy")
     assert copied.parsed_cells == {}
+    assert copied.parsed_cells is not builtin.get("COM-QN-7").parsed_cells
     # A line memoised under one schema is unknown under a schema without
     # its indicator, though that schema shares the other definitions.
     assert "COM-QN-8|2|weeks" in builtin.observed_lines
@@ -601,7 +648,8 @@ def test_schema_copies_start_with_an_empty_line_memo():
 # Lines a test inserts into generated files: some were read without error
 # elsewhere in the cohort, the others fail in their own ways.
 _INSERTED = ("FAO-QN-7|Questbook", "TAC-QN-5|1", "COM-QN-8|18 weeks|months",
-             "COM-QN-1|lots of grants", "FAO-QN-99|1", "program|Again", "governance|4")
+             "COM-QN-1|lots of grants", "FAO-QN-99|1", "program|Again", "governance|4",
+             "governance|", "# note", "", "governance|9", "FAO-QN-3|lots of grants")
 
 
 def _outcome(text: str, schema: Schema):

@@ -1,8 +1,10 @@
 """Shared audit records, the derived score matrix and chunked rendering.
 
-Scoring hands one frozen AuditRecord to every program whose cell in a
-column is identical.  These tests pin that the sharing never shows in the
-output bytes, that it is exactly as fine as the cell (raw text, column,
+Scoring hands one frozen AuditRecord to every program whose row in a
+column is the same observation line, which ingest reads once into one
+shared Observation; two different lines get two records even when their
+cells are equal.  These tests pin that the sharing never shows in the
+output bytes, that it is never coarser than the cell (raw text, column,
 sign of zero), that ScoreMatrix's derived maps equal maps built eagerly
 here, and that rendering holds little beyond the output itself.
 """
@@ -84,12 +86,13 @@ def test_sharing_never_changes_the_output_bytes(cohort_300):
 
 # Fails when every cell gets its own record.
 def test_identical_cells_in_one_column_share_one_record():
-    a, b, c, d = (_records(r) for r in _score_texts({
-        "A": "FAO-QN-2|$1,000\nFAO-QN-3|$1,000\nFAO-QN-7|Questbook\n",
-        "B": "FAO-QN-2|$1,000\nFAO-QN-3|$1000\nFAO-QN-7|Questbook\n",
+    results = _score_texts({
+        "A": "FAO-QN-2|$1,000\nFAO-QN-3|$1,000\nFAO-QN-7|Questbook\nCOM-QN-1|5\n",
+        "B": "FAO-QN-2|$1,000\nFAO-QN-3|$1000\nFAO-QN-7|Questbook\nCOM-QN-1|5|headcount\n",
         "C": "FAO-QN-2|$1,000\nFAO-QN-3|$5,000\n",
         "D": "FAO-QN-3|$5,000\n",
-    }))
+    })
+    a, b, c, d = (_records(r) for r in results)
     # Identical cells: scored, absent, and unscorable ones.
     assert a["FAO-QN-2"] is b["FAO-QN-2"] is c["FAO-QN-2"]
     assert c["FAO-QN-3"] is d["FAO-QN-3"]
@@ -101,6 +104,12 @@ def test_identical_cells_in_one_column_share_one_record():
     # The same text in another column.
     assert a["FAO-QN-2"] is not a["FAO-QN-3"]
     assert a["FAO-QN-2"].raw == a["FAO-QN-3"].raw
+    # Two different lines with one cell: two records, one printed line.
+    assert a["COM-QN-1"] is not b["COM-QN-1"]
+    assert a["COM-QN-1"] == b["COM-QN-1"]
+    line = b"\naudit|COM-QN-1|5|5.0000|5.0000|score|0.5000|exact\n"
+    blocks = render_comparison(results, "structured").split(b"\nprogram|")
+    assert [block.count(line) for block in blocks[1:]] == [1, 1, 0, 0]
 
 
 # 0.0 == -0.0 and both hash alike, yet they render differently: a sharing
