@@ -19,7 +19,6 @@ import argparse
 import gc
 import os
 import sys
-from pathlib import Path
 
 from .errors import EmptyCategory, GmiError, PartialDataError
 from .ingest import (check_distinct_programs, column_bounds, load_program_dataset, load_rates,
@@ -60,7 +59,8 @@ def _active_schema(path: str | None) -> Schema:
 
 def _emit(payload: bytes, out: str | None) -> None:
     if out:
-        Path(out).write_bytes(payload)
+        with open(out, "wb") as file:
+            file.write(payload)
     else:
         sys.stdout.buffer.write(payload)
         sys.stdout.buffer.flush()

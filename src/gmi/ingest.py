@@ -58,26 +58,27 @@ prints them.  An answered row must name a builtin criterion.
 
 Lines repeat across a cohort (flags, codes, platforms, placeholders,
 survey answers, comments), so ingest memoises at two levels.
-``schema.observed_lines`` maps each line after the program record that was
-read without error to what it holds: ``(definition, finished
-Observation)`` for an observation row, ``(None, (criterion id, score))``
-for an answered rubric row and ``(None, None)`` for a comment, a blank
-line or an unanswered rubric row.  ``load_program_dataset`` looks up every
-such line there.  A hit runs only the per-file duplicate check and the
-store; an observation hit also makes the cell's ``parse_value`` call
+``schema.observed_lines`` caches ``_read_row``, which reads one line after
+the program record and raises for any fault the line has on its own: each
+line read without error maps to ``(definition, finished Observation)`` for
+an observation row, ``(None, (criterion id, score))`` for an answered
+rubric row and ``(None, None)`` for a comment, a blank line or an
+unanswered rubric row.  ``load_program_dataset`` runs the per-file checks,
+for a repeated indicator or answered criterion, on every row, hit or miss,
+so a row that repeats an indicator and has a fault of its own reports its
+own fault.  An observation hit also makes the cell's ``parse_value`` call
 (perfbench's trace counts one per observation row) and shares the
-immutable Observation.  A miss takes the full path of filter, split, row
-checks, parse, unit annotation and ``coerce_unit``.  Below it,
-``definition.parsed_cells`` maps each raw cell to its TypedValue; a
-successful parse depends only on the cell text, the data type and the
-code flag (``unit == "scoring"``), so ``load_schema`` gives all the
-definitions of one data type and code flag one shared dict.  Only
-successes are stored: an error, which names the definition's id, is
-raised afresh every time it is met, and any error raised while reading a
-row names the row's line.  Both memos belong to one loaded schema and
-start empty when it is built, copied or unpickled (``builtin_schema()``
-builds a fresh schema per call); a long-lived schema keeps one entry per
-distinct line and per distinct cell of each parse class.
+immutable Observation.  Below it, ``definition.parsed_cells`` maps each
+raw cell to its TypedValue; a successful parse depends only on the cell
+text, the data type and the code flag (``unit == "scoring"``), so
+``load_schema`` gives all the definitions of one data type and code flag
+one shared dict.  Only successes are stored: an error, which names the
+definition's id, is raised afresh every time it is met, and any error
+raised while reading a row names the row's line.  Both memos belong to
+one loaded schema and start empty when it is built, copied or unpickled
+(``builtin_schema()`` builds a fresh schema per call); a long-lived schema
+keeps one entry per distinct line and per distinct cell of each parse
+class.
 
 Per-row and per-cell code compares kinds, qualifiers and data types with
 module-level bindings of the Enum members made at import (``_NUMBER``,
@@ -410,7 +411,7 @@ class ProgramDataset(Record, namedtuple("ProgramDataset", ("program", "observati
     rubric: dict[str, int]
 
 
-#: The line memo's entry for a comment or a blank line.
+#: The line memo's entry for a comment, a blank line or an unanswered rubric row.
 _SKIPPED = (None, None)
 
 
@@ -436,66 +437,24 @@ def load_program_dataset(source: bytes | str, schema: Schema) -> ProgramDataset:
     memo = schema.observed_lines
     try:
         for line_no, line in enumerate(lines[start:], start=start + 1):
-            hit = memo.get(line)
-            if hit is not None:
-                definition, entry = hit
-                if definition is None:  # a rubric row or a skipped line
-                    if entry is not None:
-                        if entry[0] in answers:
-                            raise _duplicate_answer(lines, start, entry[0])
-                        answers[entry[0]] = entry[1]
-                    continue
-                key = entry.indicator_id
-                if key in observations:
-                    raise DuplicateIndicator(key, _first_row(lines, start, key))
-                parse_value(entry.raw, definition)  # one per row: see the module docstring
-                observations[key] = entry
-                continue
-            fields = record_fields(line)
-            if fields is None:
-                memo[line] = _SKIPPED
-                continue
-            key = fields[0]
-            # Every schema id matches the indicator id pattern, so the pattern
-            # is consulted only for a key the schema lacks.
-            definition = schema.get(key)
-            if definition is not None or INDICATOR_ID_PATTERN.match(key):
-                if len(fields) not in (2, 3):
-                    raise ParseError("observation rows have 2 or 3 fields")
-                if definition is None:
-                    raise UnknownIndicator(key)
-                if definition.kind is not _QUANTITATIVE:
-                    raise ParseError(f"{key} is a {definition.kind.value} indicator "
-                                     "and cannot be observed directly")
-                if key in observations:
-                    raise DuplicateIndicator(key, _first_row(lines, start, key))
-                raw = fields[1]
-                value = parse_value(raw, definition)
-                annotation = fields[2].lower() if len(fields) == 3 else None
-                if annotation:
-                    annotation = _CANONICAL_TIME.get(annotation.rstrip("s"), annotation)
-                inline = value.unit
-                if inline and annotation and inline != annotation:
-                    raise ParseError(f"unit annotation {annotation!r} contradicts "
-                                     f"inline unit {inline!r}")
-                try:
-                    value = coerce_unit(value, inline or annotation or definition.unit,
-                                        definition)
-                except ValueError as exc:  # the converted number is not finite
-                    raise ValueParseError(raw, key, str(exc)) from exc
-                observation = observations[key] = _new(Observation, (key, raw, value))
-                memo[line] = (definition, observation)
-            elif key.lower() == "program":
-                raise ParseError("a second program record; a file holds one program")
-            elif INDICATOR_ID_PATTERN.match(key.upper()):
-                raise ParseError(f"indicator id {key!r} must be upper-case")
+            entry = memo.get(line)
+            if entry is None:
+                definition, held = memo[line] = _read_row(line, schema)
             else:
-                answer = rubric.read_answer(fields)  # None when unanswered
-                if answer is not None:
-                    if answer[0] in answers:
-                        raise _duplicate_answer(lines, start, answer[0])
-                    answers[answer[0]] = answer[1]
-                memo[line] = (None, answer)
+                definition, held = entry
+                if definition is not None:  # one call per row: see the module docstring
+                    parse_value(held.raw, definition)
+            if definition is not None:
+                key = held.indicator_id
+                if key in observations:
+                    raise DuplicateIndicator(key, _first_row(lines, start, memo, key))
+                observations[key] = held
+            elif held is not None:
+                criterion, score = held
+                if criterion in answers:
+                    raise ParseError(f"duplicate rubric row for {criterion!r} (first on line "
+                                     f"{_first_row(lines, start, memo, criterion)})")
+                answers[criterion] = score
     except GmiError as exc:  # every row error names its line
         exc.args = (f"line {line_no}: {exc}",)
         raise
@@ -503,16 +462,53 @@ def load_program_dataset(source: bytes | str, schema: Schema) -> ProgramDataset:
     return _new(ProgramDataset, (program, observations, answers))
 
 
-def _duplicate_answer(lines: list[str], start: int, criterion: str) -> ParseError:
-    return ParseError(f"duplicate rubric row for {criterion!r} "
-                      f"(first on line {_first_row(lines, start, criterion)})")
+def _read_row(line: str, schema: Schema) -> tuple:
+    """What *line*, a line after the program record, holds under *schema*:
+    ``(definition, Observation)``, ``(None, (criterion id, score))`` or
+    ``_SKIPPED``.  Raises for any fault the line has on its own; the checks
+    across the rows of a file are the caller's."""
+    fields = record_fields(line)
+    if fields is None:
+        return _SKIPPED
+    key = fields[0]
+    # Every schema id matches the indicator id pattern, so the pattern is
+    # consulted only for a key the schema lacks.
+    definition = schema.get(key)
+    if definition is None and not INDICATOR_ID_PATTERN.match(key):
+        if key.lower() == "program":
+            raise ParseError("a second program record; a file holds one program")
+        if INDICATOR_ID_PATTERN.match(key.upper()):
+            raise ParseError(f"indicator id {key!r} must be upper-case")
+        return None, rubric.read_answer(fields)  # None when unanswered
+    if len(fields) not in (2, 3):
+        raise ParseError("observation rows have 2 or 3 fields")
+    if definition is None:
+        raise UnknownIndicator(key)
+    if definition.kind is not _QUANTITATIVE:
+        raise ParseError(f"{key} is a {definition.kind.value} indicator "
+                         "and cannot be observed directly")
+    raw = fields[1]
+    value = parse_value(raw, definition)
+    annotation = fields[2].lower() if len(fields) == 3 else None
+    if annotation:
+        annotation = _CANONICAL_TIME.get(annotation.rstrip("s"), annotation)
+    inline = value.unit
+    if inline and annotation and inline != annotation:
+        raise ParseError(f"unit annotation {annotation!r} contradicts inline unit {inline!r}")
+    try:
+        value = coerce_unit(value, inline or annotation or definition.unit, definition)
+    except ValueError as exc:  # the converted number is not finite
+        raise ValueParseError(raw, key, str(exc)) from exc
+    return definition, _new(Observation, (key, raw, value))
 
 
-def _first_row(lines: list[str], start: int, key: str) -> int:
-    """The line of the first row after line *start* that holds a value of *key*."""
+def _first_row(lines: list[str], start: int, memo: dict, key: str) -> int:
+    """The line of the first row after line *start* that holds a value of
+    *key*, the indicator or criterion id in the first field of what the
+    row holds; *memo* holds every line up to the row that repeats it."""
     for line_no, line in enumerate(lines[start:], start=start + 1):
-        fields = record_fields(line)
-        if fields and fields[0] == key and (fields[1] or INDICATOR_ID_PATTERN.match(key)):
+        held = memo[line][1]
+        if held is not None and held[0] == key:
             return line_no
 
 

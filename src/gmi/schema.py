@@ -232,11 +232,11 @@ class Schema(Record, namedtuple("Schema", ("indicators",))):
 
     @cached_property
     def observed_lines(self) -> dict:
-        """``ingest.load_program_dataset``'s memo of every line read without
-        error under this schema: line text -> (definition, finished
-        Observation) for an observation row, (None, (criterion id, score))
-        for an answered rubric row and (None, None) for a line it skips.  It
-        is no field either, so copies and pickles start with it empty."""
+        """The cache of ``ingest._read_row``, a function of the line alone
+        under this schema: line text -> (definition, finished Observation),
+        (None, (criterion id, score)) or (None, None) for every line read
+        without error.  The per-file checks run on every row, hit or miss.
+        It is no field either, so copies and pickles start with it empty."""
         return {}
 
     def validate(self) -> None:

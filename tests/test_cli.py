@@ -483,6 +483,9 @@ def test_currency_under_a_non_usd_indicator_is_an_input_error(tmp_path, capsys, 
      ("COM-QN-1|10\nCOM-QN-1|10",
       "DuplicateIndicator: b.txt: line 4: duplicate observation for indicator 'COM-QN-1' "
       "(first on line 3)"),
+     # A repeated indicator whose row has a fault of its own reports that fault.
+     ("COM-QN-1|5\nCOM-QN-1|abc",
+      "ValueParseError: b.txt: line 4: cannot parse 'abc' for indicator COM-QN-1"),
      # A blank score holds no answer, so the repeat is of the row after it.
      ("governance|\ngovernance|4\n\ngovernance|5",
       "ParseError: b.txt: line 6: duplicate rubric row for 'governance' (first on line 4)"),
@@ -493,8 +496,8 @@ def test_currency_under_a_non_usd_indicator_is_an_input_error(tmp_path, capsys, 
                     "the rubric template"),
      ("COM-QN-1|1|2|3", "ParseError: b.txt: line 3: observation rows have 2 or 3 fields")],
     ids=["unit", "value-parse", "misgrouped-thousands", "lower-case-id", "unknown-indicator",
-         "duplicate", "duplicate-memoised", "duplicate-rubric", "rubric-range",
-         "rubric-not-an-integer", "unknown-criterion", "row-shape"],
+         "duplicate", "duplicate-memoised", "duplicate-with-own-fault", "duplicate-rubric",
+         "rubric-range", "rubric-not-an-integer", "unknown-criterion", "row-shape"],
 )
 def test_a_bad_row_names_the_file_and_the_line(tmp_path, monkeypatch, gmi_run, rows, error):
     # The second copy of a line is read through the schema's line memo, so

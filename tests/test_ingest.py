@@ -561,6 +561,10 @@ def test_every_line_read_without_error_is_memoised():
     with pytest.raises(RubricRangeError):
         load_program_dataset("program|B\ngovernance|9\n", schema)
     assert "governance|9" not in lines
+    # A line first met as a repeat was read without error, so it is kept too.
+    with pytest.raises(DuplicateIndicator):
+        load_program_dataset("program|D\nCOM-QN-1|5\nCOM-QN-1|6\n", schema)
+    assert lines["COM-QN-1|6"][1].raw == "6"
     again = load_program_dataset(text.replace("program|A", "program|C"), schema)
     assert (again.rubric, again.observations) == (first.rubric, first.observations)
 

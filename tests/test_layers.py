@@ -98,6 +98,13 @@ def test_start_up_imports_no_heavy_module():
     assert _printed_by_a_fresh_interpreter(code) == []
 
 
+def test_the_cli_alone_loads_no_pathlib():
+    # pathlib also loads urllib.parse, ipaddress, fnmatch and ntpath; only
+    # gmi.bundled, which locates the bundled data files, needs it.
+    code = "import sys, gmi.cli; print('pathlib' in sys.modules)"
+    assert _printed_by_a_fresh_interpreter(code) == ["False"]
+
+
 def test_importing_a_module_loads_no_module_above_it():
     # One interpreter per module, so no earlier import loads a module first.
     above = {}
