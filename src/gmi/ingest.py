@@ -577,8 +577,10 @@ def column_bounds(indicator: str,
                   values: Iterable[float | None]) -> tuple[float | None, float | None]:
     """The least and the greatest of column *indicator*'s present *values*,
     or (None, None) when none is present.  Raises ParseError when the range
-    between them overflows a float: ``gmi score`` min-max scales each
-    column between its bounds, and ``gmi validate`` checks them first."""
+    between them overflows a float.  This is the one bounds pass of a
+    column: ``gmi score`` finds each column's bounds here once and
+    ``scoring.minmax_normalize`` scales between them, and ``gmi validate``
+    checks them first."""
     present = [v for v in values if v is not None]
     if not present:
         return None, None

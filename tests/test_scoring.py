@@ -5,12 +5,12 @@ from __future__ import annotations
 import copy
 import math
 import pickle
+import re
 import sys
 
 import pytest
 
 from gmi.errors import (
-    EmptyCategory,
     ParseError,
     PartialDataError,
     RubricRangeError,
@@ -24,6 +24,7 @@ from gmi.ingest import (
     TypedValue,
     ValidationReport,
     ValueKind,
+    column_bounds,
 )
 from gmi.rubric import Criterion, RubricTemplate, rubric_to_unit
 from gmi.schema import (
@@ -49,7 +50,6 @@ from gmi.scoring import (
     directional_score,
     load_category_table,
     minmax_normalize,
-    score_category,
     score_category_table,
     score_datasets,
 )
@@ -79,13 +79,20 @@ PUBLISHED_COMPOSITES = {1.1807, 1.8415, 3.2945, 3.9312}
 
 
 # ---------------------------------------------------------------------------
-# minmax_normalize
+# column_bounds and minmax_normalize
 # ---------------------------------------------------------------------------
+
+
+def scale_column(values):
+    """*values* min-max scaled between the bounds ``column_bounds`` finds,
+    as the column routine scales them."""
+    lo, hi = column_bounds("X", values.values())
+    return minmax_normalize(values, lo=lo, hi=hi)
 
 
 def test_minmax_published_category_row():
     # Oracle: hand arithmetic on the published FAO row.
-    out = minmax_normalize(
+    out = scale_column(
         {"Mantle": 3.8764, "Taiko": 3.8364, "Optimism": 4.3498, "Arbitrum": 5.5300}
     )
     assert out["Mantle"] == pytest.approx(0.0236, abs=1e-3)
@@ -95,37 +102,27 @@ def test_minmax_published_category_row():
 
 
 def test_minmax_degenerate_all_equal():
-    assert minmax_normalize({"A": 7, "B": 7, "C": 7}) == {"A": 0.5, "B": 0.5, "C": 0.5}
+    assert scale_column({"A": 7, "B": 7, "C": 7}) == {"A": 0.5, "B": 0.5, "C": 0.5}
 
 
 def test_minmax_single_present_value():
-    out = minmax_normalize({"A": 3.2, "B": None})
-    assert out["A"] == 0.5
-    assert out["B"] == Excluded("missing")
+    assert scale_column({"A": 3.2, "B": None}) == {"A": 0.5, "B": None}
 
 
 def test_minmax_unit_interval_endpoints():
-    assert minmax_normalize({"A": 0, "B": 1}) == {"A": 0.0, "B": 1.0}
+    assert scale_column({"A": 0, "B": 1}) == {"A": 0.0, "B": 1.0}
 
 
 def test_minmax_missing_excluded_from_bounds():
-    out = minmax_normalize({"A": 3, "B": None, "C": 5})
-    assert out["A"] == 0.0
-    assert out["B"] == Excluded("missing")
-    assert out["C"] == 1.0
+    assert scale_column({"A": 3, "B": None, "C": 5}) == {"A": 0.0, "B": None, "C": 1.0}
 
 
-def test_minmax_requires_a_program():
-    with pytest.raises(ValueError):
-        minmax_normalize({})
-
-
-def test_minmax_rejects_a_range_that_overflows():
+def test_column_bounds_rejects_a_range_that_overflows():
     big = sys.float_info.max
-    with pytest.raises(ValueError, match="a range that overflows$"):
-        minmax_normalize({"a": big, "b": -big, "c": 0.0})
-    assert minmax_normalize({"a": big, "b": 0.0, "c": None}) == {
-        "a": 1.0, "b": 0.0, "c": Excluded("missing")}
+    message = f"column X spans {-big!r} to {big!r}, a range that overflows"
+    with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+        column_bounds("X", [big, -big, 0.0])
+    assert scale_column({"a": big, "b": 0.0, "c": None}) == {"a": 1.0, "b": 0.0, "c": None}
 
 
 # ---------------------------------------------------------------------------
@@ -158,15 +155,6 @@ def test_an_out_of_range_answer_of_a_built_dataset_is_rejected(bad):
                 _dataset("B", {"COM-QN-1": TypedValue(ValueKind.NUMBER, 5.0)})]
     with pytest.raises(RubricRangeError, match=f"^rubric score {bad} for criterion 'governance'"):
         score_datasets(datasets, builtin_schema(), allow_partial=True)
-
-
-def test_score_category():
-    assert score_category([0.5, 0.5], 0.5) == 0.5
-    assert score_category([0.0, 1.0]) == 0.5
-    # oracle: (0.2 + 0.4 + 0.9 + 0.5) / 4
-    assert score_category([0.2, 0.4, 0.9], 0.5) == pytest.approx(0.5)
-    with pytest.raises(EmptyCategory):
-        score_category([], None)
 
 
 # ---------------------------------------------------------------------------
@@ -404,6 +392,42 @@ def test_score_datasets_rubric_counts_as_one_element():
     assert b.category_scores[Category.FAO] == pytest.approx(2.5 / 3)
 
 
+_FAO_COLUMNS = ("FAO-QN-2", "FAO-QN-3", "FAO-AUX-1")
+
+
+def _fao_scores(rows):
+    """Each program's FAO category score, from *rows* of ``(program, USD
+    amounts in the columns of _FAO_COLUMNS, FAO rubric answer)``.  Every
+    program also answers a COM criterion, so none is left without a
+    category."""
+    datasets = [
+        _dataset(program,
+                 {indicator: TypedValue(ValueKind.MONEY, amount, "USD")
+                  for indicator, amount in zip(_FAO_COLUMNS, amounts)},
+                 {"community-participation-and-engagement": 3,
+                  **({"alignment-with-ecosystem-needs": answer,
+                      "diversity-of-supported-projects": answer} if answer else {})})
+        for program, amounts, answer in rows]
+    _, results = score_datasets(datasets, builtin_schema(), allow_partial=True)
+    return {r.program: r.category_scores.get(Category.FAO) for r in results}
+
+
+def test_score_datasets_category_mean():
+    # Indicator scores 0.5 and 0.5 (a degenerate pair) plus the rubric's 0.5.
+    scores = _fao_scores([("A", (7.0, 7.0), 3), ("B", (7.0, 7.0), 3)])
+    assert scores["A"] == 0.5
+    # Indicator scores 0.0 and 1.0, no rubric answer.
+    scores = _fao_scores([("A", (0.0, 10.0), None), ("B", (10.0, 0.0), None)])
+    assert scores["A"] == 0.5
+    # Oracle: (0.2 + 0.4 + 0.9 + 0.5) / 4, the rubric channel counting once.
+    scores = _fao_scores([("A", (2.0, 4.0, 9.0), 3), ("L", (0.0, 0.0, 0.0), None),
+                          ("H", (10.0, 10.0, 10.0), None)])
+    assert scores["A"] == pytest.approx(0.5)
+    # No scorable input: the category is left out, not scored.
+    scores = _fao_scores([("A", (), None), ("B", (1.0,), None)])
+    assert scores == {"A": None, "B": 0.5}
+
+
 def test_score_datasets_program_order_is_input_order():
     schema = builtin_schema()
     datasets = [
@@ -460,6 +484,16 @@ def test_load_category_table_errors():
         load_category_table(
             "program|FAO|PSO|GOV|EFI|TAC|COM\nX|1|2|3|4|5|6\nX|1|2|3|4|5|6\nY|1\n"
         )
+
+
+def test_only_a_lower_case_note_row_is_a_note():
+    # ``note`` is reserved in lower case; any other first field names a program.
+    table = load_category_table(
+        "program|FAO|PSO|GOV|EFI|TAC|COM\nX|1|2|3|4|5|6\nNote|2|3|4|5|6|1\nnote|n\n")
+    assert list(table.scores) == ["X", "Note"]
+    assert table.notes == ("n",)
+    with pytest.raises(ParseError, match="^line 2: expected 7 fields$"):
+        load_category_table("program|FAO|PSO|GOV|EFI|TAC|COM\nNOTE|free text\n")
 
 
 # ---------------------------------------------------------------------------
