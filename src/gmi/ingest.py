@@ -14,8 +14,10 @@ under the indicator's declared data type:
   jurisdiction name; a trailing ``Foundation`` entity suffix is ignored.
 * binary indicators accept ``0``/``1`` and ``no``/``yes``.
 * ``$X`` is USD money; thousands separators and magnitude suffixes
-  k/m/b (1e3/1e6/1e9) are understood; a trailing token symbol after a ``$``
-  amount is ignored.  Money and token amounts need a USD indicator.
+  k/m/b (1e3/1e6/1e9) are understood, and a suffixed numeral is read as one
+  decimal number (``4.1m`` as ``4.1e6``, the float of ``4,100,000``); a
+  trailing token symbol after a ``$`` amount is ignored.  Money and token
+  amounts need a USD indicator.
 * in every numeral, commas separate thousands only: 1 to 3 digits, then
   groups of exactly 3 (``1,000``, ``12,500.5``).  ``1,5`` or ``1,,000`` is
   an error, not 15 or 1000: a cell that some form matches once its commas
@@ -115,7 +117,6 @@ from .schema import (
     Direction,
     IndicatorDef,
     Kind,
-    Record,
     Schema,
     read_lines,
     read_number,
@@ -142,7 +143,7 @@ _MISSING_SENTINELS = {"n.a.", "tbc", ""}
 
 EXCLUSION_REASONS = ("missing", "non-scorable", "token-unconverted")  # of scoring_status
 
-_MAGNITUDE = {"k": 1e3, "m": 1e6, "b": 1e9}
+_MAGNITUDE = {"k": "e3", "m": "e6", "b": "e9"}
 
 # Jurisdiction names that a legal-domicile cell may hold in place of an ISO
 # 3166-1 alpha-3 code. Extend as new domiciles show up in source data.
@@ -210,7 +211,7 @@ _QUANTITATIVE = Kind.QUANTITATIVE
 _DEFAULT = Direction.DEFAULT
 
 
-class TypedValue(Record, namedtuple("TypedValue", (
+class TypedValue(namedtuple("TypedValue", (
         "kind", "value", "symbol", "unit", "is_code", "qualifier"))):
     """A parsed cell: the fields ingest and scoring read of it."""
 
@@ -249,6 +250,11 @@ class TypedValue(Record, namedtuple("TypedValue", (
             raise ValueError(f"{kind.value} values carry no unit or code flag")
         return _new(cls, (kind, value, symbol, unit, is_code, qualifier))
 
+    @classmethod
+    def _make(cls, iterable):
+        """Through the constructor, so ``_make`` and ``_replace`` run its checks."""
+        return cls(*iterable)
+
 
 #: Builds a record from complete, already checked fields, skipping the
 #: keyword binding and the checks of the class's own constructor.
@@ -263,12 +269,9 @@ def _to_float(token: str) -> float:
 
 def _amount(match: re.Match, group: int) -> float:
     """The amount whose numeral is *match*'s *group*, scaled by the
-    magnitude suffix in the group after it."""
-    base = _to_float(match[group])
+    magnitude suffix in the group after it, as one decimal number."""
     suffix = match[group + 1]
-    if suffix:
-        base *= _MAGNITUDE[suffix.lower()]
-    return base
+    return _to_float(match[group] + _MAGNITUDE[suffix.lower()] if suffix else match[group])
 
 
 def _parse_country(body: str, raw: str, definition: IndicatorDef,
@@ -400,15 +403,8 @@ def coerce_unit(value: TypedValue, from_unit: str | None, definition: IndicatorD
 # Datasets
 # ---------------------------------------------------------------------------
 
-class Observation(Record, namedtuple("Observation", ("indicator_id", "raw", "value"))):
-    __slots__ = ()
-
-
-class ProgramDataset(Record, namedtuple("ProgramDataset", ("program", "observations", "rubric"))):
-    __slots__ = ()
-    program: str
-    observations: dict[str, Observation]
-    rubric: dict[str, int]
+Observation = namedtuple("Observation", ("indicator_id", "raw", "value"))
+ProgramDataset = namedtuple("ProgramDataset", ("program", "observations", "rubric"))
 
 
 #: The line memo's entry for a comment, a blank line or an unanswered rubric row.
@@ -590,7 +586,7 @@ def column_bounds(indicator: str,
     return lo, hi
 
 
-class CategoryValidation(Record, namedtuple("CategoryValidation", (
+class CategoryValidation(namedtuple("CategoryValidation", (
         "scorable_present", "missing", "non_scorable", "token_unconverted", "rubric_responses"))):
     __slots__ = ()
     scorable_present: tuple[str, ...]
@@ -605,7 +601,7 @@ class CategoryValidation(Record, namedtuple("CategoryValidation", (
         return bool(self.scorable_present) or self.rubric_responses > 0
 
 
-class ValidationReport(Record, namedtuple("ValidationReport", ("program", "categories"))):
+class ValidationReport(namedtuple("ValidationReport", ("program", "categories"))):
     __slots__ = ()
     program: str
     categories: dict[Category, CategoryValidation]

@@ -228,7 +228,7 @@ def _read_block(lines: list[str], start: int, stop: int) -> GmiResult:
                                      payload if excluded else None, Qualifier(qualifier)))
     except (ValueError, LookupError):
         raise ParseError(f"line {at + 1}: not as the renderer writes it") from None
-    if not scores or abs(sum(scores.values()) * 6 / len(scores) - gmi) > 4e-4:
+    if not scores or abs(math.fsum(scores.values()) * 6 / len(scores) - gmi) > 4e-4:
         raise ParseError(f"line {start + 3}: gmi is not its categories' rescaled sum")
     if all(classify_maturity(min(max(gmi + d, 0), 6)) is not stage for d in (-5e-5, 5e-5)):
         raise ParseError(f"line {start + 4}: stage is not the stage of gmi")

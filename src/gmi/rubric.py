@@ -16,7 +16,7 @@ from collections import namedtuple
 from collections.abc import Mapping
 
 from .errors import ParseError, RubricRangeError, UnknownCriterion
-from .schema import Category, Record, read_number
+from .schema import Category, read_number
 
 SCALE_MIN = 1
 SCALE_MAX = 5
@@ -34,16 +34,8 @@ def rubric_to_unit(score: int) -> float:
     return (score - 1) / 4
 
 
-class Criterion(Record, namedtuple("Criterion", ("id", "category", "name", "prompt"))):
-    __slots__ = ()
-    id: str
-    category: Category
-    name: str
-    prompt: str
-
-
-class RubricTemplate(Record, namedtuple("RubricTemplate", ("criteria",))):
-    __slots__ = ()
+Criterion = namedtuple("Criterion", ("id", "category", "name", "prompt"))
+RubricTemplate = namedtuple("RubricTemplate", ("criteria",))
 
 
 _BUILTIN = RubricTemplate((

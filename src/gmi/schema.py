@@ -17,11 +17,10 @@ The builtin registry is such a document, the text ``gmi schema dump``
 prints, held in this module and read by ``load_schema`` like any other.
 
 Layer order: this module sits directly above ``errors`` and imports no
-other engine module; it owns the record reader every document loader uses,
-``read_number`` for their numeric fields and ``Record``, the mixin of every
-engine record class.  Each record class is a ``collections.namedtuple``
-class, so records compare and hash as plain tuples of their fields; the
-mixin makes every copy of a record go through its class's constructor.
+other engine module; it owns the record reader every document loader uses
+and ``read_number`` for their numeric fields.  Every engine record class is
+a ``collections.namedtuple``, so records compare and hash as plain tuples of
+their fields.
 """
 
 from __future__ import annotations
@@ -76,29 +75,6 @@ def read_number(text: str, convert: type = float) -> float | int:
     if "_" in text:
         raise ValueError(text)
     return convert(text)
-
-
-class Record:
-    """Mixin of every engine record class, a ``collections.namedtuple``
-    class declared as ``class Name(Record, namedtuple("Name", fields))``.
-
-    ``_replace``, ``_make``, ``copy``, ``deepcopy`` and ``pickle`` rebuild
-    a record through its class's constructor, so they run its checks again
-    and a copy starts with empty memos.  Records of a class with no checks
-    that are built per row, cell or program (such as ``Observation``,
-    ``AuditRecord`` and ``GmiResult``) are made with
-    ``tuple.__new__(cls, fields)`` from complete fields; a ``TypedValue`` is
-    always built through its constructor.
-    """
-
-    __slots__ = ()
-
-    def __reduce__(self):
-        return type(self), tuple(self)
-
-    @classmethod
-    def _make(cls, iterable):
-        return cls(*iterable)
 
 
 class Category(Enum):
@@ -163,8 +139,12 @@ class Direction(Enum):
     DEFAULT = "default"  # higher-better by convention, no polarity asserted
 
 
-class IndicatorDef(Record, namedtuple("IndicatorDef", (
+class IndicatorDef(namedtuple("IndicatorDef", (
         "id", "category", "kind", "data_type", "unit", "direction", "description"))):
+    def __reduce__(self):
+        """Copies and pickles rebuild the fields alone, so their memos start empty."""
+        return type(self), tuple(self)
+
     @cached_property
     def scorable(self) -> bool:
         return (
@@ -221,7 +201,9 @@ class IndicatorDef(Record, namedtuple("IndicatorDef", (
             )
 
 
-class Schema(Record, namedtuple("Schema", ("indicators",))):
+class Schema(namedtuple("Schema", ("indicators",))):
+    __reduce__ = IndicatorDef.__reduce__
+
     @cached_property
     def get(self):
         """``get(indicator_id)`` returns the indicator with that id, or None.

@@ -45,7 +45,7 @@ from . import rubric
 from .errors import EmptyCategory, ParseError, PartialDataError, UnknownIndicator
 from .ingest import (EXCLUSION_REASONS, ProgramDataset, Qualifier, check_distinct_programs,
                      column_bounds, scoring_status)
-from .schema import CATEGORIES, Category, Direction, Record, Schema, read_number, read_records
+from .schema import CATEGORIES, Category, Direction, Schema, read_number, read_records
 
 #: Width of the composite range: six categories, each normalized to [0, 1].
 CATEGORY_COUNT = 6
@@ -74,13 +74,9 @@ _STAGE_THRESHOLDS: tuple[tuple[float, Stage], ...] = (
 )
 
 
-class Excluded(Record, namedtuple("Excluded", ("reason",))):
-    __slots__ = ()  # reason: missing | non-scorable | token-unconverted
-
-
-class AuditRecord(Record, namedtuple("AuditRecord", (
-        "indicator", "raw", "minimum", "maximum", "score", "exclusion", "qualifier"))):
-    __slots__ = ()
+Excluded = namedtuple("Excluded", ("reason",))  # missing | non-scorable | token-unconverted
+AuditRecord = namedtuple("AuditRecord", (
+    "indicator", "raw", "minimum", "maximum", "score", "exclusion", "qualifier"))
 
 
 # Excluded is immutable, so each reason has one shared instance.
@@ -90,9 +86,8 @@ _EXCLUDED = {reason: Excluded(reason) for reason in EXCLUSION_REASONS}
 _ABSENT_CELL = (None, "missing", "n.a.", Qualifier.UNSPECIFIED)
 
 
-class GmiResult(Record, namedtuple("GmiResult", (
-        "program", "category_scores", "normalized_category_scores", "gmi", "stage", "audit"))):
-    __slots__ = ()
+GmiResult = namedtuple("GmiResult", (
+    "program", "category_scores", "normalized_category_scores", "gmi", "stage", "audit"))
 
 
 #: Builds a record from complete fields, skipping the keyword binding.
@@ -100,7 +95,7 @@ _new = tuple.__new__
 _SCORE = itemgetter(AuditRecord._fields.index("score"))
 
 
-class ScoreMatrix(Record, namedtuple("ScoreMatrix", ("results",))):
+class ScoreMatrix(namedtuple("ScoreMatrix", ("results",))):
     """The cohort's indicator scores keyed by ``(program, indicator id)``,
     read from *results* on each access of ``entries``.
 
@@ -232,7 +227,7 @@ def compute_gmi(category_scores: Mapping[str, Mapping[Category, float]],
                    if record.exclusion is None}
         if not per_cat:
             raise EmptyCategory(f"program {program!r} has no category scores")
-        gmi = sum(per_cat.values())
+        gmi = math.fsum(per_cat.values())
         if len(per_cat) < CATEGORY_COUNT:
             gmi *= CATEGORY_COUNT / len(per_cat)
         results[program] = _new(GmiResult, (program, {cat: scores[cat] for cat in per_cat},
@@ -305,9 +300,9 @@ def score_datasets(
             inputs = [score for score in scores if score is not None]
             answers = grouped.get(cat)
             if answers:
-                inputs.append(sum(answers) / len(answers))
+                inputs.append(math.fsum(answers) / len(answers))
             if inputs:
-                per_cat[cat] = sum(inputs) / len(inputs)
+                per_cat[cat] = math.fsum(inputs) / len(inputs)
         category_scores[ds.program] = per_cat
 
     by_program = compute_gmi(category_scores, allow_partial=allow_partial)
@@ -324,10 +319,7 @@ def score_datasets(
 _TABLE_HEADER = ("program",) + tuple(cat.code for cat in CATEGORIES)
 
 
-class CategoryTable(Record, namedtuple("CategoryTable", ("scores", "notes"))):
-    __slots__ = ()
-    scores: dict[str, dict[Category, float]]
-    notes: tuple[str, ...]
+CategoryTable = namedtuple("CategoryTable", ("scores", "notes"))
 
 
 def load_category_table(source: bytes | str) -> CategoryTable:

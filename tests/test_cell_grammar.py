@@ -20,7 +20,7 @@ from gmi.errors import ValueParseError
 from gmi.ingest import Qualifier, TypedValue, ValueKind, parse_value
 from gmi.schema import DataType, Kind, builtin_schema
 
-_MAGNITUDE = {"k": 1e3, "m": 1e6, "b": 1e9}
+_MAGNITUDE = {"k": "e3", "m": "e6", "b": "e9"}
 _TIME_UNITS = {"week": 1.0, "weeks": 1.0, "month": 4.345, "months": 4.345,
                "year": 52.14, "years": 52.14}
 _CANONICAL_TIME = {"week": "weeks", "month": "months", "year": "years"}
@@ -38,10 +38,8 @@ def _amount(token: str) -> float | None:
     m = _MAGNITUDE_RE.match(token)
     if not m:
         return None
-    base = float(m.group(1).replace(",", ""))
-    if m.group(2):
-        base *= _MAGNITUDE[m.group(2).lower()]
-    return base
+    # A suffixed numeral is one decimal number: 4.1m is 4.1e6, not 4.1 * 1e6.
+    return float(m.group(1).replace(",", "") + _MAGNITUDE.get((m.group(2) or "").lower(), ""))
 
 
 def _money(body: str) -> float | None:

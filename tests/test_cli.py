@@ -461,6 +461,39 @@ def test_bounds_10_usd_apart_at_1_2e10_are_a_real_range(tmp_path, monkeypatch, g
     assert b"\nGMI|0.0000|6.0000\n" in out
 
 
+def test_an_exact_tie_stays_a_tie_in_any_order(tmp_path, monkeypatch, gmi_run):
+    # Each program's four COM scores are a rotation of 1, 1/3, 2/3 and 0,
+    # so every COM mean is the same number and each program sits at the
+    # midpoint, whatever the order of the files, of their rows or of the
+    # additions the interpreter's builtin sum would make.
+    monkeypatch.chdir(tmp_path)
+    values, ids = (7, 5, 9, 3), ("COM-QN-1", "COM-QN-2", "COM-QN-4", "COM-QN-5")
+    for folder in ("rows", "reversed"):
+        Path(folder).mkdir()
+    names = [f"P{shift + 1}.txt" for shift in range(4)]
+    for shift, name in enumerate(names):
+        rows = [f"{ind}|{values[(at + shift) % 4]}\n" for at, ind in enumerate(ids)]
+        for folder, ordered in (("rows", rows), ("reversed", rows[::-1])):
+            Path(folder, name).write_text("".join([f"program|{name[:2]}\n", *ordered]),
+                                          encoding="utf-8")
+    for files in ([f"rows/{name}" for name in names], [f"rows/{name}" for name in names[::-1]],
+                  [f"reversed/{name}" for name in names]):
+        code, out, err = gmi_run("score", "--allow-partial", "--format", "delimited", *files)
+        assert (code, err) == (0, "")
+        assert b"\nGMI|3.0000|3.0000|3.0000|3.0000\n" in out, files
+
+
+def test_a_magnitude_suffix_reads_as_the_amount_written_out(tmp_path, monkeypatch, gmi_run):
+    # $4.1m is 4.1e6, the float of $4,100,000, not 4.1 * 1e6 one ulp below it.
+    monkeypatch.chdir(tmp_path)
+    Path("a.txt").write_text("program|A\nFAO-AUX-3|$4.1m\n", encoding="utf-8")
+    Path("b.txt").write_text("program|B\nFAO-AUX-3|$4,100,000\n", encoding="utf-8")
+    code, out, err = gmi_run("score", "--allow-partial", "--format", "delimited",
+                             "a.txt", "b.txt")
+    assert (code, err) == (0, "")
+    assert b"\nGMI|3.0000|3.0000\n" in out
+
+
 @pytest.mark.parametrize(
     "cell, rates, message",
     [("COM-QN-1|5 OP", "OP|2\n", "no conversion from 'OP' to 'headcount'")],

@@ -12,6 +12,7 @@ here, and that rendering holds little beyond the output itself.
 from __future__ import annotations
 
 import importlib.util
+import math
 import random
 import sys
 import tracemalloc
@@ -164,9 +165,9 @@ def _eager_matrix(datasets, schema, rates=None):
         for cat in Category:
             inputs = list(included.get((ds.program, cat), []))
             if grouped.get(cat):
-                inputs.append(sum(grouped[cat]) / len(grouped[cat]))
+                inputs.append(math.fsum(grouped[cat]) / len(grouped[cat]))
             if inputs:
-                category_scores[(ds.program, cat)] = sum(inputs) / len(inputs)
+                category_scores[(ds.program, cat)] = math.fsum(inputs) / len(inputs)
     return entries, category_scores
 
 
