@@ -66,33 +66,31 @@ def _emit(payload: bytes, out: str | None) -> None:
         sys.stdout.buffer.flush()
 
 
-def _cmd_validate(args: argparse.Namespace) -> int:
+def _load_cohort(args: argparse.Namespace) -> tuple[Schema, list]:
+    """The active schema and each input file's dataset under it; raises for
+    a file that does not load, then for a program name two files share."""
     schema = _active_schema(args.schema)
-    programs: list[str] = []
-    chunks: list[bytes] = []
+    datasets = [_load(path, load_program_dataset, schema) for path in args.inputs]
+    check_distinct_programs([ds.program for ds in datasets], args.inputs)
+    return schema, datasets
+
+
+def _cmd_validate(args: argparse.Namespace) -> int:
+    schema, datasets = _load_cohort(args)
     columns: dict[str, list[float | None]] = {}
-    all_ok = True
-    for path in args.inputs:
-        dataset = _load(path, load_program_dataset, schema)
-        report = validate_dataset(dataset, schema, columns)
-        programs.append(dataset.program)
-        chunks.append(render_validation(report))
-        all_ok = all_ok and report.all_scorable
-    check_distinct_programs(programs, args.inputs)
+    reports = [validate_dataset(dataset, schema, columns) for dataset in datasets]
     for indicator, values in columns.items():  # the range rule score applies per column
         column_bounds(indicator, values)
-    _emit(b"".join(chunks), args.out)
-    return EXIT_OK if all_ok else EXIT_DOMAIN
+    _emit(b"".join(map(render_validation, reports)), args.out)
+    return EXIT_OK if all(report.all_scorable for report in reports) else EXIT_DOMAIN
 
 
 def _score_raw(args: argparse.Namespace) -> list[GmiResult]:
     """Load and score the observation files.  Only the results leave this
     frame, so the schema with its parse memos and the datasets are freed
     before the output is rendered."""
-    schema = _active_schema(args.schema)
     rates = _load(args.rates, load_rates) if args.rates else None
-    datasets = [_load(path, load_program_dataset, schema) for path in args.inputs]
-    check_distinct_programs([ds.program for ds in datasets], args.inputs)
+    schema, datasets = _load_cohort(args)
     _, results = score_datasets(datasets, schema, rates=rates, allow_partial=args.allow_partial)
     return results
 

@@ -23,8 +23,8 @@ under the indicator's declared data type:
   an error, not 15 or 1000: a cell that some form matches once its commas
   are removed fails with ``misgrouped thousands separator``.
 * ``A:B`` is a ratio, valued A/B; a zero ``B`` is an error.
-* a number followed by a time-unit word (``week(s)``/``month(s)``/
-  ``year(s)``) is a Number annotated with that unit for later coercion.
+* a number followed by a time-unit word (``week``/``month``/``year``, at most
+  one trailing ``s``, as in a unit field) is a Number annotated with it.
 * a number followed by an upper-case symbol (``50K OP``) is a token amount.
 * ``N (free text)`` is a Number carrying the leading numeral; under
   indicators with unit ``scoring`` the numeral is a categorical code and is
@@ -124,20 +124,9 @@ from .schema import (
     record_fields,
 )
 
-# Fixed time conversions, chosen for reproducibility over calendar precision.
-WEEKS_PER_MONTH = 4.345
-WEEKS_PER_YEAR = 52.14
-
-_TIME_UNITS = {
-    "week": 1.0,
-    "weeks": 1.0,
-    "month": WEEKS_PER_MONTH,
-    "months": WEEKS_PER_MONTH,
-    "year": WEEKS_PER_YEAR,
-    "years": WEEKS_PER_YEAR,
-}
-
-_CANONICAL_TIME = {"week": "weeks", "month": "months", "year": "years"}
+# Weeks per time unit, by canonical name: the fixed factors 4.345 and 52.14,
+# reproducible rather than calendar-exact, as exact ratios of their decimals.
+_WEEKS_PER = {"weeks": (1, 1), "months": (869, 200), "years": (2607, 50)}
 
 _MISSING_SENTINELS = {"n.a.", "tbc", ""}
 
@@ -274,6 +263,14 @@ def _amount(match: re.Match, group: int) -> float:
     return _to_float(match[group] + _MAGNITUDE[suffix.lower()] if suffix else match[group])
 
 
+def _time_unit(word: str) -> str | None:
+    """The canonical name of the time unit *word* names, in any case and
+    with at most one trailing ``s``, or None when it names none."""
+    word = word.lower()
+    unit = word if word.endswith("s") else word + "s"
+    return unit if unit in _WEEKS_PER else None
+
+
 def _parse_country(body: str, raw: str, definition: IndicatorDef,
                    qualifier: Qualifier) -> TypedValue:
     cleaned = re.sub(r"\(.*?\)", " ", body).strip()
@@ -366,11 +363,11 @@ def _parse_cell(raw: str, definition: IndicatorDef) -> TypedValue:
     else:
         raise ValueParseError(raw, definition.id)
 
-    if word.lower() in _TIME_UNITS:
+    unit = _time_unit(word)
+    if unit:
         if amount is None:
             raise ValueParseError(raw, definition.id, "malformed duration")
-        return TypedValue(_NUMBER, amount, None, _CANONICAL_TIME[word.lower().rstrip("s")],
-                          False, qualifier)
+        return TypedValue(_NUMBER, amount, None, unit, False, qualifier)
     if word.isupper() and 2 <= len(word) <= 6:
         if amount is None:
             raise ValueParseError(raw, definition.id, "malformed token amount")
@@ -382,8 +379,8 @@ def coerce_unit(value: TypedValue, from_unit: str | None, definition: IndicatorD
     """Express *value* in the indicator's declared unit.
 
     Money and token amounts need an indicator whose unit is USD (any case).
-    Identity when units already agree; otherwise only time units convert
-    (fixed week factors above). Any other mismatch raises UnitError.
+    Identity when units already agree; otherwise only time units convert, at
+    the exact week-factor ratio, rounded once; other mismatches raise UnitError.
     """
     dst = definition.unit.lower()
     if (value.kind is _MONEY or value.kind is _TOKEN_AMOUNT) and dst != "usd":
@@ -392,9 +389,14 @@ def coerce_unit(value: TypedValue, from_unit: str | None, definition: IndicatorD
         if value.unit is not None:
             return TypedValue(_NUMBER, value.value, None, None, value.is_code, value.qualifier)
         return value
-    src = from_unit.lower()
-    if src in _TIME_UNITS and dst in _TIME_UNITS and value.kind is _NUMBER:
-        converted = value.value * _TIME_UNITS[src] / _TIME_UNITS[dst]
+    src, dst = _time_unit(from_unit), _time_unit(dst)
+    if src and dst and value.kind is _NUMBER:
+        (a, b), (c, d) = _WEEKS_PER[src], _WEEKS_PER[dst]
+        n, m = value.value.as_integer_ratio()
+        try:  # int / int rounds once, and overflows only where the result does
+            converted = n * a * d / (m * b * c)
+        except OverflowError:
+            converted = math.inf  # rejected as not finite, as any other value
         return TypedValue(_NUMBER, converted, None, None, value.is_code, value.qualifier)
     raise UnitError(from_unit, definition.unit)
 
@@ -487,7 +489,7 @@ def _read_row(line: str, schema: Schema) -> tuple:
     value = parse_value(raw, definition)
     annotation = fields[2].lower() if len(fields) == 3 else None
     if annotation:
-        annotation = _CANONICAL_TIME.get(annotation.rstrip("s"), annotation)
+        annotation = _time_unit(annotation) or annotation
     inline = value.unit
     if inline and annotation and inline != annotation:
         raise ParseError(f"unit annotation {annotation!r} contradicts inline unit {inline!r}")
@@ -620,8 +622,8 @@ def validate_dataset(dataset: ProgramDataset, schema: Schema,
 
     A category is scorable iff it has at least one observation that would be
     included in normalization right now (no conversion table assumed) or at
-    least one rubric response.  Rubric answers get scoring's check against
-    the builtin survey, so an unknown criterion raises UnknownCriterion.
+    least one rubric response.  Rubric answers meet the one answer check of
+    ``rubric``, as in scoring: the 1..5 scale, then a builtin criterion.
     With *columns*, each observation's value as it would score now (None
     when excluded) is appended to ``columns[indicator id]``, so that a
     cohort's columns can be checked with ``column_bounds``.

@@ -6,8 +6,8 @@ ready to paste in); scores run from 1 (Low) to 5 (High). A blank score means
 the criterion was left unanswered and is omitted from the aggregation.
 
 Layer order: this module sits above ``schema`` and below ``ingest``; it owns
-the rubric row reader and the 1..5 range check that loading, validation and
-scoring all apply.
+the rubric row reader and the one answer check (the 1..5 scale, then a
+builtin criterion) that rows and datasets built in code all meet.
 """
 
 from __future__ import annotations
@@ -21,12 +21,6 @@ from .schema import Category, read_number
 SCALE_MIN = 1
 SCALE_MAX = 5
 SCALE_ANCHORS = ("Low", "High")
-
-
-def check_score(score: int, criterion_id: str = "") -> None:
-    """Raise RubricRangeError unless *score* lies on the 1..5 scale."""
-    if score not in range(SCALE_MIN, SCALE_MAX + 1):
-        raise RubricRangeError(score, criterion_id)
 
 
 def rubric_to_unit(score: int) -> float:
@@ -58,6 +52,15 @@ _BUILTIN = RubricTemplate((
 _BUILTIN_IDS = frozenset(c.id for c in _BUILTIN.criteria)
 
 
+def _check_answer(criterion_id: str, score: int) -> None:
+    """Raise RubricRangeError unless *score* lies on the 1..5 scale, then
+    UnknownCriterion unless *criterion_id* names a builtin criterion."""
+    if score not in range(SCALE_MIN, SCALE_MAX + 1):
+        raise RubricRangeError(score, criterion_id)
+    if criterion_id not in _BUILTIN_IDS:
+        raise UnknownCriterion(criterion_id)
+
+
 def builtin_template() -> RubricTemplate:
     """The builtin survey, the only rubric: one object, built at import."""
     return _BUILTIN
@@ -66,14 +69,12 @@ def builtin_template() -> RubricTemplate:
 def collect_responses(answers: Mapping[str, int]) -> dict[Category, list[float]]:
     """Group unit-interval rubric scores by the criterion's category.
 
-    Each answer must name a builtin criterion and lie on the 1..5 scale.
-    Grouping runs in builtin order, so the result is independent of the
-    order answers arrive in.
+    Each answer meets the check its row reader applies: a score on the
+    1..5 scale, then a builtin criterion.  Grouping runs in builtin order,
+    so the result is independent of the order answers arrive in.
     """
     for criterion_id, score in answers.items():
-        if criterion_id not in _BUILTIN_IDS:
-            raise UnknownCriterion(criterion_id)
-        check_score(score, criterion_id)
+        _check_answer(criterion_id, score)
     grouped: dict[Category, list[float]] = {}
     for criterion in _BUILTIN.criteria:
         if criterion.id in answers:
@@ -100,7 +101,7 @@ def render_template() -> str:
 def read_answer(fields: list[str]) -> tuple[str, int] | None:
     """One ``criterion-id|score`` row as ``(criterion id, score)``, or None
     for a blank score, which leaves the criterion unanswered.  An answered
-    row must name a builtin criterion, so an unknown one fails on its row."""
+    row meets the one answer check, so a bad answer fails on its row."""
     if len(fields) != 2:
         raise ParseError("rubric rows have 2 fields")
     criterion_id, score_text = fields
@@ -110,7 +111,5 @@ def read_answer(fields: list[str]) -> tuple[str, int] | None:
         score = read_number(score_text, int)
     except ValueError:
         raise ParseError(f"rubric score {score_text!r} is not an integer") from None
-    check_score(score, criterion_id)
-    if criterion_id not in _BUILTIN_IDS:
-        raise UnknownCriterion(criterion_id)
+    _check_answer(criterion_id, score)
     return criterion_id, score

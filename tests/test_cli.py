@@ -16,6 +16,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_sharing import _load_cohort_module
 
 import gmi.cli
 import gmi.schema
@@ -483,6 +484,48 @@ def test_an_exact_tie_stays_a_tie_in_any_order(tmp_path, monkeypatch, gmi_run):
         assert b"\nGMI|3.0000|3.0000|3.0000|3.0000\n" in out, files
 
 
+def _program_blocks(out: bytes) -> dict[bytes, tuple[list[bytes], list[bytes]]]:
+    """Each program's structured block, keyed by its ``program|`` line:
+    its lines but the audit lines, in order, and its audit lines sorted."""
+    blocks = {}
+    for block in out.split(b"\n\n")[1:]:
+        lines = block.splitlines()
+        blocks[lines[0]] = ([line for line in lines if not line.startswith(b"audit|")],
+                            sorted(line for line in lines if line.startswith(b"audit|")))
+    return blocks
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**16), count=st.integers(2, 12),
+       rng=st.randoms(use_true_random=False))
+def test_permuting_rows_and_files_changes_no_program_block(tmp_path_factory, seed, count, rng):
+    # A program's audit lines follow the cohort's first-seen column order,
+    # which a row shuffle changes, so they are compared as a multiset;
+    # every other line of a block must be the same line in the same place.
+    root = tmp_path_factory.mktemp("permuted")
+    cohort = _load_cohort_module().generate(seed, count)
+    (root / "rates.txt").write_text(cohort.rates_text, encoding="utf-8")
+    runs = []
+    for shuffled in (False, True):
+        paths = []
+        for index, program in enumerate(cohort.programs):
+            lines = program.text.splitlines()
+            start = next(at for at, line in enumerate(lines) if line.startswith("program|")) + 1
+            rows = lines[start:]
+            if shuffled:
+                rng.shuffle(rows)
+            paths.append(root / f"{shuffled:d}-{index}.txt")
+            paths[-1].write_text("\n".join(lines[:start] + rows) + "\n", encoding="utf-8")
+        if shuffled:
+            rng.shuffle(paths)
+        out = root / f"{shuffled:d}.out"
+        code = main(["score", "--rates", str(root / "rates.txt"), "--allow-partial",
+                     "--format", "structured", "--out", str(out), *map(str, paths)])
+        runs.append((code, _program_blocks(out.read_bytes())))
+    assert runs[0] == runs[1]
+    assert runs[0][0] == 0 and len(runs[0][1]) == count
+
+
 def test_a_magnitude_suffix_reads_as_the_amount_written_out(tmp_path, monkeypatch, gmi_run):
     # $4.1m is 4.1e6, the float of $4,100,000, not 4.1 * 1e6 one ulp below it.
     monkeypatch.chdir(tmp_path)
@@ -490,6 +533,18 @@ def test_a_magnitude_suffix_reads_as_the_amount_written_out(tmp_path, monkeypatc
     Path("b.txt").write_text("program|B\nFAO-AUX-3|$4,100,000\n", encoding="utf-8")
     code, out, err = gmi_run("score", "--allow-partial", "--format", "delimited",
                              "a.txt", "b.txt")
+    assert (code, err) == (0, "")
+    assert b"\nGMI|3.0000|3.0000\n" in out
+
+
+def test_equal_durations_in_different_units_tie(tmp_path, monkeypatch, gmi_run):
+    # 5 months is 5 * 869/200 weeks, rounded once to the float of 21.725,
+    # not 5 * 4.345 one ulp above it.
+    monkeypatch.chdir(tmp_path)
+    Path("m.txt").write_text("program|M\nFAO-QN-6|5|months\n", encoding="utf-8")
+    Path("w.txt").write_text("program|W\nFAO-QN-6|21.725|weeks\n", encoding="utf-8")
+    code, out, err = gmi_run("score", "--allow-partial", "--format", "delimited",
+                             "m.txt", "w.txt")
     assert (code, err) == (0, "")
     assert b"\nGMI|3.0000|3.0000\n" in out
 
@@ -514,6 +569,8 @@ def test_currency_under_a_non_usd_indicator_is_an_input_error(tmp_path, capsys, 
 @pytest.mark.parametrize(
     "rows, error",
     [("COM-QN-7|$5", "UnitError: b.txt: line 3: no conversion from 'USD' to 'weeks'"),
+     # A unit field names a time unit as a cell does: with at most one trailing s.
+     ("COM-QN-7|6|weekss", "UnitError: b.txt: line 3: no conversion from 'weekss' to 'weeks'"),
      ("COM-QN-1|lots of grants",
       "ValueParseError: b.txt: line 3: cannot parse 'lots of grants' for indicator COM-QN-1"),
      ("COM-QN-1|1,5", "ValueParseError: b.txt: line 3: cannot parse '1,5' for indicator "
@@ -540,9 +597,10 @@ def test_currency_under_a_non_usd_indicator_is_an_input_error(tmp_path, capsys, 
      ("velocity|3", "UnknownCriterion: b.txt: line 3: criterion 'velocity' not present in "
                     "the rubric template"),
      ("COM-QN-1|1|2|3", "ParseError: b.txt: line 3: observation rows have 2 or 3 fields")],
-    ids=["unit", "value-parse", "misgrouped-thousands", "lower-case-id", "unknown-indicator",
-         "duplicate", "duplicate-memoised", "duplicate-with-own-fault", "duplicate-rubric",
-         "rubric-range", "rubric-not-an-integer", "unknown-criterion", "row-shape"],
+    ids=["unit", "unit-field-spelling", "value-parse", "misgrouped-thousands", "lower-case-id",
+         "unknown-indicator", "duplicate", "duplicate-memoised", "duplicate-with-own-fault",
+         "duplicate-rubric", "rubric-range", "rubric-not-an-integer", "unknown-criterion",
+         "row-shape"],
 )
 def test_a_bad_row_names_the_file_and_the_line(tmp_path, monkeypatch, gmi_run, rows, error):
     # The second copy of a line is read through the schema's line memo, so

@@ -89,6 +89,10 @@ def test_an_answered_unknown_criterion_is_rejected_on_its_row():
 def test_collect_rejects_out_of_range():
     with pytest.raises(RubricRangeError):
         collect_responses({"governance": 0})
+    # An answer built in code meets the check a row meets: the scale first.
+    for answer in (lambda: collect_responses({"velocity": 9}), lambda: _answers("velocity|9\n")):
+        with pytest.raises(RubricRangeError, match="score 9 for criterion 'velocity' outside"):
+            answer()
 
 
 def test_collect_preserves_answer_count():
