@@ -82,7 +82,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     for indicator, values in columns.items():  # the range rule score applies per column
         column_bounds(indicator, values)
     _emit(b"".join(map(render_validation, reports)), args.out)
-    return EXIT_OK if all(report.all_scorable for report in reports) else EXIT_DOMAIN
+    return EXIT_DOMAIN if any(report.unscorable_categories() for report in reports) else EXIT_OK
 
 
 def _score_raw(args: argparse.Namespace) -> list[GmiResult]:

@@ -27,42 +27,34 @@ class ValueParseError(GmiError, ValueError):
         if detail:
             msg += f": {detail}"
         super().__init__(msg)
-        self.raw = raw
         self.indicator_id = indicator_id
 
 
 class UnitError(GmiError):
     def __init__(self, from_unit: str, to_unit: str):
         super().__init__(f"no conversion from {from_unit!r} to {to_unit!r}")
-        self.from_unit = from_unit
-        self.to_unit = to_unit
 
 
 class UnknownIndicator(GmiError):
     def __init__(self, indicator_id: str):
         super().__init__(f"indicator {indicator_id!r} not present in the active schema")
-        self.indicator_id = indicator_id
 
 
 class DuplicateIndicator(GmiError):
     def __init__(self, indicator_id: str, first_line: int):
         super().__init__(f"duplicate observation for indicator {indicator_id!r} "
                          f"(first on line {first_line})")
-        self.indicator_id = indicator_id
 
 
 class RubricRangeError(GmiError):
-    def __init__(self, score: object, criterion_id: str = ""):
-        where = f" for criterion {criterion_id!r}" if criterion_id else ""
-        super().__init__(f"rubric score {score!r}{where} outside the 1..5 scale")
-        self.score = score
-        self.criterion_id = criterion_id
+    def __init__(self, score: object, criterion_id: str):
+        super().__init__(f"rubric score {score!r} for criterion {criterion_id!r} "
+                         "outside the 1..5 scale")
 
 
 class UnknownCriterion(GmiError):
     def __init__(self, criterion_id: str):
         super().__init__(f"criterion {criterion_id!r} not present in the rubric template")
-        self.criterion_id = criterion_id
 
 
 class EmptyCategory(GmiError):

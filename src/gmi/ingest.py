@@ -577,8 +577,8 @@ def column_bounds(indicator: str,
     or (None, None) when none is present.  Raises ParseError when the range
     between them overflows a float.  This is the one bounds pass of a
     column: ``gmi score`` finds each column's bounds here once and
-    ``scoring.minmax_normalize`` scales between them, and ``gmi validate``
-    checks them first."""
+    ``scoring.minmax_normalize`` scales between them; ``gmi validate`` and
+    ``scoring.load_category_table`` check them first."""
     present = [v for v in values if v is not None]
     if not present:
         return None, None
@@ -591,11 +591,6 @@ def column_bounds(indicator: str,
 class CategoryValidation(namedtuple("CategoryValidation", (
         "scorable_present", "missing", "non_scorable", "token_unconverted", "rubric_responses"))):
     __slots__ = ()
-    scorable_present: tuple[str, ...]
-    missing: tuple[str, ...]
-    non_scorable: tuple[str, ...]
-    token_unconverted: tuple[str, ...]
-    rubric_responses: int
 
     @property
     def scorable(self) -> bool:
@@ -605,12 +600,6 @@ class CategoryValidation(namedtuple("CategoryValidation", (
 
 class ValidationReport(namedtuple("ValidationReport", ("program", "categories"))):
     __slots__ = ()
-    program: str
-    categories: dict[Category, CategoryValidation]
-
-    @property
-    def all_scorable(self) -> bool:
-        return all(c.scorable for c in self.categories.values())
 
     def unscorable_categories(self) -> list[Category]:
         return [cat for cat, c in self.categories.items() if not c.scorable]
@@ -628,8 +617,9 @@ def validate_dataset(dataset: ProgramDataset, schema: Schema,
     when excluded) is appended to ``columns[indicator id]``, so that a
     cohort's columns can be checked with ``column_bounds``.
     """
-    # Keyed by scoring_status's exclusion reason; None collects what scores.
-    by_category: dict[Category, dict[str | None, list[str]]] = {
+    # Keyed by scoring_status's exclusion reason, in CategoryValidation's
+    # field order; None collects what scores.  Full buckets become a record.
+    by_category: dict[Category, dict | CategoryValidation] = {
         cat: {reason: [] for reason in (None, *EXCLUSION_REASONS)}
         for cat in CATEGORIES
     }
@@ -643,16 +633,7 @@ def validate_dataset(dataset: ProgramDataset, schema: Schema,
             columns.setdefault(obs.indicator_id, []).append(value)
 
     grouped = rubric.collect_responses(dataset.rubric)
-    rubric_counts = {cat: len(grouped.get(cat, ())) for cat in CATEGORIES}
-
-    categories = {
-        cat: CategoryValidation(
-            scorable_present=tuple(buckets[None]),
-            missing=tuple(buckets["missing"]),
-            non_scorable=tuple(buckets["non-scorable"]),
-            token_unconverted=tuple(buckets["token-unconverted"]),
-            rubric_responses=rubric_counts[cat],
-        )
-        for cat, buckets in by_category.items()
-    }
-    return ValidationReport(program=dataset.program, categories=categories)
+    for cat, buckets in by_category.items():
+        by_category[cat] = CategoryValidation(*map(tuple, buckets.values()),
+                                              len(grouped.get(cat, ())))
+    return ValidationReport(dataset.program, by_category)

@@ -30,7 +30,7 @@ from itertools import chain, zip_longest
 from .errors import ParseError
 from .ingest import EXCLUSION_REASONS, CategoryValidation, Qualifier, ValidationReport
 from .schema import CATEGORIES, read_lines
-from .scoring import AuditRecord, GmiResult, Stage, classify_maturity
+from .scoring import CATEGORY_COUNT, AuditRecord, GmiResult, Stage, classify_maturity
 
 FORMATS = ("table", "delimited", "structured")
 
@@ -207,7 +207,7 @@ def _read_block(lines: list[str], start: int, stop: int) -> GmiResult:
     inputs, scores, audit = {}, {}, []
     at = start + 2
     try:
-        gmi = _number(lines[at].partition("|")[2], 0, 6)
+        gmi = _number(lines[at].partition("|")[2], 0, CATEGORY_COUNT)
         at += 1
         stage = Stage(lines[at].partition("|")[2])
         for at in range(at + 1, stop):
@@ -228,9 +228,9 @@ def _read_block(lines: list[str], start: int, stop: int) -> GmiResult:
                                      payload if excluded else None, Qualifier(qualifier)))
     except (ValueError, LookupError):
         raise ParseError(f"line {at + 1}: not as the renderer writes it") from None
-    if not scores or abs(math.fsum(scores.values()) * 6 / len(scores) - gmi) > 4e-4:
+    if not scores or abs(math.fsum(scores.values()) * CATEGORY_COUNT / len(scores) - gmi) > 4e-4:
         raise ParseError(f"line {start + 3}: gmi is not its categories' rescaled sum")
-    if all(classify_maturity(min(max(gmi + d, 0), 6)) is not stage for d in (-5e-5, 5e-5)):
+    if stage not in {classify_maturity(min(max(gmi + d, 0), CATEGORY_COUNT)) for d in (-5e-5, 5e-5)}:
         raise ParseError(f"line {start + 4}: stage is not the stage of gmi")
     return GmiResult(lines[start + 1].partition("|")[2], inputs, scores, gmi, stage, tuple(audit))
 
@@ -298,7 +298,6 @@ def render_validation(report: ValidationReport) -> bytes:
     lines = [f"Program: {report.program}"]
     for cat, code in _CATEGORY_CODES:
         lines.append(_coverage_line(code, report.categories[cat]))
-    if not report.all_scorable:
-        names = ", ".join(cat.code for cat in report.unscorable_categories())
-        lines.append(f"  => unscorable categories: {names}")
+    if unscorable := report.unscorable_categories():
+        lines.append(f"  => unscorable categories: {', '.join(cat.code for cat in unscorable)}")
     return ("\n".join(lines) + "\n").encode("utf-8")

@@ -25,7 +25,7 @@ SCALE_ANCHORS = ("Low", "High")
 
 def rubric_to_unit(score: int) -> float:
     """Map a 1..5 answer, range-checked by its reader, onto [0, 1]."""
-    return (score - 1) / 4
+    return (score - SCALE_MIN) / (SCALE_MAX - SCALE_MIN)
 
 
 Criterion = namedtuple("Criterion", ("id", "category", "name", "prompt"))

@@ -82,7 +82,7 @@ AuditRecord = namedtuple("AuditRecord", (
 # Excluded is immutable, so each reason has one shared instance.
 _EXCLUDED = {reason: Excluded(reason) for reason in EXCLUSION_REASONS}
 
-# The cell of a program that has no observation of an indicator.
+# The cell of a program that has no observation of an indicator, or no score in a category.
 _ABSENT_CELL = (None, "missing", "n.a.", Qualifier.UNSPECIFIED)
 
 
@@ -103,7 +103,6 @@ class ScoreMatrix(namedtuple("ScoreMatrix", ("results",))):
     ``CATEGORY_COUNT`` category records, so ``entries`` reads the former.
     """
     __slots__ = ()
-    results: tuple[GmiResult, ...]
 
     @property
     def entries(self) -> dict[tuple[str, str], float | Excluded]:
@@ -216,7 +215,7 @@ def compute_gmi(category_scores: Mapping[str, Mapping[Category, float]],
         cells = []
         for scores in rows:
             value = scores.get(cat)
-            cells.append((None, "missing", "n.a.", _EXACT) if value is None
+            cells.append(_ABSENT_CELL if value is None
                          else (value, None, _format_score(value), _EXACT))
         columns.append(_score_column(cat.roll_up, dict(zip(cells, cells)), cells))
 
@@ -371,6 +370,8 @@ def load_category_table(source: bytes | str) -> CategoryTable:
         raise ParseError("category table has no header row")
     if not scores:
         raise ParseError("category table has no program rows")
+    for cat in CATEGORIES:
+        column_bounds(cat.code, map(dict.get, scores.values(), repeat(cat)))
     return CategoryTable(scores=scores, notes=tuple(notes))
 
 

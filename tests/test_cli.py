@@ -431,6 +431,15 @@ def test_an_overflowing_column_is_the_one_error_of_validate_and_score(tmp_path, 
         assert gmi_run(*command, "a.txt", "b.txt") == (2, b"", error), command
 
 
+def test_an_overflowing_table_column_names_the_file_and_the_category(tmp_path, monkeypatch,
+                                                                      gmi_run):
+    monkeypatch.chdir(tmp_path)
+    Path("tab.txt").write_text("program|FAO|PSO|GOV|EFI|TAC|COM\n"
+                               "A|1.7e308|1|1|1|1|1\nB|-1.7e308|2|2|2|2|2\n", encoding="utf-8")
+    error = "ParseError: tab.txt: column FAO spans -1.7e+308 to 1.7e+308, a range that overflows\n"
+    assert gmi_run("score", "tab.txt", "--mode", "precomputed-categories") == (2, b"", error)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.sampled_from(range(len(_RANGE_CELLS))), min_size=2, max_size=4))
 def test_validate_predicts_the_overflow_exit_of_score(range_cells_dir, cells):

@@ -22,6 +22,7 @@ from gmi.errors import (
     ValueParseError,
 )
 from gmi.ingest import (
+    CategoryValidation,
     Observation,
     ProgramDataset,
     Qualifier,
@@ -727,6 +728,17 @@ def test_validate_rubric_only_dataset():
     assert report.categories[Category.COM].scorable
     others = [c for cat, c in report.categories.items() if cat is not Category.COM]
     assert all(not c.scorable for c in others)
+
+
+def test_validate_puts_each_cell_in_the_field_of_its_reason():
+    # One COM cell per outcome: scored, missing, non-scorable (a code under
+    # a default direction) and token-unconverted; and one rubric answer.
+    ds = load_program_dataset("program|X\nCOM-QN-1|5\nCOM-QN-2|n.a.\n"
+                              "COM-QN-22|2 (milestones)\nCOM-QN-14|50K OP\n"
+                              "community-participation-and-engagement|3\n", SCHEMA)
+    assert validate_dataset(ds, SCHEMA).categories[Category.COM] == CategoryValidation(
+        scorable_present=("COM-QN-1",), missing=("COM-QN-2",), non_scorable=("COM-QN-22",),
+        token_unconverted=("COM-QN-14",), rubric_responses=1)
 
 
 def test_validate_rejects_an_indicator_the_schema_lacks():

@@ -354,6 +354,18 @@ def _traced(function, argument):
     return result, peak - before, held - before
 
 
+@pytest.mark.parametrize("document", ["raw-golden", "cohort"])
+def test_every_missing_audit_record_is_unspecified(document):
+    # A program without a cell, in an indicator column or a category
+    # column, gets one absent record, whose qualifier is that of a missing
+    # value.
+    text = _RAW if document == "raw-golden" else _cohort_document(1, 200)
+    missing = [line for line in text.splitlines() if "|excluded|missing|" in line]
+    assert {bool(re.fullmatch(r"audit\|[A-Z]{3}-QN\|.*", line)) for line in missing} == \
+        {True, False}  # category records and indicator records both
+    assert [line for line in missing if not line.endswith("|unspecified")] == []
+
+
 def test_parse_structured_holds_at_most_one_block_beyond_its_lines():
     # The reader keeps the document's lines and its results; it renders one
     # block at a time to compare, so its working memory stays below what
